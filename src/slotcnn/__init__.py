@@ -7,6 +7,7 @@ from .errors import (
     FootprintOverflow,
     LevelExhausted,
     NonDivisibleDims,
+    NonFiniteInput,
     NotFlattened,
     OversizedInput,
     PaddingUnsupported,

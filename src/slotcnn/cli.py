@@ -7,8 +7,9 @@ Four commands share one option vocabulary:
 * ``verify``  compare against the plaintext oracle, optionally sweeping scales
 * ``bench``   print per-layer operation counts, optionally sweeping the budget
 
-Exit codes: 0 on success, 1 on input/output or parse problems, 2 on
-validation failures or a failed verification.
+Exit codes: 0 on success, 1 on input/output or parse problems and on bad
+option values or non-finite samples, 2 on validation failures or a failed
+verification.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from . import engine, packing
-from .errors import ParseError, SlotCnnError
+from .errors import NonFiniteInput, ParseError, SlotCnnError
 from .he_backend import HEParams
 from .model import ModelSpec, builtin, builtin_names, load_model, validate
 
@@ -231,6 +232,8 @@ def cmd_run(args) -> int:
         _print_violations(report)
         return EXIT_INVALID
     plan = packing.footprint(m, params, args.align)
+    if args.batch is not None and args.batch < 1:
+        raise ParseError(f"--batch must be at least 1, got {args.batch}")
     if args.input:
         samples = _load_samples(args.input, m)
         if args.batch is not None:
@@ -322,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as err:
+    except (ParseError, NonFiniteInput, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except SlotCnnError as err:

@@ -235,8 +235,12 @@ def verify_against_oracle(m: ModelSpec, params, n_trials: int = 20, seed: int = 
 
     Draws ``n_trials`` uniform random samples, runs them through the slot
     schedule in capacity-sized batches, and reports the worst and mean
-    absolute output error plus the argmax agreement rate.
+    absolute output error plus the argmax agreement rate.  Raises
+    ``ValueError`` when ``n_trials`` is below one, since a check of zero
+    samples proves nothing.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     rng = np.random.default_rng(seed)
     plan = packing.footprint(m, params, alignment)
     max_err = 0.0
@@ -258,8 +262,8 @@ def verify_against_oracle(m: ModelSpec, params, n_trials: int = 20, seed: int = 
     return {
         "trials": n_trials,
         "max_abs_err": max_err,
-        "mean_abs_err": err_sum / n_trials if n_trials else 0.0,
-        "argmax_agreement": agree / n_trials if n_trials else 1.0,
+        "mean_abs_err": err_sum / n_trials,
+        "argmax_agreement": agree / n_trials,
         "tol": tol,
         "ok": max_err <= tol,
     }

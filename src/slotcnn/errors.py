@@ -33,6 +33,10 @@ class FootprintOverflow(SlotCnnError):
     """A single sample needs more slots than one ciphertext provides."""
 
 
+class NonFiniteInput(SlotCnnError):
+    """An input sample holds a NaN or infinite value."""
+
+
 class CapacityExceeded(SlotCnnError):
     """More samples were packed than the plan has room for."""
 

@@ -119,10 +119,10 @@ class OpCounter:
 
     _ATTRS = {"rotation": "rotations", "pt_mult": "pt_mults", "ct_mult": "ct_mults", "add": "adds"}
 
-    def record(self, kind: str, level: int) -> None:
-        setattr(self, self._ATTRS[kind], getattr(self, self._ATTRS[kind]) + 1)
+    def record(self, kind: str, level: int, count: int = 1) -> None:
+        setattr(self, self._ATTRS[kind], getattr(self, self._ATTRS[kind]) + count)
         key = (kind, level)
-        self.by_level[key] = self.by_level.get(key, 0) + 1
+        self.by_level[key] = self.by_level.get(key, 0) + count
 
     def totals(self) -> dict:
         return {
@@ -245,6 +245,47 @@ class Backend:
         if self.params.quantize:
             self._quantize_inplace(out)
         return CipherVector(out, level - 1)
+
+    def masked_sum(self, terms, coefs, support, bias) -> list:
+        """Per-row masked linear combinations of ``terms``, plus a masked bias.
+
+        ``terms`` are ciphertexts at one common level.  Returns one
+        ciphertext per row ``o`` of ``coefs`` holding
+        ``sum_t terms[t] * (coefs[o, t] on support) + (bias[o] on support)``
+        and exact zeros off ``support``.  Values and op ledger equal those of
+        the loop ``mul_plain`` / ``add`` over full-width masks that are
+        ``coefs[o, t]`` on ``support`` and zero elsewhere, accumulated in term
+        order with the bias added last: ``len(coefs) * len(terms)`` plaintext
+        products at the terms' level and as many additions one level below.
+        Only the ``support`` slots are computed, since every product is zero
+        elsewhere.
+        """
+        level = terms[0].level
+        if level < 1:
+            raise LevelExhausted("ciphertext has no multiplication budget left")
+        n = self.params.num_slots
+        for t in terms:
+            if t.values.size != n:
+                raise SlotMismatch(f"operand widths differ: {t.values.size} vs {n}")
+        coefs = np.array(coefs, dtype=np.float64)
+        bias = np.array(bias, dtype=np.float64)
+        quantize = self.params.quantize
+        if quantize:
+            self._quantize_inplace(coefs)
+            self._quantize_inplace(bias)
+        acc = None
+        for t, term in enumerate(terms):
+            prod = coefs[:, t, None] * term.values[support]
+            if quantize:
+                self._quantize_inplace(prod)
+            acc = prod if acc is None else np.add(acc, prod, out=acc)
+        acc += bias[:, None]
+        rows, n_terms = coefs.shape
+        self.counter.record("pt_mult", level, rows * n_terms)
+        self.counter.record("add", level - 1, rows * n_terms)
+        out = np.zeros((rows, n))
+        out[:, support] = acc
+        return [CipherVector(row, level - 1) for row in out]
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
         """Cyclic left shift by ``r`` slots (negative ``r`` shifts right)."""

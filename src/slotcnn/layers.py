@@ -11,6 +11,13 @@ its sample's region, one region per batch offset.
 Masks are always tiled across *all* batch offsets of the plan, whether or
 not a sample is present there, so a batched run performs exactly the same
 slot arithmetic as a solo run and their outputs match bit for bit.
+
+Convolution hands its masked products and sums to
+:meth:`Backend.masked_sum`, which computes them only on the output grid,
+where its masks are nonzero, and leaves exact zeros elsewhere.  Its values
+on the grid and its op ledger are those of the full-width
+``mul_plain`` / ``add`` loop.  The other layers still multiply full-width
+masks.
 """
 
 from __future__ import annotations
@@ -99,11 +106,11 @@ def _tile(backend: Backend, layout: LayoutState, region: np.ndarray) -> np.ndarr
     return full
 
 
-def _position_pattern(backend: Backend, layout: LayoutState, positions: np.ndarray) -> np.ndarray:
-    region = np.zeros(layout.footprint)
+def _support(layout: LayoutState) -> np.ndarray:
+    """Slot indices of the valid positions at every batch offset."""
+    positions = valid_positions(layout)
     assert positions.size == 0 or positions.max() < layout.footprint
-    region[positions] = 1.0
-    return _tile(backend, layout, region)
+    return (np.asarray(layout.batch_offsets)[:, None] + positions[None, :]).reshape(-1)
 
 
 def _sum(backend: Backend, items: list):
@@ -137,8 +144,11 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
     The input is rotated once per (channel, kernel row, kernel column) so
     that each kernel tap aligns with the anchor slot of the window it
     belongs to; each output channel is then a mask-weighted sum of those
-    rotations.  Output values land on an ``interval * stride`` grid and the
-    slots in between are zeroed by the masks.
+    rotations plus a masked bias.  Output values land on an
+    ``interval * stride`` grid and the slots in between are zero.  The
+    products and sums run through :meth:`Backend.masked_sum` on that grid
+    only; the ledger still counts ``ch_out * ch_in * k**2`` plaintext
+    products and as many additions, as a full-width schedule would.
     """
     lay = state.layout
     if isinstance(layer, Conv2d):
@@ -164,12 +174,10 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
 
     rotated = []
     for i in range(layer.ch_in):
-        per_channel = []
         for j in range(kh):
             for k in range(kw):
                 shift = lay.interval * (k + lay.w_img * j)
-                per_channel.append(backend.rotate(state.cts[i], shift))
-        rotated.append(per_channel)
+                rotated.append(backend.rotate(state.cts[i], shift))
 
     out_layout = replace(
         lay,
@@ -180,20 +188,9 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
         pending_const=1.0,
         gaps_zero=True,
     )
-    pattern = _position_pattern(backend, out_layout, valid_positions(out_layout))
-    pending = lay.pending_const
-
-    out_cts = []
-    for o in range(layer.ch_out):
-        acc = None
-        for i in range(layer.ch_in):
-            for tap in range(kh * kw):
-                j, k = divmod(tap, kw)
-                mask = backend._plain(pattern * (weights[o, i, j, k] * pending))
-                prod = backend.mul_plain(rotated[i][tap], mask)
-                acc = prod if acc is None else backend.add(acc, prod)
-        bias_mask = backend._plain(pattern * layer.bias[o])
-        out_cts.append(backend.add(acc, bias_mask))
+    coefs = weights.reshape(layer.ch_out, -1) * lay.pending_const
+    support = _support(out_layout)
+    out_cts = backend.masked_sum(rotated, coefs, support, layer.bias)
     return CipherState(out_cts, out_layout)
 
 
@@ -245,7 +242,8 @@ def approx_relu(backend: Backend, state: CipherState, layer: ApproxReLU) -> Ciph
     constant is pending.
     """
     lay = state.layout
-    pattern = _position_pattern(backend, lay, valid_positions(lay))
+    pattern = np.zeros(backend.params.num_slots)
+    pattern[_support(lay)] = 1.0
     quad = backend._plain(pattern * (layer.a2 * lay.pending_const * lay.pending_const))
     lin = backend._plain(pattern * (layer.a1 * lay.pending_const))
     const = backend._plain(pattern * layer.a0)

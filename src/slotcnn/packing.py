@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityExceeded, FootprintOverflow, OversizedInput, ShapeMismatch
+from .errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch
 from .he_backend import PlainVector
 from .model import FC, AvgPool2d, Conv2d, Flatten, ModelSpec, trace_layout
 
@@ -99,6 +99,9 @@ def batch_pack(samples, plan: PackPlan) -> list:
     rotated right by ``plan.offsets[i]``, and added into the shared vector.
     The returned plaintexts are layout-only; encode them through a backend
     to apply quantization before encryption.
+
+    Every value must be finite: one NaN or infinity would reach every slot
+    through the zeros of the layer masks and corrupt the other samples.
     """
     if len(samples) > plan.capacity:
         raise CapacityExceeded(f"{len(samples)} samples exceed the batch capacity {plan.capacity}")
@@ -113,6 +116,8 @@ def batch_pack(samples, plan: PackPlan) -> list:
             vec = np.asarray(vec, dtype=np.float64).reshape(-1)
             if vec.size > plan.footprint:
                 raise OversizedInput(f"sample vector of length {vec.size} exceeds the footprint {plan.footprint}")
+            if not np.isfinite(vec).all():
+                raise NonFiniteInput(f"sample {i} channel {ch} holds a non-finite value")
             padded = np.zeros(plan.num_slots)
             padded[: vec.size] = vec
             combined[ch] = combined[ch] + np.roll(padded, plan.offsets[i])

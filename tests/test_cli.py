@@ -43,6 +43,10 @@ class TestPlan:
         assert code == 2
         assert "depth budget exceeded" in err
 
+    def test_zero_alignment_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--builtin", "M1", "--align", "0")
+        assert code == 1 and "error: alignment" in err and out == ""
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--builtin", "M7", "--format", "csv")
         assert code == 0
@@ -116,6 +120,17 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--builtin", "M7", "--input", str(inp))
         assert code == 1
 
+    @pytest.mark.parametrize("batch", ["-1", "0"])
+    def test_bad_batch_exit_1(self, capsys, batch):
+        code, out, err = run_cli(capsys, "run", "--builtin", "M1", "--batch", batch)
+        assert code == 1 and "error: --batch" in err and out == ""
+
+    def test_non_finite_input_exit_1(self, capsys, tmp_path):
+        inp = tmp_path / "input.csv"
+        inp.write_text(",".join(["0.5"] * 127 + ["nan"]))
+        code, _, err = run_cli(capsys, "run", "--builtin", "M7", "--input", str(inp))
+        assert code == 1 and "error: sample 0 channel 0" in err
+
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--builtin", "M7", "--format", "csv")
         assert code == 0
@@ -163,6 +178,10 @@ class TestVerify:
         assert [entry["scale_bits"] for entry in sweep] == [16, 24, 30]
         assert doc["error_decreases_with_precision"] is True
 
+    def test_zero_trials_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--builtin", "M7", "--trials", "0")
+        assert code == 1 and "error: n_trials" in err and "PASS" not in out
+
     def test_bad_sweep_value(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--builtin", "M7", "--scale-sweep", "a,b")
         assert code == 1
@@ -188,6 +207,10 @@ class TestBench:
         costs = [float(r[1]) for r in rows]
         assert [int(r[0]) for r in rows] == [7, 8, 9, 10, 11]
         assert all(b > a for a, b in zip(costs, costs[1:]))
+
+    def test_depth_sweep_below_need_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--builtin", "M1", "--depth-sweep", "3")
+        assert code == 1 and "error: budget 3" in err and out == ""
 
     def test_empty_model_zero_rows(self, capsys, tmp_path):
         doc = {"name": "empty", "input": {"channels": 1, "height": 2, "width": 2}, "layers": []}

@@ -17,7 +17,7 @@ from slotcnn import (
     run_inference,
     verify_against_oracle,
 )
-from slotcnn.errors import SlotCnnError
+from slotcnn.errors import NonFiniteInput, SlotCnnError
 
 PARAMS = HEParams()
 
@@ -121,6 +121,17 @@ class TestInference:
             solo, _, _ = run_inference(m, [sample], PARAMS)
             assert np.array_equal(batched[i], solo[0])
 
+    def test_non_finite_sample_refused_and_neighbour_unaffected(self):
+        m = builtin("M1")
+        samples = rand_samples(m, 2, seed=9)
+        poisoned = [samples[0], samples[1].copy()]
+        poisoned[1][0, 5, 5] = np.nan
+        with pytest.raises(NonFiniteInput, match="sample 1 channel 0"):
+            run_inference(m, poisoned, PARAMS)
+        batched, _, _ = run_inference(m, samples, PARAMS)
+        solo, _, _ = run_inference(m, samples[:1], PARAMS)
+        assert np.array_equal(batched[0], solo[0])
+
     def test_invalid_model_raises(self):
         m = builtin("M1")
         with pytest.raises(SlotCnnError, match="depth budget exceeded"):
@@ -211,6 +222,10 @@ class TestVerify:
         coarse = verify_against_oracle(builtin("M7"), HEParams(quantize=True, scale_bits=16), n_trials=4)
         fine = verify_against_oracle(builtin("M7"), HEParams(quantize=True, scale_bits=30), n_trials=4)
         assert fine["mean_abs_err"] < coarse["mean_abs_err"]
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="n_trials"):
+            verify_against_oracle(builtin("M7"), PARAMS, n_trials=0)
 
     def test_batches_through_capacity(self):
         m = builtin("M6")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotcnn import Backend, DEFAULT_PARAMS, HEParams, OpCounter, PlainVector
+from slotcnn import Backend, CipherVector, DEFAULT_PARAMS, HEParams, OpCounter, PlainVector
 from slotcnn.errors import LevelExhausted, OversizedInput, SlotMismatch
 from slotcnn.he_backend import diff_snapshots
 
@@ -292,3 +292,62 @@ class TestCounter:
         totals, hist = diff_snapshots(before, counter.snapshot())
         assert totals == {"rotations": 2, "pt_mults": 0, "ct_mults": 0, "adds": 1}
         assert hist == {("rotation", 2): 2, ("add", 1): 1}
+
+
+def loop_masked_sum(be, terms, coefs, support, bias):
+    """The mul_plain / add loop that Backend.masked_sum replaces."""
+    pattern = np.zeros(be.params.num_slots)
+    pattern[support] = 1.0
+    out = []
+    for o in range(coefs.shape[0]):
+        acc = None
+        for t, term in enumerate(terms):
+            prod = be.mul_plain(term, be._plain(pattern * coefs[o, t]))
+            acc = prod if acc is None else be.add(acc, prod)
+        out.append(be.add(acc, be._plain(pattern * bias[o])))
+    return out
+
+
+class TestMaskedSum:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_terms=st.integers(1, 6),
+        rows=st.integers(1, 4),
+        n_support=st.integers(0, 32),
+        drops=st.integers(0, 3),
+        quantize=st.booleans(),
+    )
+    def test_equals_mul_plain_add_loop(self, seed, n_terms, rows, n_support, drops, quantize):
+        params = HEParams(poly_degree=64, depth=4, scale_bits=8, quantize=quantize)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-4, 4, params.num_slots)
+        support = rng.choice(params.num_slots, size=n_support, replace=False)
+        off_support = np.setdiff1d(np.arange(params.num_slots), support)
+        coefs = rng.uniform(-2, 2, (rows, n_terms))
+        bias = rng.uniform(-2, 2, rows)
+        shifts = rng.integers(-40, 40, n_terms)
+        results = []
+        for method in (loop_masked_sum, Backend.masked_sum):
+            be = Backend(params)
+            ct = be.encrypt(be.encode(x))
+            ones = be.encode(np.ones(params.num_slots))
+            for _ in range(drops):
+                ct = be.mul_plain(ct, ones)
+            terms = [be.rotate(ct, int(s)) for s in shifts]
+            results.append((method(be, terms, coefs, support, bias), be.counter.snapshot()))
+        (want, want_ledger), (got, got_ledger) = results
+        assert got_ledger == want_ledger
+        assert list(got_ledger[4]) == list(want_ledger[4])
+        for g, w in zip(got, want, strict=True):
+            assert g.level == w.level
+            assert g.values[support].tobytes() == w.values[support].tobytes()
+            assert np.all(g.values[off_support] == 0) and np.all(w.values[off_support] == 0)
+
+    def test_level_and_width_checks(self):
+        be = Backend(HEParams(poly_degree=8, depth=1))
+        ct = be.mul_plain(be.encrypt(be.encode([1])), be.encode(np.ones(4)))
+        with pytest.raises(LevelExhausted):
+            be.masked_sum([ct], np.ones((1, 1)), np.arange(2), np.zeros(1))
+        with pytest.raises(SlotMismatch):
+            be.masked_sum([CipherVector(np.zeros(8), 1)], np.ones((1, 1)), np.arange(2), np.zeros(1))

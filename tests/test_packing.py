@@ -14,7 +14,7 @@ from slotcnn import (
     flatten_input,
     footprint,
 )
-from slotcnn.errors import CapacityExceeded, FootprintOverflow, OversizedInput, ShapeMismatch
+from slotcnn.errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch
 
 PARAMS = HEParams()  # 8192 slots
 
@@ -130,6 +130,15 @@ class TestBatchPack:
         plan = toy_plan(4, 16)
         with pytest.raises(ShapeMismatch):
             batch_pack([[np.zeros(2), np.zeros(2)], [np.zeros(2)]], plan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        plan = toy_plan(4, 8)
+        poisoned = np.array([1.0, bad])
+        with pytest.raises(NonFiniteInput, match="sample 1 channel 1"):
+            batch_pack([[np.ones(2), np.ones(2)], [np.ones(2), poisoned]], plan)
+        with pytest.raises(CapacityExceeded):
+            batch_pack([[poisoned]] * 3, plan)
 
     def test_multi_channel_packing(self):
         plan = toy_plan(4, 8)
