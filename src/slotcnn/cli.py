@@ -5,7 +5,8 @@ Four commands share one option vocabulary:
 * ``plan``    print the slot footprint, batch capacity, and offsets
 * ``run``     execute a batch and print the full inference report
 * ``verify``  compare against the plaintext oracle, optionally sweeping scales
-* ``bench``   print per-layer operation counts, optionally sweeping the budget
+* ``bench``   print per-layer operation counts, optionally sweeping the budget;
+              counted on :class:`CountingBackend`, without slot arithmetic
 
 Exit codes: 0 on success, 1 on input/output or parse problems and on bad
 option values or non-finite samples, 2 on validation failures or a failed
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import engine, packing
 from .errors import NonFiniteInput, ParseError, SlotCnnError
-from .he_backend import HEParams
+from .he_backend import CountingBackend, HEParams
 from .model import ModelSpec, builtin, builtin_names, load_model, validate
 
 __all__ = ["main"]
@@ -292,7 +293,7 @@ def cmd_bench(args) -> int:
         return EXIT_INVALID
     plan = packing.footprint(m, params, args.align)
     samples = _random_samples(m, 1, args.seed)
-    _, metrics, _ = engine.run_inference(m, samples, params, plan=plan)
+    _, metrics, _ = engine.run_inference(m, samples, params, plan=plan, backend=CountingBackend(params))
     if args.depth_sweep:
         try:
             depths = [int(d) for d in args.depth_sweep.split(",") if d.strip()]

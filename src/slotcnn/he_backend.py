@@ -11,6 +11,17 @@ reproducible.  The only modeled approximation is an optional fixed-point
 quantization (round to ``scale_bits`` fractional bits, ties to even) applied
 at encode time and after every multiplication.  There is no noise model
 beyond that and no actual encryption.
+
+Every operation of :class:`Backend` runs in two steps: shared bookkeeping
+(width and level checks, the :class:`OpCounter` record, the result level),
+then a value hook that computes the result's slots.  The op ledger does not
+depend on slot values, so :class:`CountingBackend` overrides only the value
+hooks: every ciphertext and plaintext it returns shares one read-only zero
+vector of ``num_slots`` slots (or of the operand's width, for hand-built
+vectors of another width).  It raises the same errors, records the same
+ledger in the same order and reaches the same levels as :class:`Backend`,
+without the slot arithmetic or quantization, so it prices a schedule
+(``slotcnn bench``) at a fraction of the cost of running it.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ __all__ = [
     "CipherVector",
     "OpCounter",
     "Backend",
+    "CountingBackend",
     "DEFAULT_PARAMS",
 ]
 
@@ -167,12 +179,6 @@ class Backend:
 
     # -- encoding ---------------------------------------------------------
 
-    def _quantize_inplace(self, arr: np.ndarray) -> np.ndarray:
-        np.multiply(arr, self._scale, out=arr)
-        np.rint(arr, out=arr)
-        np.divide(arr, self._scale, out=arr)
-        return arr
-
     def encode(self, data) -> PlainVector:
         """Encode a vector of at most ``num_slots`` reals, zero-filling the rest."""
         arr = np.asarray(data, dtype=np.float64)
@@ -185,9 +191,7 @@ class Backend:
             raise OversizedInput(f"vector of length {arr.size} does not fit into {n} slots")
         out = np.zeros(n, dtype=np.float64)
         out[: arr.size] = arr
-        if self.params.quantize:
-            self._quantize_inplace(out)
-        return PlainVector(out)
+        return PlainVector(self._quantized(out))
 
     def _plain(self, arr: np.ndarray) -> PlainVector:
         """Wrap an owned full-width float64 array with encode semantics.
@@ -195,13 +199,11 @@ class Backend:
         Internal fast path for mask construction: the caller guarantees the
         array has exactly ``num_slots`` entries and is not aliased elsewhere.
         """
-        if self.params.quantize:
-            self._quantize_inplace(arr)
-        return PlainVector(arr)
+        return PlainVector(self._quantized(arr))
 
     def encrypt(self, plain: PlainVector) -> CipherVector:
         """Turn a plaintext into a fresh ciphertext at the full level budget."""
-        return CipherVector(plain.values.copy(), self.params.depth)
+        return CipherVector(self._copied(plain.values), self.params.depth)
 
     def decrypt(self, cipher: CipherVector) -> np.ndarray:
         return cipher.values.copy()
@@ -221,7 +223,7 @@ class Backend:
         self._check_width(a, b)
         level = a.level if isinstance(b, PlainVector) else min(a.level, b.level)
         self.counter.record("add", level)
-        return CipherVector(a.values + b.values, level)
+        return CipherVector(self._sum(a.values, b.values), level)
 
     def mul_plain(self, cipher: CipherVector, plain: PlainVector) -> CipherVector:
         """Slot-wise ciphertext-plaintext product; consumes one level."""
@@ -229,10 +231,7 @@ class Backend:
             raise LevelExhausted("ciphertext has no multiplication budget left")
         self._check_width(cipher, plain)
         self.counter.record("pt_mult", cipher.level)
-        out = cipher.values * plain.values
-        if self.params.quantize:
-            self._quantize_inplace(out)
-        return CipherVector(out, cipher.level - 1)
+        return CipherVector(self._product(cipher.values, plain.values), cipher.level - 1)
 
     def mul_cipher(self, a: CipherVector, b: CipherVector) -> CipherVector:
         """Slot-wise ciphertext-ciphertext product; consumes one level."""
@@ -241,10 +240,7 @@ class Backend:
             raise LevelExhausted("ciphertext has no multiplication budget left")
         self._check_width(a, b)
         self.counter.record("ct_mult", level)
-        out = a.values * b.values
-        if self.params.quantize:
-            self._quantize_inplace(out)
-        return CipherVector(out, level - 1)
+        return CipherVector(self._product(a.values, b.values), level - 1)
 
     def masked_sum(self, terms, coefs, support, bias) -> list:
         """Per-row masked linear combinations of ``terms``, plus a masked bias.
@@ -267,28 +263,73 @@ class Backend:
         for t in terms:
             if t.values.size != n:
                 raise SlotMismatch(f"operand widths differ: {t.values.size} vs {n}")
-        coefs = np.array(coefs, dtype=np.float64)
-        bias = np.array(bias, dtype=np.float64)
-        quantize = self.params.quantize
-        if quantize:
-            self._quantize_inplace(coefs)
-            self._quantize_inplace(bias)
-        acc = None
-        for t, term in enumerate(terms):
-            prod = coefs[:, t, None] * term.values[support]
-            if quantize:
-                self._quantize_inplace(prod)
-            acc = prod if acc is None else np.add(acc, prod, out=acc)
-        acc += bias[:, None]
-        rows, n_terms = coefs.shape
+        rows, n_terms = np.shape(coefs)
         self.counter.record("pt_mult", level, rows * n_terms)
         self.counter.record("add", level - 1, rows * n_terms)
-        out = np.zeros((rows, n))
-        out[:, support] = acc
-        return [CipherVector(row, level - 1) for row in out]
+        return [CipherVector(v, level - 1) for v in self._masked_rows(terms, coefs, support, bias)]
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
         """Cyclic left shift by ``r`` slots (negative ``r`` shifts right)."""
         r = r % self.params.num_slots
         self.counter.record("rotation", cipher.level)
-        return CipherVector(np.roll(cipher.values, -r), cipher.level)
+        return CipherVector(self._rotated(cipher.values, r), cipher.level)
+
+    # -- slot values: the only part CountingBackend replaces ---------------
+
+    def _quantized(self, arr: np.ndarray) -> np.ndarray:
+        """Round an owned array in place to ``scale_bits`` fractional bits when quantization is on."""
+        if self.params.quantize:
+            np.multiply(arr, self._scale, out=arr)
+            np.rint(arr, out=arr)
+            np.divide(arr, self._scale, out=arr)
+        return arr
+
+    def _copied(self, values: np.ndarray) -> np.ndarray:
+        return values.copy()
+
+    def _sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._quantized(a * b)
+
+    def _masked_rows(self, terms, coefs, support, bias) -> np.ndarray:
+        coefs = self._quantized(np.array(coefs, dtype=np.float64))
+        bias = self._quantized(np.array(bias, dtype=np.float64))
+        acc = None
+        for t, term in enumerate(terms):
+            prod = self._quantized(coefs[:, t, None] * term.values[support])
+            acc = prod if acc is None else np.add(acc, prod, out=acc)
+        acc += bias[:, None]
+        out = np.zeros((len(coefs), self.params.num_slots))
+        out[:, support] = acc
+        return out
+
+    def _rotated(self, values: np.ndarray, r: int) -> np.ndarray:
+        return np.concatenate((values[r:], values[:r]))
+
+
+class CountingBackend(Backend):
+    """A :class:`Backend` that keeps the checks, levels and op ledger but no values.
+
+    Every ciphertext and plaintext it returns holds the shared read-only
+    zero vector of its width, which is ``num_slots`` for anything the layer
+    schedules build, so running a schedule on it costs only the
+    bookkeeping.  Use it to read a schedule's ledger, never its outputs.
+    """
+
+    def __init__(self, params: HEParams):
+        super().__init__(params)
+        self._zero_vectors = {}
+
+    def _zeros_like(self, values: np.ndarray, *_) -> np.ndarray:
+        zeros = self._zero_vectors.get(values.size)
+        if zeros is None:
+            zeros = self._zero_vectors[values.size] = np.zeros(values.size)
+            zeros.flags.writeable = False
+        return zeros
+
+    _quantized = _copied = _sum = _product = _rotated = _zeros_like
+
+    def _masked_rows(self, terms, coefs, support, bias):
+        return [self._zeros_like(terms[0].values)] * len(coefs)

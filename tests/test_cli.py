@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from slotcnn import builtin, model_to_dict
+from slotcnn import HEParams, builtin, builtin_names, estimate_cost, model_to_dict, run_inference
 from slotcnn.cli import main
 
 
@@ -230,3 +230,23 @@ class TestBench:
     def test_invalid_model_exit(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--builtin", "M3", "--depth", "8")
         assert code == 2 and "depth budget exceeded" in err
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_json_equals_run_per_layer(self, capsys, name):
+        code, out, _ = run_cli(capsys, "bench", "--builtin", name, "--format", "json")
+        assert code == 0
+        code, run_out, _ = run_cli(capsys, "run", "--builtin", name, "--format", "json")
+        assert code == 0
+        per_layer = [r for r in json.loads(run_out)["per_layer"] if r["layer"] != "Drop Level"]
+        assert json.loads(out) == per_layer
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_depth_sweep_equals_live_estimate(self, capsys, name):
+        code, out, _ = run_cli(capsys, "bench", "--builtin", name, "--depth-sweep", "9,10,11")
+        assert code == 0
+        m = builtin(name)
+        params = HEParams()
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, (1, m.channels, m.height, m.width))
+        _, metrics, _ = run_inference(m, xs, params)
+        expected = [[str(d), repr(estimate_cost(metrics, params, depth_override=d))] for d in (9, 10, 11)]
+        assert list(csv.reader(io.StringIO(out)))[1:] == expected

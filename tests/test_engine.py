@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from slotcnn import (
+    FC,
+    ApproxReLU,
+    AvgPool2d,
     Backend,
+    Conv1d,
+    Conv2d,
     CostModel,
+    CountingBackend,
+    Flatten,
     HEParams,
     ModelSpec,
+    Square,
     builtin,
     builtin_names,
     estimate_cost,
@@ -15,6 +23,7 @@ from slotcnn import (
     infer,
     reference_infer,
     run_inference,
+    validate,
     verify_against_oracle,
 )
 from slotcnn.errors import NonFiniteInput, SlotCnnError
@@ -231,3 +240,110 @@ class TestVerify:
         m = builtin("M6")
         result = verify_against_oracle(m, PARAMS, n_trials=30, seed=3)
         assert result["trials"] == 30 and result["ok"]
+
+
+MAX_SWEEP_DEPTH = 13
+
+
+def ledger(backend_cls, m, params, samples):
+    """Everything a run reports that does not depend on slot values.
+
+    Per-layer rows (``to_dict``, ``hist`` in key order, ``level_after``,
+    FC detail), the backend's whole counter in key order, and
+    ``estimate_cost`` at every budget from the model's need up to
+    ``MAX_SWEEP_DEPTH``.  A run that raises yields the error instead.
+    """
+    backend = backend_cls(params)
+    try:
+        _, metrics, _ = run_inference(m, samples, params, backend=backend)
+    except SlotCnnError as err:
+        return type(err), str(err)
+    rows = [(r.to_dict(), list(r.hist.items()), r.level_after, r.detail) for r in metrics.per_layer]
+    counter = (backend.counter.snapshot(), list(backend.counter.by_level.items()))
+    costs = [
+        (d, estimate_cost(metrics, params, depth_override=d))
+        for d in range(metrics.total_mults, MAX_SWEEP_DEPTH + 1)
+    ]
+    return rows, counter, costs
+
+
+def random_stack(rng):
+    """A random model mixing conv, pooling, activations, flatten and FC layers.
+
+    Widths and heights are tracked as the layers are drawn, so most stacks
+    are valid; the caller still filters them through ``validate``.
+    """
+    one_d = rng.random() < 0.3
+    ch = int(rng.integers(1, 3))
+    h = 1 if one_d else int(rng.integers(4, 13))
+    w = int(rng.integers(4, 17))
+    cur_ch, cur_h, cur_w = ch, h, w
+    layers = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = rng.choice(["conv", "pool", "square", "relu"])
+        if kind == "conv":
+            k = int(rng.integers(1, min(cur_w if one_d else min(cur_h, cur_w), 4) + 1))
+            s = int(rng.integers(1, k + 1))
+            out = int(rng.integers(1, 4))
+            bias = rng.uniform(-1, 1, out)
+            if one_d:
+                layers.append(Conv1d(ch_in=cur_ch, ch_out=out, kernel=k, stride=s,
+                                     weights=rng.uniform(-1, 1, (out, cur_ch, k)), bias=bias))
+            else:
+                layers.append(Conv2d(ch_in=cur_ch, ch_out=out, kernel=k, stride=s,
+                                     weights=rng.uniform(-1, 1, (out, cur_ch, k, k)), bias=bias))
+                cur_h = (cur_h - k) // s + 1
+            cur_w = (cur_w - k) // s + 1
+            cur_ch = out
+        elif kind == "pool":
+            divs = [c for c in (2, 3) if not one_d and cur_h % c == 0 and cur_w % c == 0]
+            if divs:
+                c = int(rng.choice(divs))
+                layers.append(AvgPool2d(kernel=c))
+                cur_h //= c
+                cur_w //= c
+        elif kind == "square":
+            layers.append(Square())
+        else:
+            layers.append(ApproxReLU(*rng.uniform(-1, 1, 3)))
+    if rng.random() < 0.7:
+        layers.append(Flatten())
+        d_in = cur_ch * cur_h * cur_w
+        for _ in range(int(rng.integers(1, 3))):
+            d_out = int(rng.integers(1, 11))
+            layers.append(FC(dat_in=d_in, dat_out=d_out, weights=rng.uniform(-1, 1, (d_out, d_in)),
+                             bias=rng.uniform(-1, 1, d_out)))
+            d_in = d_out
+            if rng.random() < 0.3:
+                layers.append(Square() if rng.random() < 0.5 else ApproxReLU())
+    return ModelSpec(name="fuzz", channels=ch, height=h, width=w, layers=tuple(layers))
+
+
+class TestCountingLedger:
+    """CountingBackend reports exactly the ledger a live Backend run records."""
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtins(self, name, quantize):
+        m = builtin(name)
+        params = HEParams(quantize=quantize, scale_bits=32)
+        samples = rand_samples(m, 2, seed=7)
+        assert ledger(CountingBackend, m, params, samples) == ledger(Backend, m, params, samples)
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        seen = set()
+        for _ in range(400):
+            m = random_stack(rng)
+            params = HEParams(poly_degree=2048, depth=int(rng.integers(8, 12)), quantize=bool(rng.random() < 0.5))
+            if not validate(m, params).ok:
+                continue
+            samples = rand_samples(m, int(rng.integers(1, 3)), seed=checked)
+            assert ledger(CountingBackend, m, params, samples) == ledger(Backend, m, params, samples), m.layers
+            seen.update(type(layer).__name__ for layer in m.layers)
+            checked += 1
+            if checked == 100:
+                break
+        assert checked == 100
+        assert seen == {"Conv2d", "Conv1d", "AvgPool2d", "Square", "ApproxReLU", "Flatten", "FC"}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotcnn import Backend, CipherVector, DEFAULT_PARAMS, HEParams, OpCounter, PlainVector
+from slotcnn import Backend, CipherVector, CountingBackend, DEFAULT_PARAMS, HEParams, OpCounter, PlainVector
 from slotcnn.errors import LevelExhausted, OversizedInput, SlotMismatch
 from slotcnn.he_backend import diff_snapshots
 
@@ -225,6 +225,14 @@ class TestRotate:
         one = be.decrypt(be.rotate(c, a + b))
         assert np.array_equal(two, one)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(-3 * 16, 3 * 16))
+    def test_equals_np_roll(self, seed, r):
+        be = Backend(HEParams(poly_degree=32, depth=2))
+        x = np.random.default_rng(seed).uniform(-4, 4, 16)
+        out = be.rotate(be.encrypt(be.encode(x)), r)
+        assert out.values.tobytes() == np.roll(x, -r).tobytes()
+
 
 class TestLevelBudget:
     def test_monotone_consumption(self):
@@ -351,3 +359,111 @@ class TestMaskedSum:
             be.masked_sum([ct], np.ones((1, 1)), np.arange(2), np.zeros(1))
         with pytest.raises(SlotMismatch):
             be.masked_sum([CipherVector(np.zeros(8), 1)], np.ones((1, 1)), np.arange(2), np.zeros(1))
+
+
+OPS = ("add", "add_plain", "mul_plain", "mul_cipher", "rotate", "masked_sum", "encode_wide")
+
+
+def replay(be, ops):
+    """Apply one op script to a backend; returns levels, ledger and the error raised, if any.
+
+    Each step reads operands from a growing pool of ciphertexts by index, so
+    the same script drives a :class:`Backend` and a :class:`CountingBackend`
+    through the same calls.  A foreign 2-slot ciphertext sits in the pool so
+    that width mismatches happen too.
+    """
+    n = be.params.num_slots
+    pool = [be.encrypt(be.encode(np.arange(n, dtype=float))), CipherVector(np.zeros(2), be.params.depth)]
+    ones = be.encode(np.ones(n))
+    error = None
+    try:
+        for op, i, j, r in ops:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            if op == "add":
+                pool.append(be.add(a, b))
+            elif op == "add_plain":
+                pool.append(be.add(a, ones))
+            elif op == "mul_plain":
+                pool.append(be.mul_plain(a, ones))
+            elif op == "mul_cipher":
+                pool.append(be.mul_cipher(a, b))
+            elif op == "rotate":
+                pool.append(be.rotate(a, r))
+            elif op == "masked_sum":
+                pool.extend(be.masked_sum([a, b], np.full((2, 2), 0.5), np.arange(0, n, 3), np.ones(2)))
+            else:
+                be.encode(np.ones(n + r % 3))
+    except (LevelExhausted, SlotMismatch, OversizedInput) as err:
+        error = (type(err), str(err))
+    levels = [ct.level for ct in pool]
+    return levels, be.counter.snapshot(), list(be.counter.by_level), error
+
+
+class TestCountingBackend:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.sampled_from(OPS), st.integers(0, 30), st.integers(0, 30), st.integers(-20, 20)),
+            max_size=25,
+        ),
+        quantize=st.booleans(),
+    )
+    def test_same_levels_ledger_and_errors(self, ops, quantize):
+        params = HEParams(poly_degree=16, depth=3, scale_bits=4, quantize=quantize)
+        assert replay(CountingBackend(params), ops) == replay(Backend(params), ops)
+
+    @pytest.mark.parametrize("cls", [Backend, CountingBackend])
+    def test_level_exhausted_at_level_zero(self, cls):
+        be = cls(HEParams(poly_degree=8, depth=1))
+        ones = be.encode(np.ones(4))
+        ct = be.mul_plain(be.encrypt(be.encode([1.0])), ones)
+        assert ct.level == 0
+        before = be.counter.snapshot()
+        with pytest.raises(LevelExhausted):
+            be.mul_plain(ct, ones)
+        with pytest.raises(LevelExhausted):
+            be.mul_cipher(ct, ct)
+        with pytest.raises(LevelExhausted):
+            be.masked_sum([ct], np.ones((1, 1)), np.arange(2), np.zeros(1))
+        assert be.counter.snapshot() == before
+
+    @pytest.mark.parametrize("cls", [Backend, CountingBackend])
+    def test_width_and_size_errors(self, cls):
+        be = cls(P4)
+        ct = be.encrypt(be.encode([1, 2]))
+        wide = CipherVector(np.zeros(8), P4.depth)
+        for call in (
+            lambda: be.add(ct, wide),
+            lambda: be.add(ct, PlainVector(np.zeros(8))),
+            lambda: be.mul_plain(ct, PlainVector(np.zeros(8))),
+            lambda: be.mul_cipher(ct, wide),
+            lambda: be.masked_sum([ct, wide], np.ones((1, 2)), np.arange(2), np.zeros(1)),
+        ):
+            with pytest.raises(SlotMismatch):
+                call()
+        with pytest.raises(OversizedInput):
+            be.encode(np.ones(5))
+        with pytest.raises(OversizedInput):
+            be.encode(np.ones((2, 2)))
+        assert be.counter.totals() == {"rotations": 0, "pt_mults": 0, "ct_mults": 0, "adds": 0}
+
+    def test_results_share_one_read_only_zero_vector(self):
+        be = CountingBackend(P8)
+        plain = be.encode([1, 2, 3])
+        ct = be.encrypt(plain)
+        results = [
+            plain,
+            be._plain(np.ones(8)),
+            ct,
+            be.add(ct, ct),
+            be.add(ct, plain),
+            be.mul_plain(ct, plain),
+            be.mul_cipher(ct, ct),
+            be.rotate(ct, 3),
+            *be.masked_sum([ct, ct], np.ones((3, 2)), np.arange(4), np.ones(3)),
+        ]
+        for vec in results:
+            assert vec.values is results[0].values
+            with pytest.raises(ValueError):
+                vec.values[0] = 1.0
+        assert not np.any(results[0].values) and results[0].values.size == P8.num_slots
