@@ -18,7 +18,7 @@ from .errors import (
     TargetAboveCurrent,
     UnknownModel,
 )
-from .he_backend import DEFAULT_PARAMS, Backend, CipherVector, CountingBackend, HEParams, OpCounter, PlainVector
+from .he_backend import DEFAULT_PARAMS, Backend, CipherVector, CountingBackend, HEParams, OpCounter, PlainVector, RegionMask
 from .model import (
     FC,
     RELU_COEFFS,

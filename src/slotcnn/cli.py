@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -321,9 +322,11 @@ def cmd_bench(args) -> int:
 _COMMANDS = {"plan": cmd_plan, "run": cmd_run, "verify": cmd_verify, "bench": cmd_bench}
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, NonFiniteInput, ValueError) as err:

@@ -26,7 +26,10 @@ without the slot arithmetic or quantization, so it prices a schedule
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "HEParams",
     "PlainVector",
     "CipherVector",
+    "RegionMask",
     "OpCounter",
     "Backend",
     "CountingBackend",
@@ -113,6 +117,21 @@ class CipherVector:
         return self.values.size
 
 
+class RegionMask(NamedTuple):
+    """Plaintext ``values`` (broadcast to ``shape``) on one grid of slots in every sample region.
+
+    The grid holds the positions ``start + i * steps[0] + j * steps[1]``,
+    ``i < shape[0]`` and ``j < shape[1]``, counted from each batch offset.  A
+    negative ``start`` puts the grid just before the offset, which for offset
+    0 means the last slots of the vector.
+    """
+
+    start: int
+    shape: tuple
+    values: object = 1.0
+    steps: tuple = (0, 1)
+
+
 @dataclass
 class OpCounter:
     """Write-only tally of backend operations, bucketed by level.
@@ -129,12 +148,26 @@ class OpCounter:
     adds: int = 0
     by_level: dict = field(default_factory=dict)
 
-    _ATTRS = {"rotation": "rotations", "pt_mult": "pt_mults", "ct_mult": "ct_mults", "add": "adds"}
-
     def record(self, kind: str, level: int, count: int = 1) -> None:
-        setattr(self, self._ATTRS[kind], getattr(self, self._ATTRS[kind]) + count)
+        if kind == "rotation":
+            self.rotations += count
+        elif kind == "add":
+            self.adds += count
+        elif kind == "pt_mult":
+            self.pt_mults += count
+        elif kind == "ct_mult":
+            self.ct_mults += count
+        else:
+            raise KeyError(kind)
         key = (kind, level)
         self.by_level[key] = self.by_level.get(key, 0) + count
+
+    def discard(self, kind: str, level: int, count: int) -> None:
+        """Take back ``count`` earlier records of an operation that raised part way."""
+        if count > 0:
+            self.record(kind, level, -count)
+            if not self.by_level[kind, level]:
+                del self.by_level[kind, level]
 
     def totals(self) -> dict:
         return {
@@ -242,31 +275,53 @@ class Backend:
         self.counter.record("ct_mult", level)
         return CipherVector(self._product(a.values, b.values), level - 1)
 
-    def masked_sum(self, terms, coefs, support, bias) -> list:
-        """Per-row masked linear combinations of ``terms``, plus a masked bias.
+    def masked_sum(self, terms, coefs, support, bias=None) -> list:
+        """Per-row masked linear combinations of a stream of ciphertexts.
 
-        ``terms`` are ciphertexts at one common level.  Returns one
-        ciphertext per row ``o`` of ``coefs`` holding
-        ``sum_t terms[t] * (coefs[o, t] on support) + (bias[o] on support)``
-        and exact zeros off ``support``.  Values and op ledger equal those of
-        the loop ``mul_plain`` / ``add`` over full-width masks that are
-        ``coefs[o, t]`` on ``support`` and zero elsewhere, accumulated in term
-        order with the bias added last: ``len(coefs) * len(terms)`` plaintext
-        products at the terms' level and as many additions one level below.
-        Only the ``support`` slots are computed, since every product is zero
-        elsewhere.
+        ``terms`` is an iterable of ciphertexts at one level, read once and in
+        order, so a generator of rotations keeps one alive at a time.  Row
+        ``o`` holds ``sum_t terms[t] * mask[o][t]``, plus ``bias[o]`` on the
+        support when ``bias`` is given, formed only on the masks' slots: every
+        other slot is an exact zero, whatever the terms hold there.  Either
+        ``support`` is a flat array of slot indices shared by all masks and
+        ``coefs[o, t]`` a scalar, or ``support`` is the tuple of evenly spaced
+        batch offsets and ``coefs[o][t]`` a :class:`RegionMask` applied at
+        each of them (``None`` for no slots, and no ``bias``).
+
+        Values on the mask slots and the ledger are those of the ``mul_plain``
+        / ``add`` loop over full-width masks, summed in term order with the
+        bias last.  The ledger is recorded as the stream is read: per term,
+        ``rows`` products at the terms' level and, after the first term,
+        ``rows`` additions one level below; then ``rows`` bias additions.  A
+        term of the wrong width raises and takes back the earlier records.
         """
-        level = terms[0].level
+        if isinstance(support, tuple) and (bias is not None or len({b - a for a, b in zip(support, support[1:])}) > 1):
+            raise ValueError(f"region masks need evenly spaced batch offsets and no bias, got offsets {support}")
+        terms = iter(terms)
+        first = next(terms, None)
+        if first is None:
+            raise ValueError("masked_sum needs at least one term")
+        level = first.level
         if level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
+        checked = self._checked(itertools.chain([first], terms), level, len(coefs))
+        out = self._masked_rows(checked, coefs, support, bias)
+        if bias is not None:
+            self.counter.record("add", level - 1, len(coefs))
+        return [CipherVector(v, level - 1) for v in out]
+
+    def _checked(self, terms, level: int, rows: int):
+        """Yield each term's slots once its width is checked and its products and sums are recorded."""
         n = self.params.num_slots
-        for t in terms:
-            if t.values.size != n:
-                raise SlotMismatch(f"operand widths differ: {t.values.size} vs {n}")
-        rows, n_terms = np.shape(coefs)
-        self.counter.record("pt_mult", level, rows * n_terms)
-        self.counter.record("add", level - 1, rows * n_terms)
-        return [CipherVector(v, level - 1) for v in self._masked_rows(terms, coefs, support, bias)]
+        for t, term in enumerate(terms):
+            if term.values.size != n:
+                self.counter.discard("pt_mult", level, rows * t)
+                self.counter.discard("add", level - 1, rows * (t - 1))
+                raise SlotMismatch(f"operand widths differ: {term.values.size} vs {n}")
+            self.counter.record("pt_mult", level, rows)
+            if t:
+                self.counter.record("add", level - 1, rows)
+            yield term.values
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
         """Cyclic left shift by ``r`` slots (negative ``r`` shifts right)."""
@@ -293,16 +348,33 @@ class Backend:
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._quantized(a * b)
 
-    def _masked_rows(self, terms, coefs, support, bias) -> np.ndarray:
-        coefs = self._quantized(np.array(coefs, dtype=np.float64))
-        bias = self._quantized(np.array(bias, dtype=np.float64))
+    def _masked_rows(self, values, coefs, support, bias) -> list:
+        if isinstance(support, tuple):
+            return self._region_rows(values, coefs, support)
+        coefs = self._quantized(np.array(coefs, dtype=np.float64).T.copy())
         acc = None
-        for t, term in enumerate(terms):
-            prod = self._quantized(coefs[:, t, None] * term.values[support])
+        for t, term in enumerate(values):
+            prod = self._quantized(coefs[t, :, None] * term[support])
             acc = prod if acc is None else np.add(acc, prod, out=acc)
-        acc += bias[:, None]
-        out = np.zeros((len(coefs), self.params.num_slots))
+        if bias is not None:
+            acc += self._quantized(np.array(bias, dtype=np.float64))[:, None]
+        out = np.zeros((len(acc), self.params.num_slots))
         out[:, support] = acc
+        return list(out)
+
+    def _region_rows(self, values, masks, offsets: tuple) -> list:
+        stride = offsets[1] - offsets[0] if len(offsets) > 1 else 0
+        out = [np.zeros(self.params.num_slots) for _ in masks]
+        for t, term in enumerate(values):
+            term = np.ascontiguousarray(term, dtype=np.float64)
+            for row, row_masks in zip(out, masks):
+                mask = row_masks[t]
+                if mask is None:
+                    continue
+                coef = self._quantized(np.array(mask.values, dtype=np.float64))
+                for shape, offset, strides in _grid_views(mask, offsets, stride, row.size):
+                    acc = np.ndarray(shape, np.float64, row, offset, strides)
+                    acc += self._quantized(np.ndarray(shape, np.float64, term, offset, strides) * coef)
         return out
 
     def _rotated(self, values: np.ndarray, r: int) -> np.ndarray:
@@ -331,5 +403,19 @@ class CountingBackend(Backend):
 
     _quantized = _copied = _sum = _product = _rotated = _zeros_like
 
-    def _masked_rows(self, terms, coefs, support, bias):
-        return [self._zeros_like(terms[0].values)] * len(coefs)
+    def _masked_rows(self, values, coefs, support, bias) -> list:
+        zeros = None
+        for term in values:
+            zeros = self._zeros_like(term)
+        return [zeros] * len(coefs)
+
+
+def _grid_views(mask: RegionMask, offsets: tuple, stride: int, width: int) -> list:
+    """``(shape, byte offset, byte strides)`` of the mask's grid at every offset, in ``width`` float64 slots.
+
+    Offsets whose grid starts before slot 0 wrap to the end of the vector and get a view of their own.
+    """
+    wrapped = bisect.bisect_left(offsets, -mask.start)
+    strides = (8 * stride, 8 * mask.steps[0], 8 * mask.steps[1])
+    groups = ((0, wrapped, width), (wrapped, len(offsets), 0))
+    return [((hi - lo, *mask.shape), 8 * (offsets[lo] + mask.start + shift), strides) for lo, hi, shift in groups if lo < hi]

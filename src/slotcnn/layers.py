@@ -8,16 +8,19 @@ accumulate with additions in a fixed order.  The bookkeeping lives in
 channel occupies slot ``row * w_img * interval + col * interval`` within
 its sample's region, one region per batch offset.
 
-Masks are always tiled across *all* batch offsets of the plan, whether or
-not a sample is present there, so a batched run performs exactly the same
-slot arithmetic as a solo run and their outputs match bit for bit.
+Masks apply at *all* batch offsets of the plan, whether or not a sample is
+present there, so a batched run performs exactly the same slot arithmetic
+as a solo run and their outputs match bit for bit.
 
-Convolution hands its masked products and sums to
-:meth:`Backend.masked_sum`, which computes them only on the output grid,
-where its masks are nonzero, and leaves exact zeros elsewhere.  Its values
-on the grid and its op ledger are those of the full-width
-``mul_plain`` / ``add`` loop.  The other layers still multiply full-width
-masks.
+Convolution, flatten and the fully connected layer hand their masked
+products and sums to :meth:`Backend.masked_sum`.  It forms each product
+only on its mask's slots, given once per sample region, and leaves exact
+zeros elsewhere, so no value of one sample reaches another sample's result
+through a zero mask slot, however large it grows.  Its values on the mask
+slots and its op ledger are those of the ``mul_plain`` / ``add`` loop over
+full-width masks.  The rotations feeding a sum stream into it, so one
+rotated ciphertext is alive at a time.  Only ``approx_relu`` still
+multiplies full-width masks.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     ShapeMismatch,
     TargetAboveCurrent,
 )
-from .he_backend import Backend
+from .he_backend import Backend, RegionMask
 from .model import FC, ApproxReLU, AvgPool2d, Conv1d, Conv2d, Flatten, Square, flatten_dispatch
 
 __all__ = [
@@ -97,15 +100,6 @@ def valid_positions(layout: LayoutState) -> np.ndarray:
     return (rows[:, None] + cols[None, :]).reshape(-1)
 
 
-def _tile(backend: Backend, layout: LayoutState, region: np.ndarray) -> np.ndarray:
-    """Replicate a per-sample region at every batch offset of the full vector."""
-    full = np.zeros(backend.params.num_slots)
-    fp = layout.footprint
-    for off in layout.batch_offsets:
-        full[off : off + fp] = region
-    return full
-
-
 def _support(layout: LayoutState) -> np.ndarray:
     """Slot indices of the valid positions at every batch offset."""
     positions = valid_positions(layout)
@@ -118,6 +112,12 @@ def _sum(backend: Backend, items: list):
     for item in items[1:]:
         acc = backend.add(acc, item)
     return acc
+
+
+def _slide(backend: Backend, ct, masks: list, step: int, layout: LayoutState):
+    """Mask ``ct`` with each of ``masks``, rotate product ``i`` left by ``i * step``, and add them up."""
+    parts = backend.masked_sum([ct], [[mask] for mask in masks], layout.batch_offsets)
+    return _sum(backend, [backend.rotate(p, i * step) if i * step else p for i, p in enumerate(parts)])
 
 
 def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState:
@@ -146,9 +146,10 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
     belongs to; each output channel is then a mask-weighted sum of those
     rotations plus a masked bias.  Output values land on an
     ``interval * stride`` grid and the slots in between are zero.  The
-    products and sums run through :meth:`Backend.masked_sum` on that grid
-    only; the ledger still counts ``ch_out * ch_in * k**2`` plaintext
-    products and as many additions, as a full-width schedule would.
+    rotations stream into :meth:`Backend.masked_sum`, which forms the
+    products and sums on that grid only; the ledger still counts
+    ``ch_out * ch_in * k**2`` plaintext products and as many additions, as
+    a full-width schedule would.
     """
     lay = state.layout
     if isinstance(layer, Conv2d):
@@ -172,13 +173,12 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
     w_out = (lay.w_in - kw) // stride + 1
     interval_out = lay.interval * stride
 
-    rotated = []
-    for i in range(layer.ch_in):
-        for j in range(kh):
-            for k in range(kw):
-                shift = lay.interval * (k + lay.w_img * j)
-                rotated.append(backend.rotate(state.cts[i], shift))
-
+    rotations = (
+        backend.rotate(state.cts[i], lay.interval * (k + lay.w_img * j))
+        for i in range(layer.ch_in)
+        for j in range(kh)
+        for k in range(kw)
+    )
     out_layout = replace(
         lay,
         interval=interval_out,
@@ -190,7 +190,7 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
     )
     coefs = weights.reshape(layer.ch_out, -1) * lay.pending_const
     support = _support(out_layout)
-    out_cts = backend.masked_sum(rotated, coefs, support, layer.bias)
+    out_cts = backend.masked_sum(rotations, coefs, support, layer.bias)
     return CipherState(out_cts, out_layout)
 
 
@@ -279,62 +279,23 @@ def flatten(backend: Backend, state: CipherState) -> CipherState:
     if masked:
         # Extract column c of every row, scaled by the pending constant, and
         # slide it left so the row becomes contiguous.
-        new_cts = []
-        for ct in cts:
-            parts = []
-            for c in range(w_in):
-                region = np.zeros(lay.footprint)
-                region[np.arange(h_in) * row_span + c * interval] = lay.pending_const
-                mask = backend._plain(_tile(backend, lay, region))
-                prod = backend.mul_plain(ct, mask)
-                shift = c * (interval - 1)
-                if shift:
-                    prod = backend.rotate(prod, shift)
-                parts.append(prod)
-            new_cts.append(_sum(backend, parts))
-        cts = new_cts
+        masks = [RegionMask(c * interval, (h_in, 1), lay.pending_const, (row_span, 1)) for c in range(w_in)]
+        cts = [_slide(backend, ct, masks, interval - 1, lay) for ct in cts]
     elif row_removal:
         # Gaps are zero: summing interval-many shifted copies first makes
         # every block of `interval` consecutive columns contiguous, then one
         # masked product per block slides the blocks together.
         blocks = math.ceil(w_in / interval)
-        new_cts = []
-        for ct in cts:
-            acc = ct
-            for s in range(1, interval):
-                acc = backend.add(acc, backend.rotate(ct, s * (interval - 1)))
-            parts = []
-            for b in range(blocks):
-                region = np.zeros(lay.footprint)
-                base = b * interval * interval
-                for r in range(h_in):
-                    region[r * row_span + base : r * row_span + base + interval] = 1.0
-                mask = backend._plain(_tile(backend, lay, region))
-                prod = backend.mul_plain(acc, mask)
-                shift = b * interval * (interval - 1)
-                if shift:
-                    prod = backend.rotate(prod, shift)
-                parts.append(prod)
-            new_cts.append(_sum(backend, parts))
-        cts = new_cts
+        runs = [(b * interval * interval, min(interval, w_in - b * interval)) for b in range(blocks)]
+        masks = [RegionMask(start, (h_in, width), 1.0, (row_span, 1)) for start, width in runs]
+        shifted = ([backend.rotate(ct, s * (interval - 1)) if s else ct for s in range(interval)] for ct in cts)
+        cts = [_slide(backend, _sum(backend, parts), masks, interval * (interval - 1), lay) for parts in shifted]
 
     if col_removal:
         # Rows are now contiguous runs of w_in values, one run per row span;
         # mask each run and slide it next to the previous one.
-        new_cts = []
-        for ct in cts:
-            parts = []
-            for r in range(h_in):
-                region = np.zeros(lay.footprint)
-                region[r * row_span : r * row_span + w_in] = 1.0
-                mask = backend._plain(_tile(backend, lay, region))
-                prod = backend.mul_plain(ct, mask)
-                shift = r * (row_span - w_in)
-                if shift:
-                    prod = backend.rotate(prod, shift)
-                parts.append(prod)
-            new_cts.append(_sum(backend, parts))
-        cts = new_cts
+        masks = [RegionMask(r * row_span, (1, w_in)) for r in range(h_in)]
+        cts = [_slide(backend, ct, masks, row_span - w_in, lay) for ct in cts]
 
     flat_len = w_in * h_in
     out = cts[0]
@@ -385,40 +346,31 @@ def fc(backend: Backend, state: CipherState, layer: FC) -> CipherState:
     if window > lay.footprint:
         raise FootprintOverflow(f"fc working window {window} exceeds the footprint {lay.footprint}")
 
-    # Diagonal layout of the (pre-scaled) weights: stacked[u, t] is the weight
-    # of input u for output t; diag[:, t] is stacked[:, t] rotated up by t,
-    # and mask row o interleaves the diagonals so that rotation o of the
-    # input meets exactly the weights it should.
-    stacked = np.zeros((window, d_out))
-    stacked[:d_in, :] = (layer.weights * lay.pending_const).T
-    diag = np.empty_like(stacked)
-    for t in range(d_out):
-        diag[:, t] = np.roll(stacked[:, t], -t)
-    mask_rows = diag.reshape(reps, d_out, d_out).transpose(1, 0, 2).reshape(d_out, window)
-
+    # Rotation o of the input meets diagonal o of the (pre-scaled) weights,
+    # diag[o, j] = W[(j - o) mod d_out, j], at slot j - o: in the front part
+    # [0, d_in - o) or in the wrap part [-o, 0), which one rotation by
+    # `window` later moves behind the front.  On W stacked on itself, entry
+    # (o, j) is row d_out - o + (j mod d_out), column j, so every diagonal
+    # is one strided view: a step along j inside a block of d_out columns
+    # goes one row down and one column right.
+    stacked = np.zeros((2 * d_out, window))
+    stacked[:d_out, :d_in] = stacked[d_out:, :d_in] = layer.weights * lay.pending_const
+    strides = (-8 * window, 8 * d_out, 8 * window + 8)
+    diag = np.ndarray((d_out, reps, d_out), np.float64, stacked, 8 * d_out * window, strides).reshape(d_out, window)
+    front = [RegionMask(0, (1, d_in - o), diag[o, o:d_in]) if o < d_in else None for o in range(d_out)]
+    wrap = [RegionMask(-o, (1, min(o, d_in)), diag[o, : min(o, d_in)]) if o else None for o in range(d_out)]
     ct = state.cts[0]
-    acc_front = None
-    acc_wrap = None
-    for o in range(d_out):
-        rot = ct if o == 0 else backend.rotate(ct, o)
-        front = np.zeros(lay.footprint)
-        front[: window - o] = mask_rows[o, : window - o]
-        prod = backend.mul_plain(rot, backend._plain(_tile(backend, lay, front)))
-        acc_front = prod if acc_front is None else backend.add(acc_front, prod)
-        wrap = np.zeros(lay.footprint)
-        wrap[window - o : window] = mask_rows[o, window - o :]
-        wrap_mask = np.roll(_tile(backend, lay, wrap), -window)
-        prod = backend.mul_plain(rot, backend._plain(wrap_mask))
-        acc_wrap = prod if acc_wrap is None else backend.add(acc_wrap, prod)
+    rotations = (backend.rotate(ct, o) if o else ct for o in range(d_out))
+    acc_front, acc_wrap = backend.masked_sum(rotations, [front, wrap], lay.batch_offsets)
     summed = backend.add(acc_front, backend.rotate(acc_wrap, -window))
 
     out = summed
     for i in range(1, reps):
         out = backend.add(out, backend.rotate(summed, i * d_out))
 
-    bias_region = np.zeros(lay.footprint)
-    bias_region[:d_out] = layer.bias
-    out = backend.add(out, backend._plain(_tile(backend, lay, bias_region)))
+    bias = np.zeros(backend.params.num_slots)
+    bias[np.add.outer(lay.batch_offsets, np.arange(d_out))] = layer.bias
+    out = backend.add(out, backend._plain(bias))
 
     out_layout = replace(lay, w_in=d_out, pending_const=1.0, gaps_zero=False)
     return CipherState([out], out_layout)

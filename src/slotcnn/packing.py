@@ -7,7 +7,7 @@ the head-room each pooling stage smears values into, the flattened vector,
 and the working window of each fully connected layer.  Rounding that width
 up to an alignment boundary gives the per-sample stride; whatever multiple
 of it fits into the slot count is the batch capacity.  Packing then just
-lays samples out at those offsets, and every layer construction tiles its
+lays samples out at those offsets, and every layer construction applies its
 masks at the same offsets so all samples ride through one schedule.
 """
 
@@ -95,13 +95,14 @@ def batch_pack(samples, plan: PackPlan) -> list:
     """Combine up to ``plan.capacity`` samples into per-channel plain vectors.
 
     Each sample is a list of per-channel row-major vectors (the output of
-    :func:`flatten_input`).  Sample ``i`` is zero-padded to the slot count,
-    rotated right by ``plan.offsets[i]``, and added into the shared vector.
-    The returned plaintexts are layout-only; encode them through a backend
-    to apply quantization before encryption.
+    :func:`flatten_input`).  Sample ``i`` is added into the zeroed shared
+    vector at ``plan.offsets[i]``.  The returned plaintexts are layout-only;
+    encode them through a backend to apply quantization before encryption.
 
-    Every value must be finite: one NaN or infinity would reach every slot
-    through the zeros of the layer masks and corrupt the other samples.
+    Every value must be finite; NaN and infinity raise
+    :class:`NonFiniteInput`.  A huge finite value that overflows later does
+    not reach other samples through the masked products of ``conv``, ``fc``
+    and ``flatten``, which are formed only on their masks' slots.
     """
     if len(samples) > plan.capacity:
         raise CapacityExceeded(f"{len(samples)} samples exceed the batch capacity {plan.capacity}")
@@ -118,9 +119,7 @@ def batch_pack(samples, plan: PackPlan) -> list:
                 raise OversizedInput(f"sample vector of length {vec.size} exceeds the footprint {plan.footprint}")
             if not np.isfinite(vec).all():
                 raise NonFiniteInput(f"sample {i} channel {ch} holds a non-finite value")
-            padded = np.zeros(plan.num_slots)
-            padded[: vec.size] = vec
-            combined[ch] = combined[ch] + np.roll(padded, plan.offsets[i])
+            combined[ch][plan.offsets[i] : plan.offsets[i] + vec.size] += vec
     return [PlainVector(vec) for vec in combined]
 
 

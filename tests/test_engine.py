@@ -1,5 +1,7 @@
 """End-to-end scheduling, metrics, cost estimation, and oracle verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -347,3 +349,34 @@ class TestCountingLedger:
                 break
         assert checked == 100
         assert seen == {"Conv2d", "Conv1d", "AvgPool2d", "Square", "ApproxReLU", "Flatten", "FC"}
+
+
+class TestSampleIsolation:
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3", "M4", "M5", "M6", "M7"])
+    def test_overflowing_sample_leaves_neighbours_bit_identical(self, name):
+        m = builtin(name)
+        plan = footprint(m, PARAMS)
+        xs = np.random.default_rng(11).uniform(0.0, 1.0, size=(plan.capacity, m.channels, m.height, m.width))
+        clean, _, _ = run_inference(m, xs, PARAMS, plan=plan)
+        xs[1, 0, m.height // 2, m.width // 2] = 1e200
+        with np.errstate(all="ignore"):
+            dirty, _, _ = run_inference(m, xs, PARAMS, plan=plan)
+        assert not np.isfinite(dirty[1]).all()
+        for i in range(plan.capacity):
+            if i != 1:
+                assert dirty[i].tobytes() == clean[i].tobytes(), f"sample {i}"
+
+
+class TestMemory:
+    def test_m5_full_batch_peak_below_30_mb(self):
+        m = builtin("M5")
+        plan = footprint(m, PARAMS)
+        xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(plan.capacity, m.channels, m.height, m.width))
+        run_inference(m, xs, PARAMS, plan=plan)
+        tracemalloc.start()
+        try:
+            run_inference(m, xs, PARAMS, plan=plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"

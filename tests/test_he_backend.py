@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotcnn import Backend, CipherVector, CountingBackend, DEFAULT_PARAMS, HEParams, OpCounter, PlainVector
+from slotcnn import RegionMask
 from slotcnn.errors import LevelExhausted, OversizedInput, SlotMismatch
 from slotcnn.he_backend import diff_snapshots
 
@@ -467,3 +468,130 @@ class TestCountingBackend:
             with pytest.raises(ValueError):
                 vec.values[0] = 1.0
         assert not np.any(results[0].values) and results[0].values.size == P8.num_slots
+
+
+def counted(items, be, pulls):
+    """Yield ``items`` one at a time, noting how many products ``be`` had recorded before each."""
+    for item in items:
+        pulls.append(be.counter.pt_mults)
+        yield item
+
+
+class TestMaskedSumStream:
+    @pytest.mark.parametrize("cls", [Backend, CountingBackend])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_generator_equals_list(self, cls, with_bias):
+        params = HEParams(poly_degree=64, depth=4, scale_bits=8, quantize=True)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-4, 4, params.num_slots)
+        coefs = rng.uniform(-2, 2, (3, 5))
+        support = rng.choice(params.num_slots, size=10, replace=False)
+        bias = rng.uniform(-2, 2, 3) if with_bias else None
+        shifts = (0, 3, -7, 11, 5)
+        results = []
+        for streamed in (False, True):
+            be = cls(params)
+            ct = be.encrypt(be.encode(x))
+            pulls = []
+            if streamed:
+                terms = counted((be.rotate(ct, s) for s in shifts), be, pulls)
+            else:
+                terms = [be.rotate(ct, s) for s in shifts]
+            out = be.masked_sum(terms, coefs, support, bias)
+            if streamed:
+                assert next(terms, None) is None
+                assert pulls == [3 * t for t in range(len(shifts))]
+            results.append(([v.values.tobytes() for v in out], [v.level for v in out], be.counter.snapshot(), list(be.counter.by_level)))
+        assert results[0] == results[1]
+        adds = 3 * len(shifts) if with_bias else 3 * (len(shifts) - 1)
+        assert results[1][2][:4] == (len(shifts), 3 * len(shifts), 0, adds)
+
+    def test_failed_term_takes_back_earlier_records(self):
+        be = Backend(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        before = be.counter.snapshot()
+        with pytest.raises(SlotMismatch):
+            be.masked_sum(iter([ct, ct, CipherVector(np.zeros(4), ct.level)]), np.ones((2, 3)), np.arange(8), None)
+        assert be.counter.snapshot() == before
+
+
+def loop_region_sum(be, terms, masks, offsets):
+    """The mul_plain / add loop over full-width masks that region masks stand for."""
+    n = be.params.num_slots
+    out = []
+    for row in masks:
+        acc = None
+        for term, mask in zip(terms, row):
+            full = np.zeros(n)
+            if mask is not None:
+                i, j = np.indices(mask.shape)
+                positions = mask.start + i * mask.steps[0] + j * mask.steps[1]
+                for off in offsets:
+                    full[(off + positions) % n] = np.broadcast_to(mask.values, mask.shape)
+            prod = be.mul_plain(term, be._plain(full))
+            acc = prod if acc is None else be.add(acc, prod)
+        out.append(acc)
+    return out
+
+
+@st.composite
+def region_masks(draw, rows, n_terms, footprint):
+    """Random grids inside one region of ``footprint`` slots, or just before it."""
+    masks = []
+    for _ in range(rows):
+        row = []
+        for _ in range(n_terms):
+            if draw(st.booleans()) and draw(st.booleans()):
+                row.append(None)
+                continue
+            a, b, q = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+            run = (b - 1) * q + 1
+            p = run + draw(st.integers(0, 2))
+            extent = (a - 1) * p + run
+            if draw(st.booleans()):
+                start = -extent - draw(st.integers(0, footprint - extent))
+            else:
+                start = draw(st.integers(0, footprint - extent))
+            values = draw(st.one_of(st.floats(-2, 2), st.lists(st.floats(-2, 2), min_size=b, max_size=b)))
+            row.append(RegionMask(start, (a, b), np.asarray(values), (p, q)))
+        masks.append(row)
+    return masks
+
+
+class TestRegionMasks:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n_terms=st.integers(1, 4), rows=st.integers(1, 3), count=st.integers(1, 3),
+           footprint=st.integers(19, 21), seed=st.integers(0, 2**32 - 1), quantize=st.booleans())
+    def test_equals_full_width_loop(self, data, n_terms, rows, count, footprint, seed, quantize):
+        params = HEParams(poly_degree=128, depth=3, scale_bits=8, quantize=quantize)
+        offsets = tuple(i * footprint for i in range(count))
+        masks = data.draw(region_masks(rows, n_terms, footprint))
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-4, 4, params.num_slots)
+        shifts = rng.integers(-70, 70, n_terms)
+        results = []
+        for method in (loop_region_sum, Backend.masked_sum):
+            be = Backend(params)
+            ct = be.encrypt(be.encode(x))
+            terms = [be.rotate(ct, int(s)) for s in shifts]
+            results.append((method(be, terms, masks, offsets), be.counter.snapshot(), list(be.counter.by_level)))
+        (want, want_ledger, want_keys), (got, got_ledger, got_keys) = results
+        assert (got_ledger, got_keys) == (want_ledger, want_keys)
+        for g, w in zip(got, want, strict=True):
+            assert g.level == w.level
+            assert np.array_equal(g.values, w.values)
+
+    def test_counting_backend_builds_nothing(self):
+        be = CountingBackend(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        out = be.masked_sum((be.rotate(ct, r) for r in (1, 2)), [[RegionMask(-1, (1, 1)), None]], (0, 4))
+        assert out[0].values is ct.values
+        assert be.counter.totals() == {"rotations": 2, "pt_mults": 2, "ct_mults": 0, "adds": 1}
+
+    def test_uneven_offsets_and_bias_refused(self):
+        be = Backend(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        with pytest.raises(ValueError):
+            be.masked_sum([ct], [[RegionMask(0, (1, 1))]], (0, 2, 5))
+        with pytest.raises(ValueError):
+            be.masked_sum([ct], [[RegionMask(0, (1, 1))]], (0, 4), np.ones(1))
