@@ -10,7 +10,10 @@ Slot arithmetic is plain 64-bit floating point, so results are exactly
 reproducible.  The only modeled approximation is an optional fixed-point
 quantization (round to ``scale_bits`` fractional bits, ties to even) applied
 at encode time and after every multiplication.  There is no noise model
-beyond that and no actual encryption.
+beyond that and no actual encryption.  Slot vectors are never written after
+they are made: a rotation of a full-width vector is a read-only view of one
+doubled copy of it, shared by consecutive rotations of that vector (the
+simulator's hoisted rotations).
 
 Every operation of :class:`Backend` runs in two steps: shared bookkeeping
 (width and level checks, the :class:`OpCounter` record, the result level),
@@ -200,15 +203,17 @@ def diff_snapshots(before: tuple, after: tuple) -> tuple:
 class Backend:
     """Executes slot operations for one inference and counts them.
 
-    All value semantics are pure functions of the operands; the embedded
-    :class:`OpCounter` is the only mutable state, so one backend instance
-    must not be shared between concurrent inferences.
+    All value semantics are pure functions of the operands; the counter and
+    the cached doubled copy of the last vector rotated are the only mutable
+    state, so one backend must not be shared between concurrent inferences.
     """
 
     def __init__(self, params: HEParams):
         self.params = params
+        self.num_slots = params.num_slots
         self.counter = OpCounter()
         self._scale = float(2**params.scale_bits)
+        self._doubled = (None, None)  # the last full-width vector rotated, held so its id stays unique
 
     # -- encoding ---------------------------------------------------------
 
@@ -219,7 +224,7 @@ class Backend:
             arr = arr.reshape(1)
         if arr.ndim != 1:
             raise OversizedInput(f"encode expects a 1-D vector, got shape {arr.shape}")
-        n = self.params.num_slots
+        n = self.num_slots
         if arr.size > n:
             raise OversizedInput(f"vector of length {arr.size} does not fit into {n} slots")
         out = np.zeros(n, dtype=np.float64)
@@ -236,7 +241,7 @@ class Backend:
 
     def encrypt(self, plain: PlainVector) -> CipherVector:
         """Turn a plaintext into a fresh ciphertext at the full level budget."""
-        return CipherVector(self._copied(plain.values), self.params.depth)
+        return CipherVector(self._summed(plain.values, ()), self.params.depth)  # a sum of one term is a copy
 
     def decrypt(self, cipher: CipherVector) -> np.ndarray:
         return cipher.values.copy()
@@ -253,10 +258,7 @@ class Backend:
         ``b`` may be another ciphertext (result level is the minimum of the
         two) or a plaintext (result keeps ``a``'s level).
         """
-        self._check_width(a, b)
-        level = a.level if isinstance(b, PlainVector) else min(a.level, b.level)
-        self.counter.record("add", level)
-        return CipherVector(self._sum(a.values, b.values), level)
+        return self.sum((a, b))
 
     def mul_plain(self, cipher: CipherVector, plain: PlainVector) -> CipherVector:
         """Slot-wise ciphertext-plaintext product; consumes one level."""
@@ -312,7 +314,7 @@ class Backend:
 
     def _checked(self, terms, level: int, rows: int):
         """Yield each term's slots once its width is checked and its products and sums are recorded."""
-        n = self.params.num_slots
+        n = self.num_slots
         for t, term in enumerate(terms):
             if term.values.size != n:
                 self.counter.discard("pt_mult", level, rows * t)
@@ -323,9 +325,31 @@ class Backend:
                 self.counter.record("add", level - 1, rows)
             yield term.values
 
+    def sum(self, terms) -> CipherVector:
+        """Slot-wise sum of a ciphertext and the terms after it, read once and in order.
+
+        Values, level and ledger equal those of ``add(add(t0, t1), t2) ...``:
+        each term's ``add`` is recorded before the next term is pulled.
+        """
+        terms = iter(terms)
+        first = next(terms, None)
+        if first is None:
+            raise ValueError("sum needs at least one term")
+        acc = CipherVector(first.values, first.level)  # carries the running level while terms are read
+        acc.values = self._summed(first.values, (self._recorded_add(acc, term) for term in terms))
+        return acc
+
+    def _recorded_add(self, acc: CipherVector, term) -> np.ndarray:
+        """Check ``term``'s width, lower ``acc`` to the result level and record the add there."""
+        self._check_width(acc, term)
+        if isinstance(term, CipherVector):
+            acc.level = min(acc.level, term.level)
+        self.counter.record("add", acc.level)
+        return term.values
+
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
         """Cyclic left shift by ``r`` slots (negative ``r`` shifts right)."""
-        r = r % self.params.num_slots
+        r = r % self.num_slots
         self.counter.record("rotation", cipher.level)
         return CipherVector(self._rotated(cipher.values, r), cipher.level)
 
@@ -339,11 +363,11 @@ class Backend:
             np.divide(arr, self._scale, out=arr)
         return arr
 
-    def _copied(self, values: np.ndarray) -> np.ndarray:
-        return values.copy()
-
-    def _sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a + b
+    def _summed(self, first: np.ndarray, rest) -> np.ndarray:
+        acc = first.copy()
+        for values in rest:
+            acc += values
+        return acc
 
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._quantized(a * b)
@@ -358,13 +382,13 @@ class Backend:
             acc = prod if acc is None else np.add(acc, prod, out=acc)
         if bias is not None:
             acc += self._quantized(np.array(bias, dtype=np.float64))[:, None]
-        out = np.zeros((len(acc), self.params.num_slots))
+        out = np.zeros((len(acc), self.num_slots))
         out[:, support] = acc
         return list(out)
 
     def _region_rows(self, values, masks, offsets: tuple) -> list:
         stride = offsets[1] - offsets[0] if len(offsets) > 1 else 0
-        out = [np.zeros(self.params.num_slots) for _ in masks]
+        out = [np.zeros(self.num_slots) for _ in masks]
         for t, term in enumerate(values):
             term = np.ascontiguousarray(term, dtype=np.float64)
             for row, row_masks in zip(out, masks):
@@ -378,7 +402,12 @@ class Backend:
         return out
 
     def _rotated(self, values: np.ndarray, r: int) -> np.ndarray:
-        return np.concatenate((values[r:], values[:r]))
+        if values.size != self.num_slots:
+            return np.concatenate((values[r:], values[:r]))
+        if self._doubled[0] is not values:
+            self._doubled = (values, np.concatenate((values, values)))
+            self._doubled[1].flags.writeable = False
+        return self._doubled[1][r : r + self.num_slots]
 
 
 class CountingBackend(Backend):
@@ -401,13 +430,13 @@ class CountingBackend(Backend):
             zeros.flags.writeable = False
         return zeros
 
-    _quantized = _copied = _sum = _product = _rotated = _zeros_like
+    _quantized = _product = _rotated = _zeros_like
+
+    def _summed(self, first: np.ndarray, rest) -> np.ndarray:
+        return self._zeros_like(first, *rest)  # unpacking reads the whole stream, recording every add
 
     def _masked_rows(self, values, coefs, support, bias) -> list:
-        zeros = None
-        for term in values:
-            zeros = self._zeros_like(term)
-        return [zeros] * len(coefs)
+        return [self._zeros_like(*values)] * len(coefs)  # reads the whole stream, as above
 
 
 def _grid_views(mask: RegionMask, offsets: tuple, stride: int, width: int) -> list:

@@ -18,9 +18,9 @@ only on its mask's slots, given once per sample region, and leaves exact
 zeros elsewhere, so no value of one sample reaches another sample's result
 through a zero mask slot, however large it grows.  Its values on the mask
 slots and its op ledger are those of the ``mul_plain`` / ``add`` loop over
-full-width masks.  The rotations feeding a sum stream into it, so one
-rotated ciphertext is alive at a time.  Only ``approx_relu`` still
-multiplies full-width masks.
+full-width masks.  Rotations stream into it, and those of every other
+rotate-and-add chain into :meth:`Backend.sum`, so one rotated ciphertext is
+alive at a time.  Only ``approx_relu`` still multiplies full-width masks.
 """
 
 from __future__ import annotations
@@ -107,17 +107,10 @@ def _support(layout: LayoutState) -> np.ndarray:
     return (np.asarray(layout.batch_offsets)[:, None] + positions[None, :]).reshape(-1)
 
 
-def _sum(backend: Backend, items: list):
-    acc = items[0]
-    for item in items[1:]:
-        acc = backend.add(acc, item)
-    return acc
-
-
 def _slide(backend: Backend, ct, masks: list, step: int, layout: LayoutState):
     """Mask ``ct`` with each of ``masks``, rotate product ``i`` left by ``i * step``, and add them up."""
     parts = backend.masked_sum([ct], [[mask] for mask in masks], layout.batch_offsets)
-    return _sum(backend, [backend.rotate(p, i * step) if i * step else p for i, p in enumerate(parts)])
+    return backend.sum(backend.rotate(p, i * step) if i * step else p for i, p in enumerate(parts))
 
 
 def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState:
@@ -131,7 +124,7 @@ def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState
         raise TargetAboveCurrent(f"cannot raise level from {current} to {target}")
     if target == current:
         return state
-    ones = backend.encode(np.ones(backend.params.num_slots))
+    ones = backend.encode(np.ones(backend.num_slots))
     cts = list(state.cts)
     for _ in range(current - target):
         cts = [backend.mul_plain(ct, ones) for ct in cts]
@@ -197,22 +190,17 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
 def avgpool(backend: Backend, state: CipherState, layer: AvgPool2d) -> CipherState:
     """Non-overlapping window sums by rotation, division deferred.
 
-    No mask and no multiplication: each window's elements are rotated onto
-    its anchor slot and added.  The ``1 / kernel**2`` factor joins the
-    pending constant and is folded into a later layer's masks, and the
-    gap slots now hold partial sums rather than zeros.
+    No mask and no multiplication: the rotations that bring each window's
+    elements onto its anchor slot stream into one :meth:`Backend.sum` per
+    channel.  The ``1 / kernel**2`` factor joins the pending constant and is
+    folded into a later layer's masks, and the gaps now hold partial sums.
     """
     lay = state.layout
     c = layer.kernel
     if lay.h_in % c or lay.w_in % c:
         raise NonDivisibleDims(f"pool kernel {c} does not divide input {lay.h_in}x{lay.w_in}")
-    out_cts = []
-    for ct in state.cts:
-        terms = []
-        for j in range(c):
-            for k in range(c):
-                terms.append(backend.rotate(ct, lay.interval * (k + lay.w_img * j)))
-        out_cts.append(_sum(backend, terms))
+    shifts = [lay.interval * (k + lay.w_img * j) for j in range(c) for k in range(c)]
+    out_cts = [backend.sum(backend.rotate(ct, s) for s in shifts) for ct in state.cts]
     out_layout = replace(
         lay,
         interval=lay.interval * c,
@@ -242,7 +230,7 @@ def approx_relu(backend: Backend, state: CipherState, layer: ApproxReLU) -> Ciph
     constant is pending.
     """
     lay = state.layout
-    pattern = np.zeros(backend.params.num_slots)
+    pattern = np.zeros(backend.num_slots)
     pattern[_support(lay)] = 1.0
     quad = backend._plain(pattern * (layer.a2 * lay.pending_const * lay.pending_const))
     lin = backend._plain(pattern * (layer.a1 * lay.pending_const))
@@ -288,8 +276,8 @@ def flatten(backend: Backend, state: CipherState) -> CipherState:
         blocks = math.ceil(w_in / interval)
         runs = [(b * interval * interval, min(interval, w_in - b * interval)) for b in range(blocks)]
         masks = [RegionMask(start, (h_in, width), 1.0, (row_span, 1)) for start, width in runs]
-        shifted = ([backend.rotate(ct, s * (interval - 1)) if s else ct for s in range(interval)] for ct in cts)
-        cts = [_slide(backend, _sum(backend, parts), masks, interval * (interval - 1), lay) for parts in shifted]
+        summed = (backend.sum(backend.rotate(ct, s * (interval - 1)) if s else ct for s in range(interval)) for ct in cts)
+        cts = [_slide(backend, ct, masks, interval * (interval - 1), lay) for ct in summed]
 
     if col_removal:
         # Rows are now contiguous runs of w_in values, one run per row span;
@@ -298,9 +286,7 @@ def flatten(backend: Backend, state: CipherState) -> CipherState:
         cts = [_slide(backend, ct, masks, row_span - w_in, lay) for ct in cts]
 
     flat_len = w_in * h_in
-    out = cts[0]
-    for ch in range(1, len(cts)):
-        out = backend.add(out, backend.rotate(cts[ch], -ch * flat_len))
+    out = backend.sum(backend.rotate(ct, -ch * flat_len) if ch else ct for ch, ct in enumerate(cts))
     out_layout = replace(
         lay,
         interval=1,
@@ -363,12 +349,8 @@ def fc(backend: Backend, state: CipherState, layer: FC) -> CipherState:
     rotations = (backend.rotate(ct, o) if o else ct for o in range(d_out))
     acc_front, acc_wrap = backend.masked_sum(rotations, [front, wrap], lay.batch_offsets)
     summed = backend.add(acc_front, backend.rotate(acc_wrap, -window))
-
-    out = summed
-    for i in range(1, reps):
-        out = backend.add(out, backend.rotate(summed, i * d_out))
-
-    bias = np.zeros(backend.params.num_slots)
+    out = backend.sum(backend.rotate(summed, i * d_out) if i else summed for i in range(reps))
+    bias = np.zeros(backend.num_slots)
     bias[np.add.outer(lay.batch_offsets, np.arange(d_out))] = layer.bias
     out = backend.add(out, backend._plain(bias))
 

@@ -3,12 +3,13 @@
 One ciphertext carries ``num_slots`` slots, but a single sample only ever
 touches a prefix of them.  The footprint planner walks the model and takes
 the widest prefix any layer needs: the input image (plus padding space),
-the head-room each pooling stage smears values into, the flattened vector,
-and the working window of each fully connected layer.  Rounding that width
-up to an alignment boundary gives the per-sample stride; whatever multiple
-of it fits into the slot count is the batch capacity.  Packing then just
-lays samples out at those offsets, and every layer construction applies its
-masks at the same offsets so all samples ride through one schedule.
+the head-room each pooling stage smears values into, the flattened vector
+and the slots its row-removal pre-sum reads, and the working window of each
+fully connected layer.  Rounding that width up to an alignment boundary
+gives the per-sample stride; whatever multiple of it fits into the slot
+count is the batch capacity.  Packing then just lays samples out at those
+offsets, and every layer construction applies its masks at the same offsets
+so all samples ride through one schedule.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ def footprint(m: ModelSpec, params, alignment: int = 1) -> PackPlan:
             sizes.append({"layer": row.name, "slots": m.width * m.height + (m.width + 1) * (c - 1)})
         elif isinstance(row.layer, Flatten):
             sizes.append({"layer": row.name, "slots": row.w_in * row.h_in * row.ch_in})
+            if row.flatten_steps[1]:  # row removal's pre-sum reads (interval - 1)**2 slots past its last kept slot
+                i = row.interval_in
+                last = (row.h_in - 1) * m.width * i + (math.ceil(row.w_in / i) - 1) * i * (i - 1) + row.w_in - 1
+                sizes.append({"layer": "Flatten pre-sum", "slots": last + (i - 1) ** 2 + 1})
         elif isinstance(row.layer, FC):
             reps = math.ceil(row.layer.dat_in / row.layer.dat_out)
             sizes.append({"layer": row.name, "slots": row.layer.dat_out * reps})

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slotcnn import (
     FC,
@@ -365,6 +367,82 @@ class TestSampleIsolation:
         for i in range(plan.capacity):
             if i != 1:
                 assert dirty[i].tobytes() == clean[i].tobytes(), f"sample {i}"
+
+
+def fuzz_case(seed):
+    """A valid ``random_stack`` model at 1024 slots with two or three samples."""
+    rng = np.random.default_rng(seed)
+    m = random_stack(rng)
+    params = HEParams(poly_degree=2048, depth=int(rng.integers(8, 12)))
+    assume(validate(m, params).ok)
+    plan = footprint(m, params)
+    assume(plan.capacity >= 2)
+    xs = rng.uniform(0.0, 1.0, size=(min(3, plan.capacity), m.channels, m.height, m.width))
+    return m, params, plan, xs
+
+
+class TestRandomStackProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batched_equals_solo(self, seed):
+        m, params, plan, xs = fuzz_case(seed)
+        batched, _, _ = run_inference(m, xs, params, plan=plan)
+        for i, x in enumerate(xs):
+            solo, _, _ = run_inference(m, x[None], params, plan=plan)
+            assert batched[i].tobytes() == solo[0].tobytes(), f"sample {i}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_overflowing_sample_leaves_neighbours_bit_identical(self, seed):
+        m, params, plan, xs = fuzz_case(seed)
+        clean, _, _ = run_inference(m, xs, params, plan=plan)
+        xs[1, 0, m.height // 2, m.width // 2] = 1e200
+        with np.errstate(all="ignore"):
+            dirty, _, _ = run_inference(m, xs, params, plan=plan)
+        for i in range(len(xs)):
+            if i != 1:
+                assert dirty[i].tobytes() == clean[i].tobytes(), f"sample {i}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_solo_equals_oracle_when_pool_kernels_are_2(self, seed):
+        m, params, plan, xs = fuzz_case(seed)
+        assume(all(layer.kernel == 2 for layer in m.layers if isinstance(layer, AvgPool2d)))
+        solo, _, _ = run_inference(m, xs[:1], params, plan=plan)
+        assert solo[0].tobytes() == reference_infer(m, xs[0]).tobytes()
+
+
+def presum_models():
+    """Two models whose flatten row-removal pre-sum reads past the input footprint."""
+    rng = np.random.default_rng(0)
+    u = lambda *shape: rng.uniform(-1.0, 1.0, shape)  # noqa: E731
+    squared = ModelSpec(name="presum-square", channels=1, height=1, width=15, layers=(
+        Conv1d(ch_in=1, ch_out=2, kernel=3, stride=3, weights=u(2, 1, 3), bias=u(2)),
+        Conv1d(ch_in=2, ch_out=3, kernel=3, stride=2, weights=u(3, 2, 3), bias=u(3)),
+        Square(), Flatten(), FC(dat_in=6, dat_out=2, weights=u(2, 6), bias=u(2))))
+    relu = ModelSpec(name="presum-relu", channels=2, height=1, width=14, layers=(
+        Conv1d(ch_in=2, ch_out=2, kernel=3, stride=3, weights=u(2, 2, 3), bias=u(2)),
+        ApproxReLU(),
+        Conv1d(ch_in=2, ch_out=2, kernel=2, stride=2, weights=u(2, 2, 2), bias=u(2)),
+        Flatten(), FC(dat_in=4, dat_out=3, weights=u(3, 4), bias=u(3))))
+    return [squared, relu]
+
+
+class TestFlattenPreSumReach:
+    """Row removal at interval 6 reads 25 slots past its last kept slot; the planner reserves them."""
+
+    @pytest.mark.parametrize("m", presum_models(), ids=lambda m: m.name)
+    def test_solo_and_batched_equal_oracle(self, m):
+        params = HEParams(poly_degree=2048)
+        plan = footprint(m, params)
+        assert plan.footprint == 27
+        xs = np.random.default_rng(1).uniform(0.0, 1.0, size=(4, m.channels, m.height, m.width))
+        batched, _, _ = run_inference(m, xs, params, plan=plan)
+        for i, x in enumerate(xs):
+            solo, _, _ = run_inference(m, x[None], params, plan=plan)
+            want = reference_infer(m, x)
+            assert solo[0].tobytes() == want.tobytes(), f"sample {i}"
+            assert batched[i].tobytes() == want.tobytes(), f"sample {i}"
 
 
 class TestMemory:

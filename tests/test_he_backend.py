@@ -227,12 +227,42 @@ class TestRotate:
         assert np.array_equal(two, one)
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(-3 * 16, 3 * 16))
-    def test_equals_np_roll(self, seed, r):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(st.tuples(st.integers(0, 1), st.integers(-3 * 16, 3 * 16)), min_size=1, max_size=8),
+    )
+    def test_equals_np_roll(self, seed, steps):
+        """Repeated rotations of one source, and rotations alternating between two sources."""
         be = Backend(HEParams(poly_degree=32, depth=2))
-        x = np.random.default_rng(seed).uniform(-4, 4, 16)
-        out = be.rotate(be.encrypt(be.encode(x)), r)
-        assert out.values.tobytes() == np.roll(x, -r).tobytes()
+        xs = np.random.default_rng(seed).uniform(-4, 4, (2, 16))
+        cts = [be.encrypt(be.encode(x)) for x in xs]
+        for source, r in steps:
+            out = be.rotate(cts[source], r)
+            assert out.values.tobytes() == np.roll(xs[source], -r).tobytes()
+
+    def test_fresh_sources_never_see_an_earlier_copy(self):
+        be = Backend(P8)
+        for k in range(50):
+            x = np.arange(8.0) * (k + 1)
+            out = be.rotate(be.encrypt(be.encode(x)), 3)
+            assert np.array_equal(out.values, np.roll(x, -3))
+
+    def test_rotated_values_are_read_only(self):
+        be = Backend(P8)
+        c = be.encrypt(be.encode(np.arange(8.0)))
+        for r in (0, 1, 5):
+            out = be.rotate(c, r)
+            with pytest.raises(ValueError):
+                out.values[0] = 1.0
+        assert np.array_equal(c.values, np.arange(8.0))
+
+    def test_narrower_hand_built_vector(self):
+        be = Backend(P8)
+        c = CipherVector(np.arange(4.0), 3)
+        # r is reduced modulo the 8 slots; a shift of at least the width leaves the vector as is.
+        for r, want in ((1, [1, 2, 3, 0]), (3, [3, 0, 1, 2]), (5, [0, 1, 2, 3]), (-1, [0, 1, 2, 3])):
+            out = be.rotate(c, r)
+            assert np.array_equal(out.values, want) and out.values.flags.writeable
 
 
 class TestLevelBudget:
@@ -461,6 +491,7 @@ class TestCountingBackend:
             be.mul_plain(ct, plain),
             be.mul_cipher(ct, ct),
             be.rotate(ct, 3),
+            be.sum([ct, ct, ct]),
             *be.masked_sum([ct, ct], np.ones((3, 2)), np.arange(4), np.ones(3)),
         ]
         for vec in results:
@@ -513,6 +544,79 @@ class TestMaskedSumStream:
         with pytest.raises(SlotMismatch):
             be.masked_sum(iter([ct, ct, CipherVector(np.zeros(4), ct.level)]), np.ones((2, 3)), np.arange(8), None)
         assert be.counter.snapshot() == before
+
+
+def add_chain(be, terms):
+    """The ``add`` loop that :meth:`Backend.sum` stands for, pulling each term as it goes."""
+    terms = iter(terms)
+    acc = next(terms)
+    for term in terms:
+        acc = be.add(acc, term)
+    return acc
+
+
+class TestSum:
+    @pytest.mark.parametrize("cls", [Backend, CountingBackend])
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_equals_add_chain(self, cls, quantize):
+        params = HEParams(poly_degree=64, depth=4, scale_bits=8, quantize=quantize)
+        xs = np.random.default_rng(6).uniform(-4, 4, (3, params.num_slots))
+        drops = (0, 2, 1)
+        plan = [(0, 0), (0, 5), (1, -3), (2, 7), (0, 9), (2, 0), (1, 1)]
+        results = []
+        for combine in (add_chain, Backend.sum):
+            be = cls(params)
+            ones = be.encode(np.ones(params.num_slots))
+            cts = []
+            for x, drop in zip(xs, drops):
+                ct = be.encrypt(be.encode(x))
+                for _ in range(drop):
+                    ct = be.mul_plain(ct, ones)
+                cts.append(ct)
+            out = combine(be, (be.rotate(cts[i], r) if r else cts[i] for i, r in plan))
+            results.append((out.values.tobytes(), out.level, be.counter.snapshot(), list(be.counter.by_level)))
+            if cls is Backend:
+                want = np.roll(cts[plan[0][0]].values, -plan[0][1])
+                for i, r in plan[1:]:
+                    want = want + np.roll(cts[i].values, -r)
+                assert out.values.tobytes() == want.tobytes()
+        assert results[0] == results[1]
+        assert results[1][1] == 2 and results[1][2][3] == len(plan) - 1
+
+    @pytest.mark.parametrize("cls", [Backend, CountingBackend])
+    def test_pulls_each_term_after_the_previous_add(self, cls):
+        be = cls(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        pulls = []
+
+        def terms():
+            for r in range(5):
+                pulls.append(be.counter.adds)
+                yield be.rotate(ct, r)
+
+        be.sum(terms())
+        assert pulls == [0, 0, 1, 2, 3]
+
+    def test_terms_are_left_unchanged(self):
+        be = Backend(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        out = be.sum([ct, ct, be.rotate(ct, 2)])
+        assert np.array_equal(ct.values, np.arange(8.0))
+        assert np.array_equal(out.values, 2 * np.arange(8.0) + np.roll(np.arange(8.0), -2))
+        single = be.sum([ct])
+        assert single.values is not ct.values and np.array_equal(single.values, ct.values)
+        assert single.level == ct.level and be.counter.adds == 2
+
+    @pytest.mark.parametrize("cls", [Backend, CountingBackend])
+    def test_width_mismatch_keeps_the_chain_ledger(self, cls):
+        be = cls(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        narrow = CipherVector(np.zeros(4), ct.level)
+        with pytest.raises(SlotMismatch):
+            be.sum([ct, ct, narrow, ct])
+        assert be.counter.adds == 1
+        with pytest.raises(ValueError):
+            be.sum(iter([]))
 
 
 def loop_region_sum(be, terms, masks, offsets):

@@ -86,6 +86,14 @@ class TestFootprint:
         assert plan.offsets == tuple(i * plan.footprint for i in range(plan.capacity))
         assert plan.footprint >= max(e["slots"] for e in plan.per_layer_sizes)
 
+    @pytest.mark.parametrize("name, reach", [("M1", 697), ("M6", 206), ("M7", 125)])
+    def test_flatten_pre_sum_reach(self, name, reach):
+        # Row removal reads (interval - 1)**2 slots past the last slot it keeps;
+        # the planner reserves exactly that, and no built-in footprint grows.
+        plan = footprint(builtin(name), PARAMS)
+        assert [e["slots"] for e in plan.per_layer_sizes if e["layer"] == "Flatten pre-sum"] == [reach]
+        assert plan.footprint == FOOTPRINTS[name]
+
     def test_footprint_overflow(self):
         with pytest.raises(FootprintOverflow):
             footprint(builtin("M1"), HEParams(poly_degree=1024, depth=11))
