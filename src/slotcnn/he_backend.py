@@ -15,6 +15,12 @@ they are made: a rotation of a full-width vector is a read-only view of one
 doubled copy of it, shared by consecutive rotations of that vector (the
 simulator's hoisted rotations).
 
+:meth:`Backend.masked_sum` sums convolution's products in one ``np.einsum``
+call over a gathered ``(terms, slots)`` matrix of ``terms * slots * 8`` bytes.
+That is exact where einsum without ``optimize`` adds the terms in order from
++0.0 with no fused multiply-add, as numpy's x86-64 wheels do; a numpy build
+that does not fails the pinned tests and ``slotcnn verify``.
+
 Every operation of :class:`Backend` runs in two steps: shared bookkeeping
 (width and level checks, the :class:`OpCounter` record, the result level),
 then a value hook that computes the result's slots.  The op ledger does not
@@ -291,11 +297,12 @@ class Backend:
         each of them (``None`` for no slots, and no ``bias``).
 
         Values on the mask slots and the ledger are those of the ``mul_plain``
-        / ``add`` loop over full-width masks, summed in term order with the
-        bias last.  The ledger is recorded as the stream is read: per term,
-        ``rows`` products at the terms' level and, after the first term,
-        ``rows`` additions one level below; then ``rows`` bias additions.  A
-        term of the wrong width raises and takes back the earlier records.
+        / ``add`` loop over full-width masks, summed in term order from +0.0
+        with the bias last; flat masks in one contraction.  The ledger is
+        recorded as the stream is read: per term, ``rows`` products at the
+        terms' level and, after the first term, ``rows`` additions one level
+        below; then ``rows`` bias additions.  A term of the wrong width, or a
+        stream of the wrong length, raises and takes back the earlier records.
         """
         if isinstance(support, tuple) and (bias is not None or len({b - a for a, b in zip(support, support[1:])}) > 1):
             raise ValueError(f"region masks need evenly spaced batch offsets and no bias, got offsets {support}")
@@ -306,20 +313,24 @@ class Backend:
         level = first.level
         if level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
-        checked = self._checked(itertools.chain([first], terms), level, len(coefs))
+        checked = self._checked(itertools.chain([first], terms), level, len(coefs), len(coefs[0]))
         out = self._masked_rows(checked, coefs, support, bias)
         if bias is not None:
             self.counter.record("add", level - 1, len(coefs))
         return [CipherVector(v, level - 1) for v in out]
 
-    def _checked(self, terms, level: int, rows: int):
-        """Yield each term's slots once its width is checked and its products and sums are recorded."""
+    def _checked(self, terms, level: int, rows: int, count: int):
+        """Yield ``count`` terms' slots, each once its width is checked and its products and sums are recorded."""
         n = self.num_slots
-        for t, term in enumerate(terms):
-            if term.values.size != n:
+        for t, term in enumerate(itertools.chain(terms, [None])):
+            if t == count and term is None:
+                return
+            if t == count or term is None or term.values.size != n:
                 self.counter.discard("pt_mult", level, rows * t)
                 self.counter.discard("add", level - 1, rows * (t - 1))
-                raise SlotMismatch(f"operand widths differ: {term.values.size} vs {n}")
+                if t < count and term is not None:
+                    raise SlotMismatch(f"operand widths differ: {term.values.size} vs {n}")
+                raise ValueError(f"masked_sum needs {count} terms, got {'more' if term is not None else t}")
             self.counter.record("pt_mult", level, rows)
             if t:
                 self.counter.record("add", level - 1, rows)
@@ -376,10 +387,16 @@ class Backend:
         if isinstance(support, tuple):
             return self._region_rows(values, coefs, support)
         coefs = self._quantized(np.array(coefs, dtype=np.float64).T.copy())
-        acc = None
-        for t, term in enumerate(values):
-            prod = self._quantized(coefs[t, :, None] * term[support])
-            acc = prod if acc is None else np.add(acc, prod, out=acc)
+        width = len(support)
+        gathered = np.zeros((len(coefs), max(width, 2)))  # a pad column keeps einsum's term axis outermost
+        for term, row in zip(values, gathered):  # values first, so zip pulls the stream's length check
+            term.take(support, out=row[:width])
+        if self.params.quantize:
+            acc = np.zeros((coefs.shape[1], width))
+            for c, row in zip(coefs, gathered):
+                acc += self._quantized(c[:, None] * row[:width])
+        else:
+            acc = np.einsum("to,ts->os", coefs, gathered, optimize=False)[:, :width]
         if bias is not None:
             acc += self._quantized(np.array(bias, dtype=np.float64))[:, None]
         out = np.zeros((len(acc), self.num_slots))

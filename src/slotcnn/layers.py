@@ -139,10 +139,10 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
     belongs to; each output channel is then a mask-weighted sum of those
     rotations plus a masked bias.  Output values land on an
     ``interval * stride`` grid and the slots in between are zero.  The
-    rotations stream into :meth:`Backend.masked_sum`, which forms the
-    products and sums on that grid only; the ledger still counts
-    ``ch_out * ch_in * k**2`` plaintext products and as many additions, as
-    a full-width schedule would.
+    rotations stream into :meth:`Backend.masked_sum`, which gathers each
+    one's grid slots and forms all products and sums in one contraction, in
+    the oracle's term order; the ledger still counts ``ch_out * ch_in * k**2``
+    plaintext products and as many additions, as a full-width schedule would.
     """
     lay = state.layout
     if isinstance(layer, Conv2d):

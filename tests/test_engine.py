@@ -1,5 +1,6 @@
 """End-to-end scheduling, metrics, cost estimation, and oracle verification."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from slotcnn import (
     estimate_cost,
     footprint,
     infer,
+    mult_depth,
     reference_infer,
     run_inference,
     validate,
@@ -410,6 +412,15 @@ class TestRandomStackProperties:
         assume(all(layer.kernel == 2 for layer in m.layers if isinstance(layer, AvgPool2d)))
         solo, _, _ = run_inference(m, xs[:1], params, plan=plan)
         assert solo[0].tobytes() == reference_infer(m, xs[0]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_static_level_trace_equals_live_trace(self, seed):
+        m, params, plan, xs = fuzz_case(seed)
+        per_layer, total = mult_depth(m)
+        _, metrics, _ = run_inference(m, xs[:1], params, plan=plan)
+        static = list(itertools.accumulate(per_layer, lambda level, used: level - used, initial=total))
+        assert [row.level_after for row in metrics.per_layer] == (static if m.layers else [])  # no Drop Level row when empty
 
 
 def presum_models():

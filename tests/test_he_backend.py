@@ -351,7 +351,7 @@ class TestMaskedSum:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_terms=st.integers(1, 6),
+        n_terms=st.integers(1, 40),
         rows=st.integers(1, 4),
         n_support=st.integers(0, 32),
         drops=st.integers(0, 3),
@@ -382,6 +382,20 @@ class TestMaskedSum:
             assert g.level == w.level
             assert g.values[support].tobytes() == w.values[support].tobytes()
             assert np.all(g.values[off_support] == 0) and np.all(w.values[off_support] == 0)
+
+    @pytest.mark.parametrize("n_terms", [4, 17, 64])
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_cancelling_terms_on_one_slot_sum_in_term_order(self, n_terms, quantize):
+        """One row on one slot: ``1e16 + 1 - 1e16 + 1`` is 1.0 in term order and 2.0 with partial sums."""
+        params = HEParams(poly_degree=16, depth=2, scale_bits=8, quantize=quantize)
+        values = np.resize([1e16, 1.0, -1e16, 1.0], n_terms)
+        support = np.array([3])
+        results = []
+        for method in (loop_masked_sum, Backend.masked_sum):
+            be = Backend(params)
+            terms = [be.encrypt(be.encode(np.full(params.num_slots, v))) for v in values]
+            results.append(method(be, terms, np.ones((1, n_terms)), support, np.zeros(1))[0].values[support].tobytes())
+        assert results[0] == results[1]
 
     def test_level_and_width_checks(self):
         be = Backend(HEParams(poly_degree=8, depth=1))
@@ -536,6 +550,23 @@ class TestMaskedSumStream:
         assert results[0] == results[1]
         adds = 3 * len(shifts) if with_bias else 3 * (len(shifts) - 1)
         assert results[1][2][:4] == (len(shifts), 3 * len(shifts), 0, adds)
+
+    @pytest.mark.parametrize("n_terms", [1, 3])
+    @pytest.mark.parametrize("region", [False, True])
+    def test_stream_of_the_wrong_length_is_refused(self, n_terms, region):
+        coefs = [[RegionMask(0, (1, 1))] * 2] if region else np.ones((1, 2))
+        support = (0, 4) if region else np.arange(8)
+        results = []
+        for cls in (Backend, CountingBackend):
+            be = cls(P8)
+            ct = be.encrypt(be.encode(np.arange(8.0)))
+            terms = [be.rotate(ct, r) for r in range(n_terms)]
+            before = be.counter.snapshot()
+            with pytest.raises(ValueError) as err:
+                be.masked_sum(iter(terms), coefs, support)
+            assert be.counter.snapshot() == before
+            results.append(str(err.value))
+        assert results[0] == results[1]
 
     def test_failed_term_takes_back_earlier_records(self):
         be = Backend(P8)
