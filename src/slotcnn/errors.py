@@ -46,7 +46,7 @@ class TargetAboveCurrent(SlotCnnError):
 
 
 class PaddingUnsupported(SlotCnnError):
-    """Convolution padding is accepted by the planner but cannot be executed."""
+    """A convolution asked for padding other than 0, which no slot schedule executes."""
 
 
 class NonDivisibleDims(SlotCnnError):

@@ -301,11 +301,15 @@ class Backend:
         with the bias last; flat masks in one contraction.  The ledger is
         recorded as the stream is read: per term, ``rows`` products at the
         terms' level and, after the first term, ``rows`` additions one level
-        below; then ``rows`` bias additions.  A term of the wrong width, or a
+        below; then ``rows`` bias additions.  Rows of unequal length raise
+        before anything is read or recorded; a term of the wrong width, or a
         stream of the wrong length, raises and takes back the earlier records.
         """
         if isinstance(support, tuple) and (bias is not None or len({b - a for a, b in zip(support, support[1:])}) > 1):
             raise ValueError(f"region masks need evenly spaced batch offsets and no bias, got offsets {support}")
+        count = len(coefs[0])
+        if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
+            raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
         terms = iter(terms)
         first = next(terms, None)
         if first is None:
@@ -313,7 +317,7 @@ class Backend:
         level = first.level
         if level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
-        checked = self._checked(itertools.chain([first], terms), level, len(coefs), len(coefs[0]))
+        checked = self._checked(itertools.chain([first], terms), level, len(coefs), count)
         out = self._masked_rows(checked, coefs, support, bias)
         if bias is not None:
             self.counter.record("add", level - 1, len(coefs))

@@ -6,7 +6,9 @@ plaintext masks that are nonzero only at valid output positions, and
 accumulate with additions in a fixed order.  The bookkeeping lives in
 :class:`LayoutState`: a value at logical position ``(row, col)`` of a
 channel occupies slot ``row * w_img * interval + col * interval`` within
-its sample's region, one region per batch offset.
+its sample's region, one region per batch offset.  Each construction takes
+its output layout, and its shape errors, from its layer type's ``step`` in
+:mod:`slotcnn.model`, the same step :func:`~slotcnn.model.trace_layout` walks.
 
 Masks apply at *all* batch offsets of the plan, whether or not a sample is
 present there, so a batched run performs exactly the same slot arithmetic
@@ -26,20 +28,13 @@ alive at a time.  Only ``approx_relu`` still multiplies full-width masks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FootprintOverflow,
-    NonDivisibleDims,
-    NotFlattened,
-    PaddingUnsupported,
-    ShapeMismatch,
-    TargetAboveCurrent,
-)
+from .errors import FootprintOverflow, ShapeMismatch, TargetAboveCurrent
 from .he_backend import Backend, RegionMask
-from .model import FC, ApproxReLU, AvgPool2d, Conv1d, Conv2d, Flatten, Square, flatten_dispatch
+from .model import FC, ApproxReLU, AvgPool2d, Conv1d, Conv2d, Flatten, LayoutState, Square
 
 __all__ = [
     "LayoutState",
@@ -55,30 +50,6 @@ __all__ = [
     "apply_layer",
     "fc_operation_counts",
 ]
-
-
-@dataclass(frozen=True)
-class LayoutState:
-    """Where the logical tensor lives inside the slot vector.
-
-    ``interval`` is the accumulated stride product: consecutive columns of a
-    row sit ``interval`` slots apart, consecutive rows ``w_img * interval``
-    slots apart, where ``w_img`` is the width of the original input image.
-    ``pending_const`` is a deferred scalar every slot value still has to be
-    multiplied by; ``gaps_zero`` records whether the slots between valid
-    positions are known to hold zeros rather than stale intermediate junk.
-    """
-
-    interval: int
-    w_img: int
-    h_img: int
-    w_in: int
-    h_in: int
-    channels: int
-    pending_const: float
-    gaps_zero: bool
-    batch_offsets: tuple
-    footprint: int
 
 
 @dataclass
@@ -145,45 +116,16 @@ def conv(backend: Backend, state: CipherState, layer) -> CipherState:
     plaintext products and as many additions, as a full-width schedule would.
     """
     lay = state.layout
-    if isinstance(layer, Conv2d):
-        if layer.padding:
-            raise PaddingUnsupported("convolution padding is not executable on the slot schedule")
-        kh = kw = layer.kernel
-        weights = layer.weights
-    elif isinstance(layer, Conv1d):
-        if lay.h_in != 1:
-            raise ShapeMismatch(f"conv1d requires height 1, layout has height {lay.h_in}")
-        kh, kw = 1, layer.kernel
-        weights = layer.weights.reshape(layer.ch_out, layer.ch_in, 1, layer.kernel)
-    else:
-        raise ShapeMismatch(f"not a convolution layer: {type(layer).__name__}")
-    if layer.ch_in != lay.channels:
-        raise ShapeMismatch(f"convolution expects {layer.ch_in} channels, layout has {lay.channels}")
-    if lay.h_in < kh or lay.w_in < kw:
-        raise ShapeMismatch(f"kernel {kh}x{kw} exceeds input {lay.h_in}x{lay.w_in}")
-    stride = layer.stride
-    h_out = (lay.h_in - kh) // stride + 1
-    w_out = (lay.w_in - kw) // stride + 1
-    interval_out = lay.interval * stride
-
+    out_layout, _ = layer.step(lay)
+    kh, kw = layer.kernel_hw
     rotations = (
         backend.rotate(state.cts[i], lay.interval * (k + lay.w_img * j))
         for i in range(layer.ch_in)
         for j in range(kh)
         for k in range(kw)
     )
-    out_layout = replace(
-        lay,
-        interval=interval_out,
-        w_in=w_out,
-        h_in=h_out,
-        channels=layer.ch_out,
-        pending_const=1.0,
-        gaps_zero=True,
-    )
-    coefs = weights.reshape(layer.ch_out, -1) * lay.pending_const
-    support = _support(out_layout)
-    out_cts = backend.masked_sum(rotations, coefs, support, layer.bias)
+    coefs = layer.weights.reshape(layer.ch_out, -1) * lay.pending_const
+    out_cts = backend.masked_sum(rotations, coefs, _support(out_layout), layer.bias)
     return CipherState(out_cts, out_layout)
 
 
@@ -196,28 +138,17 @@ def avgpool(backend: Backend, state: CipherState, layer: AvgPool2d) -> CipherSta
     folded into a later layer's masks, and the gaps now hold partial sums.
     """
     lay = state.layout
+    out_layout, _ = layer.step(lay)
     c = layer.kernel
-    if lay.h_in % c or lay.w_in % c:
-        raise NonDivisibleDims(f"pool kernel {c} does not divide input {lay.h_in}x{lay.w_in}")
     shifts = [lay.interval * (k + lay.w_img * j) for j in range(c) for k in range(c)]
     out_cts = [backend.sum(backend.rotate(ct, s) for s in shifts) for ct in state.cts]
-    out_layout = replace(
-        lay,
-        interval=lay.interval * c,
-        w_in=lay.w_in // c,
-        h_in=lay.h_in // c,
-        pending_const=lay.pending_const * (1.0 / (c * c)),
-        gaps_zero=False,
-    )
     return CipherState(out_cts, out_layout)
 
 
-def square(backend: Backend, state: CipherState) -> CipherState:
+def square(backend: Backend, state: CipherState, layer: Square = None) -> CipherState:
     """Slot-wise squaring; the pending constant squares along with the values."""
-    lay = state.layout
-    out_cts = [backend.mul_cipher(ct, ct) for ct in state.cts]
-    out_layout = replace(lay, pending_const=lay.pending_const * lay.pending_const)
-    return CipherState(out_cts, out_layout)
+    out_layout, _ = Square.step(state.layout)
+    return CipherState([backend.mul_cipher(ct, ct) for ct in state.cts], out_layout)
 
 
 def approx_relu(backend: Backend, state: CipherState, layer: ApproxReLU) -> CipherState:
@@ -230,6 +161,7 @@ def approx_relu(backend: Backend, state: CipherState, layer: ApproxReLU) -> Ciph
     constant is pending.
     """
     lay = state.layout
+    out_layout, _ = layer.step(lay)
     pattern = np.zeros(backend.num_slots)
     pattern[_support(lay)] = 1.0
     quad = backend._plain(pattern * (layer.a2 * lay.pending_const * lay.pending_const))
@@ -242,11 +174,10 @@ def approx_relu(backend: Backend, state: CipherState, layer: ApproxReLU) -> Ciph
         t = backend.mul_cipher(t, ct)
         t = backend.add(t, const)
         out_cts.append(t)
-    out_layout = replace(lay, pending_const=1.0, gaps_zero=True)
     return CipherState(out_cts, out_layout)
 
 
-def flatten(backend: Backend, state: CipherState) -> CipherState:
+def flatten(backend: Backend, state: CipherState, layer: Flatten = None) -> CipherState:
     """Compact the strided layout into one contiguous channel-major vector.
 
     Three optional steps, chosen by the same dispatch the static depth
@@ -259,9 +190,7 @@ def flatten(backend: Backend, state: CipherState) -> CipherState:
     lay = state.layout
     interval, w_in, h_in = lay.interval, lay.w_in, lay.h_in
     row_span = lay.w_img * interval
-    masked, row_removal, col_removal = flatten_dispatch(
-        lay.gaps_zero, lay.pending_const == 1.0, interval, w_in, h_in
-    )
+    masked, row_removal, col_removal = Flatten.dispatch(lay)
     cts = list(state.cts)
 
     if masked:
@@ -287,16 +216,7 @@ def flatten(backend: Backend, state: CipherState) -> CipherState:
 
     flat_len = w_in * h_in
     out = backend.sum(backend.rotate(ct, -ch * flat_len) if ch else ct for ch, ct in enumerate(cts))
-    out_layout = replace(
-        lay,
-        interval=1,
-        w_in=flat_len * lay.channels,
-        h_in=1,
-        channels=1,
-        pending_const=1.0,
-        gaps_zero=True,
-    )
-    return CipherState([out], out_layout)
+    return CipherState([out], Flatten.step(lay)[0])
 
 
 def fc_operation_counts(dat_in: int, dat_out: int) -> dict:
@@ -322,10 +242,7 @@ def fc(backend: Backend, state: CipherState, layer: FC) -> CipherState:
     slot.  Slots past ``dat_out`` are left holding fold junk.
     """
     lay = state.layout
-    if not (lay.interval == 1 and lay.h_in == 1 and lay.channels == 1):
-        raise NotFlattened("fully connected layer requires a flattened input")
-    if lay.w_in != layer.dat_in:
-        raise ShapeMismatch(f"fc expects {layer.dat_in} inputs, flattened vector has {lay.w_in}")
+    out_layout, _ = layer.step(lay)
     d_in, d_out = layer.dat_in, layer.dat_out
     reps = math.ceil(d_in / d_out)
     window = reps * d_out
@@ -353,23 +270,15 @@ def fc(backend: Backend, state: CipherState, layer: FC) -> CipherState:
     bias = np.zeros(backend.num_slots)
     bias[np.add.outer(lay.batch_offsets, np.arange(d_out))] = layer.bias
     out = backend.add(out, backend._plain(bias))
-
-    out_layout = replace(lay, w_in=d_out, pending_const=1.0, gaps_zero=False)
     return CipherState([out], out_layout)
 
 
 def apply_layer(backend: Backend, state: CipherState, layer) -> CipherState:
-    """Dispatch one model layer to its slot construction."""
-    if isinstance(layer, (Conv2d, Conv1d)):
-        return conv(backend, state, layer)
-    if isinstance(layer, AvgPool2d):
-        return avgpool(backend, state, layer)
-    if isinstance(layer, Square):
-        return square(backend, state)
-    if isinstance(layer, ApproxReLU):
-        return approx_relu(backend, state, layer)
-    if isinstance(layer, Flatten):
-        return flatten(backend, state)
-    if isinstance(layer, FC):
-        return fc(backend, state, layer)
-    raise ShapeMismatch(f"unknown layer type {type(layer).__name__}")
+    """Dispatch one model layer to its slot construction (``square`` and ``flatten`` ignore the layer)."""
+    schedule = _SCHEDULES.get(type(layer))
+    if schedule is None:
+        raise ShapeMismatch(f"unknown layer type {type(layer).__name__}")
+    return schedule(backend, state, layer)
+
+
+_SCHEDULES = {Conv2d: conv, Conv1d: conv, AvgPool2d: avgpool, Square: square, ApproxReLU: approx_relu, Flatten: flatten, FC: fc}

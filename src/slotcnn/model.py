@@ -1,29 +1,34 @@
 """CNN architecture description, validation, depth accounting, and the
 plaintext inference oracle.
 
-A model is a plain sequence of layer records over a ``channels x height x
-width`` input.  :func:`trace_layout` walks that sequence once, symbolically,
-and derives everything that must agree between planning and execution: the
-tensor dimensions after every layer, the slot interval the values sit on,
-whether the slots between values are known to be zero, whether a deferred
-scaling constant is pending, and how many multiplicative levels each layer
-consumes.  The runtime layer constructions consult the same walk, so the
-static depth budget can never drift from what actually executes.
+A model is a plain sequence of layers over a ``channels x height x width``
+input.  Each layer class is the one definition of its type: its JSON tag and
+report name, its weight shapes, its validation rules, its plaintext forward
+pass, and its layout step, which maps the :class:`LayoutState` the layer reads
+to the one it leaves and counts the multiplicative levels it consumes.
+:func:`trace_layout` walks those steps from the input layout, and each slot
+schedule in :mod:`slotcnn.layers` takes its output layout and its shape errors
+from the same step, so the static depth budget can never drift from what
+actually executes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     NonDivisibleDims,
     NotFlattened,
+    PaddingUnsupported,
     ParseError,
     ShapeMismatch,
+    SlotCnnError,
     UnknownModel,
 )
 
@@ -35,6 +40,7 @@ __all__ = [
     "ApproxReLU",
     "Flatten",
     "FC",
+    "LayoutState",
     "ModelSpec",
     "LayerTrace",
     "ValidationReport",
@@ -57,6 +63,43 @@ __all__ = [
 RELU_COEFFS = (0.375373, 0.5, 0.117071)
 
 
+class LayoutState(NamedTuple):
+    """Where the logical tensor lives inside the slot vector.
+
+    ``interval`` is the accumulated stride product: consecutive columns of a
+    row sit ``interval`` slots apart, consecutive rows ``w_img * interval``
+    slots apart, where ``w_img`` is the width of the original input image.
+    ``pending_const`` is a deferred scalar every slot value still has to be
+    multiplied by; ``gaps_zero`` records whether the slots between valid
+    positions are known to hold zeros rather than stale intermediate junk.
+    """
+
+    interval: int
+    w_img: int
+    h_img: int
+    w_in: int
+    h_in: int
+    channels: int
+    pending_const: float
+    gaps_zero: bool
+    batch_offsets: tuple
+    footprint: int
+
+
+def flatten_dispatch(gaps_zero: bool, pending_one: bool, interval: int, w_in: int, h_in: int):
+    """Decide which flatten steps a given entry layout needs.
+
+    Returns ``(masked_extract, row_removal, column_removal)``.  Masked
+    extraction subsumes row removal: it both compacts each row and applies
+    any pending constant while clearing garbage between values.  Column
+    removal then closes the gaps between row ends and the next row start.
+    """
+    masked = (not gaps_zero) or (not pending_one)
+    row = (not masked) and interval > 1 and w_in > 1
+    col = h_in > 1
+    return masked, row, col
+
+
 def _as_array(data, shape, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.size != int(np.prod(shape)):
@@ -64,9 +107,35 @@ def _as_array(data, shape, what: str) -> np.ndarray:
     return arr.reshape(shape)
 
 
+class Layer:
+    """What every layer type defines once.
+
+    ``kind`` is the JSON tag, ``label`` the report name (FCs are numbered),
+    ``shapes`` the weight shapes in :func:`builtin`'s draw order, ``rules``
+    the ``(rule, message)`` pairs the layer breaks on its own.  ``step(layout)``
+    returns ``(layout after, levels used)`` or raises a shape error, and
+    ``forward`` is the plaintext oracle.
+    """
+
+    @property
+    def label(self) -> str:
+        return type(self).__name__
+
+    @staticmethod
+    def shapes(args) -> dict:
+        return {}
+
+    def __post_init__(self) -> None:
+        for name, shape in self.shapes(vars(self)).items():
+            setattr(self, name, _as_array(getattr(self, name), shape, f"{self.kind} {name}"))
+
+    def rules(self):
+        return ()
+
+
 @dataclass(eq=False)
-class Conv2d:
-    """2-D convolution, no padding support at execution time."""
+class _Conv(Layer):
+    """Strided convolution; ``kernel_hw`` is the (height, width) of its taps."""
 
     ch_in: int
     ch_out: int
@@ -74,70 +143,202 @@ class Conv2d:
     stride: int
     weights: np.ndarray
     bias: np.ndarray
+
+    def rules(self):
+        if self.stride < 1:
+            yield "kernel_stride", f"stride must be at least 1, got {self.stride}"
+        elif self.kernel < self.stride:
+            yield "kernel_stride", f"kernel {self.kernel} must be at least the stride {self.stride}"
+
+    def step(self, lay: LayoutState):
+        kh, kw = self.kernel_hw
+        s = self.stride
+        if s < 1:
+            raise ShapeMismatch(f"{self.kind} stride must be at least 1, got {s}")
+        if self.ch_in != lay.channels:
+            raise ShapeMismatch(f"{self.kind} expects {self.ch_in} channels, input has {lay.channels}")
+        if lay.h_in < kh or lay.w_in < kw:
+            raise ShapeMismatch(f"{self.kind} kernel {self.kernel} exceeds input {self._input_size.format(h=lay.h_in, w=lay.w_in)}")
+        h_out, w_out = (lay.h_in - kh) // s + 1, (lay.w_in - kw) // s + 1
+        out = lay._replace(interval=lay.interval * s, w_in=w_out, h_in=h_out, channels=self.ch_out,
+                           pending_const=1.0, gaps_zero=True)
+        return out, 1
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        kh, kw = self.kernel_hw
+        s = self.stride
+        h_out = (x.shape[1] - kh) // s + 1
+        w_out = (x.shape[2] - kw) // s + 1
+        taps = self.weights.reshape(self.ch_out, self.ch_in, kh, kw)
+        out = np.zeros((self.ch_out, h_out, w_out))
+        for i in range(self.ch_in):
+            for j in range(kh):
+                for q in range(kw):
+                    window = x[i, j : j + h_out * s : s, q : q + w_out * s : s]
+                    out += taps[:, i, j, q][:, None, None] * window
+        out += self.bias[:, None, None]
+        return out
+
+
+@dataclass(eq=False)
+class Conv2d(_Conv):
+    """2-D convolution.  ``padding`` must be 0: no schedule executes padding."""
+
+    kind = "conv2d"
+    _input_size = "{h}x{w}"
+    kernel_hw = property(lambda self: (self.kernel, self.kernel))
+
     padding: int = 0
 
+    @staticmethod
+    def shapes(args) -> dict:
+        return {"weights": (args["ch_out"], args["ch_in"], args["kernel"], args["kernel"]), "bias": (args["ch_out"],)}
+
     def __post_init__(self) -> None:
-        self.weights = _as_array(self.weights, (self.ch_out, self.ch_in, self.kernel, self.kernel), "conv2d weights")
-        self.bias = _as_array(self.bias, (self.ch_out,), "conv2d bias")
+        if self.padding != 0:
+            raise PaddingUnsupported(f"convolution padding must be 0, got {self.padding}")
+        super().__post_init__()
 
 
 @dataclass(eq=False)
-class Conv1d:
+class Conv1d(_Conv):
     """1-D convolution over a width-only input (height must be 1)."""
 
-    ch_in: int
-    ch_out: int
+    kind = "conv1d"
+    _input_size = "width {w}"
+    kernel_hw = property(lambda self: (1, self.kernel))
+
+    @staticmethod
+    def shapes(args) -> dict:
+        return {"weights": (args["ch_out"], args["ch_in"], args["kernel"]), "bias": (args["ch_out"],)}
+
+    def step(self, lay: LayoutState):
+        if lay.h_in != 1:
+            raise ShapeMismatch(f"conv1d requires height 1, input has height {lay.h_in}")
+        return super().step(lay)
+
+
+@dataclass(eq=False)
+class AvgPool2d(Layer):
+    """Non-overlapping average pooling with a square window; the division is deferred."""
+
+    kind = "avgpool2d"
+
     kernel: int
-    stride: int
-    weights: np.ndarray
-    bias: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.weights = _as_array(self.weights, (self.ch_out, self.ch_in, self.kernel), "conv1d weights")
-        self.bias = _as_array(self.bias, (self.ch_out,), "conv1d bias")
+    def rules(self):
+        if self.kernel < 1:
+            yield "kernel_stride", f"pool kernel must be at least 1, got {self.kernel}"
+
+    def step(self, lay: LayoutState):
+        c = self.kernel
+        if c < 1:
+            raise ShapeMismatch("pooling kernel must be at least 1")
+        if lay.w_in % c or lay.h_in % c:
+            raise NonDivisibleDims(f"pool kernel {c} does not divide input {lay.h_in}x{lay.w_in}")
+        out = lay._replace(interval=lay.interval * c, w_in=lay.w_in // c, h_in=lay.h_in // c,
+                           pending_const=lay.pending_const * (1.0 / (c * c)), gaps_zero=False)
+        return out, 0
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        c = self.kernel
+        ch, h, w = x.shape
+        if h % c or w % c:
+            raise NonDivisibleDims(f"pool kernel {c} does not divide input {h}x{w}")
+        out = np.zeros((ch, h // c, w // c))
+        for j in range(c):
+            for q in range(c):
+                out += x[:, j::c, q::c]
+        out *= 1.0 / (c * c)
+        return out
 
 
 @dataclass(eq=False)
-class AvgPool2d:
-    """Non-overlapping average pooling with a square window."""
+class Square(Layer):
+    """Slot-wise squaring activation; the pending constant squares along with the values."""
 
-    kernel: int
+    kind = "square"
+
+    @staticmethod
+    def step(lay: LayoutState):
+        return lay._replace(pending_const=lay.pending_const * lay.pending_const), 1
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x * x
 
 
 @dataclass(eq=False)
-class Square:
-    """Slot-wise squaring activation."""
+class ApproxReLU(Layer):
+    """Degree-2 polynomial activation a2*x^2 + a1*x + a0; clears the gaps and the pending constant."""
 
-
-@dataclass(eq=False)
-class ApproxReLU:
-    """Degree-2 polynomial activation a2*x^2 + a1*x + a0."""
+    kind = "approx_relu"
+    label = "Approx ReLU"
 
     a0: float = RELU_COEFFS[0]
     a1: float = RELU_COEFFS[1]
     a2: float = RELU_COEFFS[2]
 
+    def step(self, lay: LayoutState):
+        return lay._replace(pending_const=1.0, gaps_zero=True), 2
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return (self.a2 * x + self.a1) * x + self.a0
+
 
 @dataclass(eq=False)
-class Flatten:
+class Flatten(Layer):
     """Compact every channel into one contiguous channel-major vector."""
 
+    kind = "flatten"
+
+    @staticmethod
+    def dispatch(lay: LayoutState):
+        """:func:`flatten_dispatch` of the layout flatten reads."""
+        return flatten_dispatch(lay.gaps_zero, lay.pending_const == 1.0, lay.interval, lay.w_in, lay.h_in)
+
+    @staticmethod
+    def step(lay: LayoutState):
+        masked, row, col = Flatten.dispatch(lay)
+        flat = lay.w_in * lay.h_in * lay.channels
+        out = lay._replace(interval=1, w_in=flat, h_in=1, channels=1, pending_const=1.0, gaps_zero=True)
+        return out, int(masked or row) + int(col)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(-1)
+
 
 @dataclass(eq=False)
-class FC:
+class FC(Layer):
     """Fully connected layer y = W x + b on a flattened vector."""
+
+    kind = "fc"
+    label = "FC"
 
     dat_in: int
     dat_out: int
     weights: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.weights = _as_array(self.weights, (self.dat_out, self.dat_in), "fc weights")
-        self.bias = _as_array(self.bias, (self.dat_out,), "fc bias")
+    @staticmethod
+    def shapes(args) -> dict:
+        return {"weights": (args["dat_out"], args["dat_in"]), "bias": (args["dat_out"],)}
+
+    def step(self, lay: LayoutState):
+        if not (lay.interval == 1 and lay.h_in == 1 and lay.channels == 1):
+            raise NotFlattened("fully connected layer requires a flattened input")
+        if self.dat_in != lay.w_in:
+            raise ShapeMismatch(f"fc expects {self.dat_in} inputs, flattened vector has {lay.w_in}")
+        return lay._replace(w_in=self.dat_out, pending_const=1.0, gaps_zero=False), 1
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 1:
+            raise NotFlattened("fully connected layer requires a flattened input")
+        if x.size != self.dat_in:
+            raise ShapeMismatch(f"fc expects {self.dat_in} inputs, got {x.size}")
+        return _fc_forward(self, x)
 
 
-LayerSpec = object  # any of the dataclasses above
+_LAYER_TYPES = {cls.kind: cls for cls in (Conv2d, Conv1d, AvgPool2d, Square, ApproxReLU, Flatten, FC)}
 
 
 @dataclass(eq=False)
@@ -158,156 +359,64 @@ class ModelSpec:
         self.layers = tuple(self.layers)
         if self.channels < 1 or self.height < 1 or self.width < 1:
             raise ShapeMismatch("input dimensions must all be at least 1")
+        for layer in self.layers:
+            if not isinstance(layer, Layer):
+                raise ParseError(f"unknown layer type {type(layer).__name__}")
 
     @property
     def input_shape(self) -> dict:
         return {"channels": self.channels, "height": self.height, "width": self.width}
 
-
-def flatten_dispatch(gaps_zero: bool, pending_one: bool, interval: int, w_in: int, h_in: int):
-    """Decide which flatten steps a given entry layout needs.
-
-    Returns ``(masked_extract, row_removal, column_removal)``.  Masked
-    extraction subsumes row removal: it both compacts each row and applies
-    any pending constant while clearing garbage between values.  Column
-    removal then closes the gaps between row ends and the next row start.
-    """
-    masked = (not gaps_zero) or (not pending_one)
-    row = (not masked) and interval > 1 and w_in > 1
-    col = h_in > 1
-    return masked, row, col
+    def input_layout(self, batch_offsets: tuple = (), footprint: int = 0) -> LayoutState:
+        """The layout packed samples start in: each channel row-major on its own ciphertext."""
+        return LayoutState(interval=1, w_img=self.width, h_img=self.height, w_in=self.width, h_in=self.height,
+                           channels=self.channels, pending_const=1.0, gaps_zero=True,
+                           batch_offsets=batch_offsets, footprint=footprint)
 
 
-@dataclass
-class LayerTrace:
-    """Static per-layer facts derived by :func:`trace_layout`."""
+class LayerTrace(NamedTuple):
+    """Static facts of one layer, derived by :func:`trace_layout`: its levels and the layouts it reads and leaves."""
 
     index: int
-    layer: object
+    layer: Layer
     name: str
     mults: int
-    w_in: int
-    h_in: int
-    ch_in: int
-    interval_in: int
-    w_out: int
-    h_out: int
-    ch_out: int
-    interval_out: int
-    gaps_zero_out: bool
-    pending_one_out: bool
-    flatten_steps: tuple = ()
+    before: LayoutState
+    after: LayoutState
 
-
-def _chain_error(err, index: int):
-    err.layer_index = index
-    return err
+    w_out = property(lambda self: self.after.w_in)
+    h_out = property(lambda self: self.after.h_in)
+    ch_out = property(lambda self: self.after.channels)
+    interval_out = property(lambda self: self.after.interval)
 
 
 def trace_layout(m: ModelSpec) -> list:
-    """Walk the model symbolically and return one :class:`LayerTrace` per layer.
+    """Walk the layers' steps from the input layout and return one :class:`LayerTrace` per layer.
 
     Raises :class:`ShapeMismatch`, :class:`NonDivisibleDims`, or
     :class:`NotFlattened` (each tagged with ``layer_index``) when the layer
-    sequence does not chain.  Dimension chaining uses the padded output
-    formula so padded models can still be planned, even though the runtime
-    refuses to execute them.
+    sequence does not chain.  A fully connected layer also needs a flatten
+    somewhere before it.
     """
-    w, h, ch = m.width, m.height, m.channels
-    interval = 1
-    gaps_zero = True
-    pending_one = True
+    lay = m.input_layout()
     flattened = False
     fc_count = 0
     rows = []
     for idx, layer in enumerate(m.layers):
-        w_in, h_in, ch_in, interval_in = w, h, ch, interval
-        steps = ()
-        if isinstance(layer, Conv2d):
-            name = "Conv2d"
-            if layer.ch_in != ch:
-                raise _chain_error(ShapeMismatch(f"conv2d expects {layer.ch_in} channels, input has {ch}"), idx)
-            h_o = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            w_o = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            if h + 2 * layer.padding < layer.kernel or w + 2 * layer.padding < layer.kernel:
-                raise _chain_error(ShapeMismatch(f"conv2d kernel {layer.kernel} exceeds input {h}x{w}"), idx)
-            w, h, ch = w_o, h_o, layer.ch_out
-            interval *= layer.stride
-            gaps_zero, pending_one = True, True
-            mults = 1
-        elif isinstance(layer, Conv1d):
-            name = "Conv1d"
-            if h != 1:
-                raise _chain_error(ShapeMismatch(f"conv1d requires height 1, input has height {h}"), idx)
-            if layer.ch_in != ch:
-                raise _chain_error(ShapeMismatch(f"conv1d expects {layer.ch_in} channels, input has {ch}"), idx)
-            if w < layer.kernel:
-                raise _chain_error(ShapeMismatch(f"conv1d kernel {layer.kernel} exceeds input width {w}"), idx)
-            w = (w - layer.kernel) // layer.stride + 1
-            ch = layer.ch_out
-            interval *= layer.stride
-            gaps_zero, pending_one = True, True
-            mults = 1
-        elif isinstance(layer, AvgPool2d):
-            name = "AvgPool2d"
-            c = layer.kernel
-            if c < 1:
-                raise _chain_error(ShapeMismatch("pooling kernel must be at least 1"), idx)
-            if w % c or h % c:
-                raise _chain_error(NonDivisibleDims(f"pool kernel {c} does not divide input {h}x{w}"), idx)
-            w //= c
-            h //= c
-            interval *= c
-            gaps_zero = False
-            pending_one = pending_one and c == 1
-            mults = 0
-        elif isinstance(layer, Square):
-            name = "Square"
-            mults = 1
-        elif isinstance(layer, ApproxReLU):
-            name = "Approx ReLU"
-            gaps_zero, pending_one = True, True
-            mults = 2
-        elif isinstance(layer, Flatten):
-            name = "Flatten"
-            steps = flatten_dispatch(gaps_zero, pending_one, interval, w, h)
-            masked, row, col = steps
-            mults = int(masked or row) + int(col)
-            w, h, ch = w * h * ch, 1, 1
-            interval = 1
-            gaps_zero, pending_one = True, True
-            flattened = True
-        elif isinstance(layer, FC):
-            fc_count += 1
-            name = f"FC{fc_count}"
-            if not (flattened and interval == 1 and h == 1 and ch == 1):
-                raise _chain_error(NotFlattened("fully connected layer requires a flattened input"), idx)
-            if layer.dat_in != w:
-                raise _chain_error(ShapeMismatch(f"fc expects {layer.dat_in} inputs, flattened vector has {w}"), idx)
-            w = layer.dat_out
-            gaps_zero, pending_one = False, True
-            mults = 1
-        else:
-            raise _chain_error(ParseError(f"unknown layer type {type(layer).__name__}"), idx)
-        rows.append(
-            LayerTrace(
-                index=idx,
-                layer=layer,
-                name=name,
-                mults=mults,
-                w_in=w_in,
-                h_in=h_in,
-                ch_in=ch_in,
-                interval_in=interval_in,
-                w_out=w,
-                h_out=h,
-                ch_out=ch,
-                interval_out=interval,
-                gaps_zero_out=gaps_zero,
-                pending_one_out=pending_one,
-                flatten_steps=steps,
-            )
-        )
+        name = layer.label
+        try:
+            if isinstance(layer, FC):  # numbered in reports, and only valid after a flatten
+                if not flattened:
+                    raise NotFlattened("fully connected layer requires a flattened input")
+                fc_count += 1
+                name += str(fc_count)
+            after, mults = layer.step(lay)
+        except SlotCnnError as err:
+            err.layer_index = idx
+            raise
+        flattened = flattened or isinstance(layer, Flatten)
+        rows.append(LayerTrace(idx, layer, name, mults, lay, after))
+        lay = after
     return rows
 
 
@@ -317,8 +426,7 @@ def mult_depth(m: ModelSpec):
     Returns ``(per_layer, total)`` where ``per_layer`` has one count per
     model layer.  The model must chain structurally.
     """
-    rows = trace_layout(m)
-    per_layer = [row.mults for row in rows]
+    per_layer = [row.mults for row in trace_layout(m)]
     return per_layer, sum(per_layer)
 
 
@@ -342,28 +450,15 @@ def validate(m: ModelSpec, params) -> ValidationReport:
         violations.append({"layer": layer, "rule": rule, "message": message})
 
     for idx, layer in enumerate(m.layers):
-        if isinstance(layer, (Conv2d, Conv1d)):
-            if layer.stride < 1:
-                flag(idx, "kernel_stride", f"stride must be at least 1, got {layer.stride}")
-            elif layer.kernel < layer.stride:
-                flag(idx, "kernel_stride", f"kernel {layer.kernel} must be at least the stride {layer.stride}")
-        if isinstance(layer, Conv2d):
-            if layer.padding < 0:
-                flag(idx, "padding_bound", f"padding must be non-negative, got {layer.padding}")
-            elif 2 * layer.padding > layer.kernel:
-                flag(idx, "padding_bound", f"padding {layer.padding} exceeds half the kernel {layer.kernel}")
-            if layer.padding > 0:
-                flag(idx, "padding_unsupported", "convolution padding is not executable on the slot schedule")
-        if isinstance(layer, AvgPool2d) and layer.kernel < 1:
-            flag(idx, "kernel_stride", f"pool kernel must be at least 1, got {layer.kernel}")
+        for rule, message in layer.rules():
+            flag(idx, rule, message)
 
-    n_flat = sum(isinstance(l, Flatten) for l in m.layers)
-    fc_positions = [i for i, l in enumerate(m.layers) if isinstance(l, FC)]
     flat_positions = [i for i, l in enumerate(m.layers) if isinstance(l, Flatten)]
-    if n_flat > 1:
+    fc_positions = [i for i, l in enumerate(m.layers) if isinstance(l, FC)]
+    if len(flat_positions) > 1:
         flag(flat_positions[1], "flatten_structure", "at most one flatten layer is supported")
     if fc_positions:
-        if n_flat == 0:
+        if not flat_positions:
             flag(fc_positions[0], "flatten_structure", "a fully connected layer requires a preceding flatten")
         elif flat_positions[0] > fc_positions[0]:
             flag(fc_positions[0], "flatten_structure", "the flatten layer must come before the first fully connected layer")
@@ -375,20 +470,17 @@ def validate(m: ModelSpec, params) -> ValidationReport:
         rows = trace_layout(m)
         per_layer = [r.mults for r in rows]
         total = sum(per_layer)
-    except (ShapeMismatch, NonDivisibleDims, NotFlattened, ParseError) as err:
+    except (ShapeMismatch, NonDivisibleDims, NotFlattened) as err:
         flag(getattr(err, "layer_index", None), "shape", str(err))
 
     if rows is not None:
         if total > params.depth:
             flag(None, "depth_budget", f"depth budget exceeded: model needs {total} levels, parameters provide {params.depth}")
-        # Stride head-room: every strided layer's outputs, spread back onto the
-        # original image grid, must still fit inside that grid.
-        flattened_seen = False
+        # Stride head-room: every strided layer's outputs before the flatten,
+        # spread back onto the original image grid, must still fit inside it.
         for row in rows:
             if isinstance(row.layer, Flatten):
-                flattened_seen = True
-            if flattened_seen:
-                continue
+                break
             if isinstance(row.layer, (Conv2d, Conv1d, AvgPool2d)):
                 # A width-only convolution never strides vertically, so only
                 # the width bound applies on single-row layouts.
@@ -422,58 +514,9 @@ def layer_forward(layer, x: np.ndarray) -> np.ndarray:
     powers of two (fully connected layers reassociate the dot product and
     agree to rounding error instead).
     """
-    if isinstance(layer, Conv2d):
-        from .errors import PaddingUnsupported
-
-        if layer.padding:
-            raise PaddingUnsupported("the oracle matches the runtime and does not evaluate padded convolutions")
-        ch, h, w = x.shape
-        k, s = layer.kernel, layer.stride
-        h_out = (h - k) // s + 1
-        w_out = (w - k) // s + 1
-        out = np.zeros((layer.ch_out, h_out, w_out))
-        for i in range(layer.ch_in):
-            for j in range(k):
-                for q in range(k):
-                    window = x[i, j : j + h_out * s : s, q : q + w_out * s : s]
-                    out += layer.weights[:, i, j, q][:, None, None] * window
-        out += layer.bias[:, None, None]
-        return out
-    if isinstance(layer, Conv1d):
-        ch, h, w = x.shape
-        k, s = layer.kernel, layer.stride
-        w_out = (w - k) // s + 1
-        out = np.zeros((layer.ch_out, 1, w_out))
-        for i in range(layer.ch_in):
-            for q in range(k):
-                window = x[i, 0, q : q + w_out * s : s]
-                out[:, 0, :] += layer.weights[:, i, q][:, None] * window
-        out += layer.bias[:, None, None]
-        return out
-    if isinstance(layer, AvgPool2d):
-        c = layer.kernel
-        ch, h, w = x.shape
-        if h % c or w % c:
-            raise NonDivisibleDims(f"pool kernel {c} does not divide input {h}x{w}")
-        out = np.zeros((ch, h // c, w // c))
-        for j in range(c):
-            for q in range(c):
-                out += x[:, j::c, q::c]
-        out *= 1.0 / (c * c)
-        return out
-    if isinstance(layer, Square):
-        return x * x
-    if isinstance(layer, ApproxReLU):
-        return (layer.a2 * x + layer.a1) * x + layer.a0
-    if isinstance(layer, Flatten):
-        return x.reshape(-1)
-    if isinstance(layer, FC):
-        if x.ndim != 1:
-            raise NotFlattened("fully connected layer requires a flattened input")
-        if x.size != layer.dat_in:
-            raise ShapeMismatch(f"fc expects {layer.dat_in} inputs, got {x.size}")
-        return _fc_forward(layer, x)
-    raise ParseError(f"unknown layer type {type(layer).__name__}")
+    if not isinstance(layer, Layer):
+        raise ParseError(f"unknown layer type {type(layer).__name__}")
+    return layer.forward(x)
 
 
 def _fc_forward(layer, x: np.ndarray) -> np.ndarray:
@@ -520,63 +563,40 @@ def reference_infer(m: ModelSpec, sample) -> np.ndarray:
 # -- JSON (de)serialization -------------------------------------------------
 
 
+# JSON keys that differ from the field names; every other field keeps its name.
+_JSON_NAMES = {"ch_in": "in", "ch_out": "out", "dat_in": "in", "dat_out": "out"}
+
+
+def _as_int(value, key: str) -> int:
+    """An integral JSON number; booleans, strings and fractions would be silently changed by ``int``."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ParseError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def model_from_dict(data: dict) -> ModelSpec:
     try:
         name = str(data["name"])
         shape = data["input"]
-        channels, height, width = int(shape["channels"]), int(shape["height"]), int(shape["width"])
+        dims = {key: _as_int(shape[key], key) for key in ("channels", "height", "width")}
         layers = []
         for entry in data["layers"]:
-            kind = entry["type"]
-            if kind == "conv2d":
-                layers.append(
-                    Conv2d(
-                        ch_in=int(entry["in"]),
-                        ch_out=int(entry["out"]),
-                        kernel=int(entry["kernel"]),
-                        stride=int(entry["stride"]),
-                        padding=int(entry.get("padding", 0)),
-                        weights=entry["weights"],
-                        bias=entry["bias"],
-                    )
-                )
-            elif kind == "conv1d":
-                layers.append(
-                    Conv1d(
-                        ch_in=int(entry["in"]),
-                        ch_out=int(entry["out"]),
-                        kernel=int(entry["kernel"]),
-                        stride=int(entry["stride"]),
-                        weights=entry["weights"],
-                        bias=entry["bias"],
-                    )
-                )
-            elif kind == "avgpool2d":
-                layers.append(AvgPool2d(kernel=int(entry["kernel"])))
-            elif kind == "square":
-                layers.append(Square())
-            elif kind == "approx_relu":
-                layers.append(
-                    ApproxReLU(
-                        a0=float(entry.get("a0", RELU_COEFFS[0])),
-                        a1=float(entry.get("a1", RELU_COEFFS[1])),
-                        a2=float(entry.get("a2", RELU_COEFFS[2])),
-                    )
-                )
-            elif kind == "flatten":
-                layers.append(Flatten())
-            elif kind == "fc":
-                layers.append(
-                    FC(
-                        dat_in=int(entry["in"]),
-                        dat_out=int(entry["out"]),
-                        weights=entry["weights"],
-                        bias=entry["bias"],
-                    )
-                )
-            else:
-                raise ParseError(f"unknown layer type {kind!r}")
-        return ModelSpec(name=name, channels=channels, height=height, width=width, layers=tuple(layers))
+            cls = _LAYER_TYPES.get(entry["type"])
+            if cls is None:
+                raise ParseError(f"unknown layer type {entry['type']!r}")
+            args = {}
+            for f in fields(cls):
+                key = _JSON_NAMES.get(f.name, f.name)
+                if key in entry or f.default is MISSING:
+                    value = entry[key]
+                    if f.type == "int":
+                        value = _as_int(value, key)
+                    elif f.type == "float":
+                        value = float(value)
+                    args[f.name] = value
+            layers.append(cls(**args))
+        return ModelSpec(name=name, layers=tuple(layers), **dims)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, ShapeMismatch) as err:
@@ -586,49 +606,11 @@ def model_from_dict(data: dict) -> ModelSpec:
 def model_to_dict(m: ModelSpec) -> dict:
     layers = []
     for layer in m.layers:
-        if isinstance(layer, Conv2d):
-            layers.append(
-                {
-                    "type": "conv2d",
-                    "in": layer.ch_in,
-                    "out": layer.ch_out,
-                    "kernel": layer.kernel,
-                    "stride": layer.stride,
-                    "padding": layer.padding,
-                    "weights": layer.weights.reshape(-1).tolist(),
-                    "bias": layer.bias.tolist(),
-                }
-            )
-        elif isinstance(layer, Conv1d):
-            layers.append(
-                {
-                    "type": "conv1d",
-                    "in": layer.ch_in,
-                    "out": layer.ch_out,
-                    "kernel": layer.kernel,
-                    "stride": layer.stride,
-                    "weights": layer.weights.reshape(-1).tolist(),
-                    "bias": layer.bias.tolist(),
-                }
-            )
-        elif isinstance(layer, AvgPool2d):
-            layers.append({"type": "avgpool2d", "kernel": layer.kernel})
-        elif isinstance(layer, Square):
-            layers.append({"type": "square"})
-        elif isinstance(layer, ApproxReLU):
-            layers.append({"type": "approx_relu", "a0": layer.a0, "a1": layer.a1, "a2": layer.a2})
-        elif isinstance(layer, Flatten):
-            layers.append({"type": "flatten"})
-        elif isinstance(layer, FC):
-            layers.append(
-                {
-                    "type": "fc",
-                    "in": layer.dat_in,
-                    "out": layer.dat_out,
-                    "weights": layer.weights.reshape(-1).tolist(),
-                    "bias": layer.bias.tolist(),
-                }
-            )
+        entry = {"type": layer.kind}
+        for f in fields(layer):
+            value = getattr(layer, f.name)
+            entry[_JSON_NAMES.get(f.name, f.name)] = value.reshape(-1).tolist() if isinstance(value, np.ndarray) else value
+        layers.append(entry)
     return {"name": m.name, "input": m.input_shape, "layers": layers}
 
 
@@ -647,100 +629,80 @@ def load_model(path) -> ModelSpec:
 # -- built-in architectures --------------------------------------------------
 
 # Each entry: input (channels, height, width) followed by layer stubs.
-# Weight tensors are drawn uniformly from [-0.5, 0.5) with a seeded generator.
+# Weight tensors are drawn uniformly from [-0.5, 0.5) with a seeded generator,
+# layer by layer in the order of each layer type's ``shapes``.
 _BUILTINS = {
-    "M1": (
-        (1, 28, 28),
-        (
-            ("conv2d", dict(ch_in=1, ch_out=8, kernel=4, stride=3)),
-            ("square",),
-            ("flatten",),
-            ("fc", dict(dat_in=648, dat_out=64)),
-            ("square",),
-            ("fc", dict(dat_in=64, dat_out=10)),
-        ),
-    ),
-    "M2": (
-        (1, 28, 28),
-        (
-            ("conv2d", dict(ch_in=1, ch_out=4, kernel=5, stride=1)),
-            ("square",),
-            ("avgpool2d", dict(kernel=2)),
-            ("conv2d", dict(ch_in=4, ch_out=12, kernel=5, stride=1)),
-            ("square",),
-            ("avgpool2d", dict(kernel=2)),
-            ("flatten",),
-            ("fc", dict(dat_in=192, dat_out=10)),
-        ),
-    ),
-    "M3": (
-        (1, 28, 28),
-        (
-            ("conv2d", dict(ch_in=1, ch_out=6, kernel=3, stride=1)),
-            ("approx_relu",),
-            ("avgpool2d", dict(kernel=2)),
-            ("flatten",),
-            ("fc", dict(dat_in=1014, dat_out=120)),
-            ("approx_relu",),
-            ("fc", dict(dat_in=120, dat_out=10)),
-        ),
-    ),
-    "M4": (
-        (1, 32, 32),
-        (
-            ("conv2d", dict(ch_in=1, ch_out=6, kernel=5, stride=1)),
-            ("square",),
-            ("avgpool2d", dict(kernel=2)),
-            ("conv2d", dict(ch_in=6, ch_out=16, kernel=5, stride=1)),
-            ("square",),
-            ("avgpool2d", dict(kernel=2)),
-            ("conv2d", dict(ch_in=16, ch_out=120, kernel=5, stride=1)),
-            ("square",),
-            ("flatten",),
-            ("fc", dict(dat_in=120, dat_out=84)),
-            ("square",),
-            ("fc", dict(dat_in=84, dat_out=10)),
-        ),
-    ),
-    "M5": (
-        (3, 32, 32),
-        (
-            ("conv2d", dict(ch_in=3, ch_out=16, kernel=3, stride=1)),
-            ("square",),
-            ("avgpool2d", dict(kernel=2)),
-            ("conv2d", dict(ch_in=16, ch_out=64, kernel=4, stride=1)),
-            ("square",),
-            ("avgpool2d", dict(kernel=2)),
-            ("conv2d", dict(ch_in=64, ch_out=128, kernel=3, stride=1)),
-            ("square",),
-            ("avgpool2d", dict(kernel=4)),
-            ("flatten",),
-            ("fc", dict(dat_in=128, dat_out=10)),
-        ),
-    ),
-    "M6": (
-        (1, 16, 16),
-        (
-            ("conv2d", dict(ch_in=1, ch_out=6, kernel=4, stride=2)),
-            ("square",),
-            ("flatten",),
-            ("fc", dict(dat_in=294, dat_out=64)),
-            ("square",),
-            ("fc", dict(dat_in=64, dat_out=10)),
-        ),
-    ),
-    "M7": (
-        (1, 1, 128),
-        (
-            ("conv1d", dict(ch_in=1, ch_out=2, kernel=2, stride=2)),
-            ("square",),
-            ("conv1d", dict(ch_in=2, ch_out=4, kernel=2, stride=2)),
-            ("flatten",),
-            ("fc", dict(dat_in=128, dat_out=32)),
-            ("square",),
-            ("fc", dict(dat_in=32, dat_out=5)),
-        ),
-    ),
+    "M1": ((1, 28, 28), (
+        ("conv2d", dict(ch_in=1, ch_out=8, kernel=4, stride=3)),
+        ("square",),
+        ("flatten",),
+        ("fc", dict(dat_in=648, dat_out=64)),
+        ("square",),
+        ("fc", dict(dat_in=64, dat_out=10)),
+    )),
+    "M2": ((1, 28, 28), (
+        ("conv2d", dict(ch_in=1, ch_out=4, kernel=5, stride=1)),
+        ("square",),
+        ("avgpool2d", dict(kernel=2)),
+        ("conv2d", dict(ch_in=4, ch_out=12, kernel=5, stride=1)),
+        ("square",),
+        ("avgpool2d", dict(kernel=2)),
+        ("flatten",),
+        ("fc", dict(dat_in=192, dat_out=10)),
+    )),
+    "M3": ((1, 28, 28), (
+        ("conv2d", dict(ch_in=1, ch_out=6, kernel=3, stride=1)),
+        ("approx_relu",),
+        ("avgpool2d", dict(kernel=2)),
+        ("flatten",),
+        ("fc", dict(dat_in=1014, dat_out=120)),
+        ("approx_relu",),
+        ("fc", dict(dat_in=120, dat_out=10)),
+    )),
+    "M4": ((1, 32, 32), (
+        ("conv2d", dict(ch_in=1, ch_out=6, kernel=5, stride=1)),
+        ("square",),
+        ("avgpool2d", dict(kernel=2)),
+        ("conv2d", dict(ch_in=6, ch_out=16, kernel=5, stride=1)),
+        ("square",),
+        ("avgpool2d", dict(kernel=2)),
+        ("conv2d", dict(ch_in=16, ch_out=120, kernel=5, stride=1)),
+        ("square",),
+        ("flatten",),
+        ("fc", dict(dat_in=120, dat_out=84)),
+        ("square",),
+        ("fc", dict(dat_in=84, dat_out=10)),
+    )),
+    "M5": ((3, 32, 32), (
+        ("conv2d", dict(ch_in=3, ch_out=16, kernel=3, stride=1)),
+        ("square",),
+        ("avgpool2d", dict(kernel=2)),
+        ("conv2d", dict(ch_in=16, ch_out=64, kernel=4, stride=1)),
+        ("square",),
+        ("avgpool2d", dict(kernel=2)),
+        ("conv2d", dict(ch_in=64, ch_out=128, kernel=3, stride=1)),
+        ("square",),
+        ("avgpool2d", dict(kernel=4)),
+        ("flatten",),
+        ("fc", dict(dat_in=128, dat_out=10)),
+    )),
+    "M6": ((1, 16, 16), (
+        ("conv2d", dict(ch_in=1, ch_out=6, kernel=4, stride=2)),
+        ("square",),
+        ("flatten",),
+        ("fc", dict(dat_in=294, dat_out=64)),
+        ("square",),
+        ("fc", dict(dat_in=64, dat_out=10)),
+    )),
+    "M7": ((1, 1, 128), (
+        ("conv1d", dict(ch_in=1, ch_out=2, kernel=2, stride=2)),
+        ("square",),
+        ("conv1d", dict(ch_in=2, ch_out=4, kernel=2, stride=2)),
+        ("flatten",),
+        ("fc", dict(dat_in=128, dat_out=32)),
+        ("square",),
+        ("fc", dict(dat_in=32, dat_out=5)),
+    )),
 }
 
 
@@ -755,38 +717,10 @@ def builtin(name: str, seed: int = 0) -> ModelSpec:
         raise UnknownModel(f"unknown built-in model {name!r}; available: {', '.join(builtin_names())}")
     (channels, height, width), stubs = _BUILTINS[key]
     rng = np.random.default_rng(seed)
-
-    def draw(*shape):
-        return rng.uniform(-0.5, 0.5, size=shape)
-
     layers = []
-    for stub in stubs:
-        kind = stub[0]
-        args = stub[1] if len(stub) > 1 else {}
-        if kind == "conv2d":
-            layers.append(
-                Conv2d(
-                    **args,
-                    weights=draw(args["ch_out"], args["ch_in"], args["kernel"], args["kernel"]),
-                    bias=draw(args["ch_out"]),
-                )
-            )
-        elif kind == "conv1d":
-            layers.append(
-                Conv1d(
-                    **args,
-                    weights=draw(args["ch_out"], args["ch_in"], args["kernel"]),
-                    bias=draw(args["ch_out"]),
-                )
-            )
-        elif kind == "avgpool2d":
-            layers.append(AvgPool2d(**args))
-        elif kind == "square":
-            layers.append(Square())
-        elif kind == "approx_relu":
-            layers.append(ApproxReLU())
-        elif kind == "flatten":
-            layers.append(Flatten())
-        elif kind == "fc":
-            layers.append(FC(**args, weights=draw(args["dat_out"], args["dat_in"]), bias=draw(args["dat_out"])))
+    for kind, *args in stubs:
+        cls = _LAYER_TYPES[kind]
+        args = args[0] if args else {}
+        weights = {attr: rng.uniform(-0.5, 0.5, size=shape) for attr, shape in cls.shapes(args).items()}
+        layers.append(cls(**args, **weights))
     return ModelSpec(name=key, channels=channels, height=height, width=width, layers=tuple(layers))

@@ -2,7 +2,21 @@
 
 import numpy as np
 
-from slotcnn import Backend, CipherState, HEParams, LayoutState, valid_positions
+from slotcnn import (
+    FC,
+    ApproxReLU,
+    AvgPool2d,
+    Backend,
+    CipherState,
+    Conv1d,
+    Conv2d,
+    Flatten,
+    HEParams,
+    LayoutState,
+    ModelSpec,
+    Square,
+    valid_positions,
+)
 
 SMALL_PARAMS = HEParams(poly_degree=2048, depth=11)
 
@@ -75,3 +89,55 @@ def gap_slots(backend, state, offset=None):
 
 def make_backend(params=SMALL_PARAMS):
     return Backend(params)
+
+
+def random_stack(rng):
+    """A random model mixing conv, pooling, activations, flatten and FC layers.
+
+    Widths and heights are tracked as the layers are drawn, so most stacks
+    are valid; the caller still filters them through ``validate``.
+    """
+    one_d = rng.random() < 0.3
+    ch = int(rng.integers(1, 3))
+    h = 1 if one_d else int(rng.integers(4, 13))
+    w = int(rng.integers(4, 17))
+    cur_ch, cur_h, cur_w = ch, h, w
+    layers = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = rng.choice(["conv", "pool", "square", "relu"])
+        if kind == "conv":
+            k = int(rng.integers(1, min(cur_w if one_d else min(cur_h, cur_w), 4) + 1))
+            s = int(rng.integers(1, k + 1))
+            out = int(rng.integers(1, 4))
+            bias = rng.uniform(-1, 1, out)
+            if one_d:
+                layers.append(Conv1d(ch_in=cur_ch, ch_out=out, kernel=k, stride=s,
+                                     weights=rng.uniform(-1, 1, (out, cur_ch, k)), bias=bias))
+            else:
+                layers.append(Conv2d(ch_in=cur_ch, ch_out=out, kernel=k, stride=s,
+                                     weights=rng.uniform(-1, 1, (out, cur_ch, k, k)), bias=bias))
+                cur_h = (cur_h - k) // s + 1
+            cur_w = (cur_w - k) // s + 1
+            cur_ch = out
+        elif kind == "pool":
+            divs = [c for c in (2, 3) if not one_d and cur_h % c == 0 and cur_w % c == 0]
+            if divs:
+                c = int(rng.choice(divs))
+                layers.append(AvgPool2d(kernel=c))
+                cur_h //= c
+                cur_w //= c
+        elif kind == "square":
+            layers.append(Square())
+        else:
+            layers.append(ApproxReLU(*rng.uniform(-1, 1, 3)))
+    if rng.random() < 0.7:
+        layers.append(Flatten())
+        d_in = cur_ch * cur_h * cur_w
+        for _ in range(int(rng.integers(1, 3))):
+            d_out = int(rng.integers(1, 11))
+            layers.append(FC(dat_in=d_in, dat_out=d_out, weights=rng.uniform(-1, 1, (d_out, d_in)),
+                             bias=rng.uniform(-1, 1, d_out)))
+            d_in = d_out
+            if rng.random() < 0.3:
+                layers.append(Square() if rng.random() < 0.5 else ApproxReLU())
+    return ModelSpec(name="fuzz", channels=ch, height=h, width=w, layers=tuple(layers))

@@ -250,3 +250,40 @@ class TestBench:
         _, metrics, _ = run_inference(m, xs, params)
         expected = [[str(d), repr(estimate_cost(metrics, params, depth_override=d))] for d in (9, 10, 11)]
         assert list(csv.reader(io.StringIO(out)))[1:] == expected
+
+
+class TestBadModelFiles:
+    """A defect in a model file ends in its documented exit code, never a traceback or a vacuous PASS."""
+
+    def model_file(self, tmp_path, name, layer, key, value):
+        doc = model_to_dict(builtin(name))
+        if key == "weights":
+            doc["layers"][layer]["weights"][0] = value
+        else:
+            doc["layers"][layer][key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["plan", "run", "bench", "verify"])
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_exit_2(self, capsys, tmp_path, command, stride):
+        path = self.model_file(tmp_path, "M7", 0, "stride", stride)
+        code, out, err = run_cli(capsys, command, "--model", path)
+        assert code == 2 and out == ""
+        assert "(layer 0, kernel_stride)" in err and "(layer 0, shape): conv1d stride must be at least 1" in err
+
+    @pytest.mark.parametrize("layer,value", [(0, float("nan")), (3, 1e308)])
+    def test_non_finite_error_fails_verify(self, capsys, tmp_path, layer, value):
+        path = self.model_file(tmp_path, "M1", layer, "weights", value)
+        with np.errstate(all="ignore"):
+            code, out, _ = run_cli(capsys, "verify", "--model", path, "--trials", "2")
+        assert code == 2 and "PASS" not in out and "FAIL: max |err|" in out
+        doc = json.loads(out[: out.rindex("FAIL")])
+        assert doc["ok"] is False and not np.isfinite(doc["max_abs_err"])
+
+    @pytest.mark.parametrize("key,value", [("stride", 2.9), ("kernel", "2")])
+    def test_non_integral_field_exit_1(self, capsys, tmp_path, key, value):
+        path = self.model_file(tmp_path, "M7", 0, key, value)
+        code, out, err = run_cli(capsys, "verify", "--model", path)
+        assert code == 1 and out == "" and f"error: {key} must be an integer" in err

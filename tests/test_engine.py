@@ -8,19 +8,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_stack
 from slotcnn import (
     FC,
     ApproxReLU,
     AvgPool2d,
     Backend,
+    CipherState,
     Conv1d,
-    Conv2d,
     CostModel,
     CountingBackend,
     Flatten,
     HEParams,
     ModelSpec,
     Square,
+    apply_layer,
     builtin,
     builtin_names,
     estimate_cost,
@@ -29,6 +31,7 @@ from slotcnn import (
     mult_depth,
     reference_infer,
     run_inference,
+    trace_layout,
     validate,
     verify_against_oracle,
 )
@@ -107,18 +110,6 @@ class TestInference:
         counted = backend.counter.totals()
         for key in counted:
             assert totals[key] == counted[key]
-
-    def test_fc_rows_carry_schedule_detail(self):
-        m = builtin("M1")
-        _, metrics, _ = run_inference(m, rand_samples(m, 1), PARAMS)
-        fc2 = metrics.per_layer[-1]
-        assert fc2.detail == {
-            "rotation_indices": 10,
-            "masked_mults": 20,
-            "fold_rotations": 7,
-            "nontrivial_rotations": 16,
-        }
-        assert fc2.rotations == 16 and fc2.pt_mults == 20
 
     def test_deterministic(self):
         m = builtin("M7", seed=3)
@@ -242,6 +233,15 @@ class TestVerify:
         with pytest.raises(ValueError, match="n_trials"):
             verify_against_oracle(builtin("M7"), PARAMS, n_trials=0)
 
+    @pytest.mark.parametrize("layer,value", [(0, np.nan), (3, 1e308)])
+    def test_non_finite_error_fails(self, layer, value):
+        m = builtin("M1")
+        m.layers[layer].weights.flat[0] = value
+        with np.errstate(all="ignore"):
+            result = verify_against_oracle(m, PARAMS, n_trials=2)
+        assert not result["ok"]
+        assert not np.isfinite(result["max_abs_err"])
+
     def test_batches_through_capacity(self):
         m = builtin("M6")
         result = verify_against_oracle(m, PARAMS, n_trials=30, seed=3)
@@ -254,8 +254,8 @@ MAX_SWEEP_DEPTH = 13
 def ledger(backend_cls, m, params, samples):
     """Everything a run reports that does not depend on slot values.
 
-    Per-layer rows (``to_dict``, ``hist`` in key order, ``level_after``,
-    FC detail), the backend's whole counter in key order, and
+    Per-layer rows (``to_dict``, ``hist`` in key order, ``level_after``),
+    the backend's whole counter in key order, and
     ``estimate_cost`` at every budget from the model's need up to
     ``MAX_SWEEP_DEPTH``.  A run that raises yields the error instead.
     """
@@ -264,65 +264,13 @@ def ledger(backend_cls, m, params, samples):
         _, metrics, _ = run_inference(m, samples, params, backend=backend)
     except SlotCnnError as err:
         return type(err), str(err)
-    rows = [(r.to_dict(), list(r.hist.items()), r.level_after, r.detail) for r in metrics.per_layer]
+    rows = [(r.to_dict(), list(r.hist.items()), r.level_after) for r in metrics.per_layer]
     counter = (backend.counter.snapshot(), list(backend.counter.by_level.items()))
     costs = [
         (d, estimate_cost(metrics, params, depth_override=d))
         for d in range(metrics.total_mults, MAX_SWEEP_DEPTH + 1)
     ]
     return rows, counter, costs
-
-
-def random_stack(rng):
-    """A random model mixing conv, pooling, activations, flatten and FC layers.
-
-    Widths and heights are tracked as the layers are drawn, so most stacks
-    are valid; the caller still filters them through ``validate``.
-    """
-    one_d = rng.random() < 0.3
-    ch = int(rng.integers(1, 3))
-    h = 1 if one_d else int(rng.integers(4, 13))
-    w = int(rng.integers(4, 17))
-    cur_ch, cur_h, cur_w = ch, h, w
-    layers = []
-    for _ in range(int(rng.integers(1, 5))):
-        kind = rng.choice(["conv", "pool", "square", "relu"])
-        if kind == "conv":
-            k = int(rng.integers(1, min(cur_w if one_d else min(cur_h, cur_w), 4) + 1))
-            s = int(rng.integers(1, k + 1))
-            out = int(rng.integers(1, 4))
-            bias = rng.uniform(-1, 1, out)
-            if one_d:
-                layers.append(Conv1d(ch_in=cur_ch, ch_out=out, kernel=k, stride=s,
-                                     weights=rng.uniform(-1, 1, (out, cur_ch, k)), bias=bias))
-            else:
-                layers.append(Conv2d(ch_in=cur_ch, ch_out=out, kernel=k, stride=s,
-                                     weights=rng.uniform(-1, 1, (out, cur_ch, k, k)), bias=bias))
-                cur_h = (cur_h - k) // s + 1
-            cur_w = (cur_w - k) // s + 1
-            cur_ch = out
-        elif kind == "pool":
-            divs = [c for c in (2, 3) if not one_d and cur_h % c == 0 and cur_w % c == 0]
-            if divs:
-                c = int(rng.choice(divs))
-                layers.append(AvgPool2d(kernel=c))
-                cur_h //= c
-                cur_w //= c
-        elif kind == "square":
-            layers.append(Square())
-        else:
-            layers.append(ApproxReLU(*rng.uniform(-1, 1, 3)))
-    if rng.random() < 0.7:
-        layers.append(Flatten())
-        d_in = cur_ch * cur_h * cur_w
-        for _ in range(int(rng.integers(1, 3))):
-            d_out = int(rng.integers(1, 11))
-            layers.append(FC(dat_in=d_in, dat_out=d_out, weights=rng.uniform(-1, 1, (d_out, d_in)),
-                             bias=rng.uniform(-1, 1, d_out)))
-            d_in = d_out
-            if rng.random() < 0.3:
-                layers.append(Square() if rng.random() < 0.5 else ApproxReLU())
-    return ModelSpec(name="fuzz", channels=ch, height=h, width=w, layers=tuple(layers))
 
 
 class TestCountingLedger:
@@ -421,6 +369,18 @@ class TestRandomStackProperties:
         _, metrics, _ = run_inference(m, xs[:1], params, plan=plan)
         static = list(itertools.accumulate(per_layer, lambda level, used: level - used, initial=total))
         assert [row.level_after for row in metrics.per_layer] == (static if m.layers else [])  # no Drop Level row when empty
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_live_layout_equals_static_trace(self, seed):
+        m, params, plan, _ = fuzz_case(seed)
+        backend = CountingBackend(params)
+        cts = [backend.encrypt(backend.encode([])) for _ in range(m.channels)]
+        state = CipherState(cts, m.input_layout(plan.offsets, plan.footprint))
+        for layer, row in zip(m.layers, trace_layout(m)):
+            state = apply_layer(backend, state, layer)
+            assert state.layout._replace(batch_offsets=(), footprint=0) == row.after
 
 
 def presum_models():

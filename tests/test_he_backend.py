@@ -568,6 +568,21 @@ class TestMaskedSumStream:
             results.append(str(err.value))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("cls", [Backend, CountingBackend])
+    @pytest.mark.parametrize("region", [False, True])
+    def test_ragged_rows_are_refused_before_anything_is_recorded(self, cls, region):
+        mask = RegionMask(0, (1, 1))
+        coefs = [[mask, mask], [mask]] if region else [[1.0, 1.0], [1.0]]
+        support = (0, 4) if region else np.arange(8)
+        be = cls(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        pulled = []
+        terms = (pulled.append(r) or be.rotate(ct, r) for r in range(2))
+        before = be.counter.snapshot()
+        with pytest.raises(ValueError, match="one mask per term"):
+            be.masked_sum(terms, coefs, support)
+        assert be.counter.snapshot() == before and pulled == []
+
     def test_failed_term_takes_back_earlier_records(self):
         be = Backend(P8)
         ct = be.encrypt(be.encode(np.arange(8.0)))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import random_stack
 from slotcnn import (
     FC,
     ApproxReLU,
@@ -28,6 +29,7 @@ from slotcnn import (
     trace_layout,
     validate,
 )
+from slotcnn.cli import main
 from slotcnn.errors import (
     NonDivisibleDims,
     NotFlattened,
@@ -223,15 +225,26 @@ class TestValidate:
         assert any(v["rule"] == "kernel_stride" for v in report.violations)
 
     def test_padding_over_half_kernel(self):
-        m = ModelSpec("x", 1, 9, 9, (tiny_conv(kernel=2, stride=1, padding=2),))
-        report = validate(m, HEParams())
-        assert any(v["rule"] == "padding_bound" for v in report.violations)
+        with pytest.raises(PaddingUnsupported):
+            tiny_conv(kernel=2, stride=1, padding=2)
 
-    def test_padding_flagged_unsupported(self):
-        m = ModelSpec("x", 1, 9, 9, (tiny_conv(kernel=3, stride=1, padding=1),))
-        report = validate(m, HEParams())
-        rules = {v["rule"] for v in report.violations}
-        assert "padding_unsupported" in rules and "padding_bound" not in rules
+    def test_padding_flagged_unsupported(self, tmp_path, capsys):
+        doc = model_to_dict(ModelSpec("x", 1, 9, 9, (tiny_conv(kernel=3, stride=1),)))
+        doc["layers"][0]["padding"] = 1
+        with pytest.raises(PaddingUnsupported):
+            model_from_dict(doc)
+        path = tmp_path / "padded.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", "--model", str(path)]) == 2
+        assert "padding must be 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_reported_not_raised(self, stride):
+        conv1d = Conv1d(ch_in=1, ch_out=1, kernel=2, stride=stride, weights=np.ones((1, 1, 2)), bias=np.zeros(1))
+        for m in (ModelSpec("x", 1, 9, 9, (tiny_conv(stride=stride),)), ModelSpec("x", 1, 1, 9, (conv1d,))):
+            report = validate(m, HEParams())
+            assert [v["rule"] for v in report.violations] == ["kernel_stride", "shape"]
+            assert "stride must be at least 1" in report.violations[1]["message"]
 
     def test_shape_chain_violation_reported_not_raised(self):
         m = ModelSpec("x", 1, 5, 5, (AvgPool2d(kernel=2),))
@@ -299,9 +312,8 @@ class TestOracleBasics:
         assert np.array_equal(layer_forward(Flatten(), x), np.arange(12.0))
 
     def test_padding_rejected(self):
-        layer = tiny_conv(kernel=3, padding=1)
         with pytest.raises(PaddingUnsupported):
-            layer_forward(layer, np.zeros((1, 5, 5)))
+            tiny_conv(kernel=3, padding=1)
 
 
 class TestOracleConv:
@@ -388,8 +400,9 @@ class TestReferenceInfer:
 
 class TestSerialization:
     def test_round_trip_all_builtins(self):
-        for name in builtin_names():
-            m = builtin(name, seed=3)
+        rng = np.random.default_rng(8)
+        stacks = [random_stack(rng) for _ in range(40)]
+        for m in [builtin(name, seed=3) for name in builtin_names()] + stacks:
             m2 = model_from_dict(model_to_dict(m))
             assert m2.name == m.name and m2.input_shape == m.input_shape
             assert len(m2.layers) == len(m.layers)
@@ -398,6 +411,8 @@ class TestSerialization:
                 for attr in ("weights", "bias"):
                     if hasattr(a, attr):
                         assert np.array_equal(getattr(a, attr), getattr(b, attr))
+            x = rng.uniform(0.0, 1.0, (m.channels, m.height, m.width))
+            assert reference_infer(m2, x).tobytes() == reference_infer(m, x).tobytes()
 
     def test_load_model_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -437,6 +452,23 @@ class TestSerialization:
         doc = {"name": "x", "input": {"channels": 1, "height": 2, "width": 2},
                "layers": [{"type": "fc", "in": 4, "out": 2, "weights": [1.0, 2.0], "bias": [0.0, 0.0]}]}
         with pytest.raises(ParseError):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [("stride", 2.9), ("kernel", "2"), ("stride", True), ("in", 1.5), ("out", None)])
+    def test_int_fields_refuse_other_values(self, key, value):
+        doc = model_to_dict(builtin("M7"))
+        doc["layers"][0][key] = value
+        with pytest.raises(ParseError, match=f"{key} must be an integer"):
+            model_from_dict(doc)
+
+    def test_int_fields_accept_integral_numbers(self):
+        doc = model_to_dict(builtin("M7"))
+        doc["layers"][0]["stride"] = 2.0
+        doc["input"]["width"] = 128.0
+        m = model_from_dict(doc)
+        assert type(m.layers[0].stride) is int and m.layers[0].stride == 2 and m.width == 128
+        doc["input"]["channels"] = "1"
+        with pytest.raises(ParseError, match="channels must be an integer"):
             model_from_dict(doc)
 
     def test_relu_coefficient_round_trip(self):
