@@ -18,7 +18,7 @@ from .errors import (
     TargetAboveCurrent,
     UnknownModel,
 )
-from .he_backend import DEFAULT_PARAMS, Backend, CipherVector, CountingBackend, HEParams, OpCounter, PlainVector, RegionMask
+from .he_backend import DEFAULT_PARAMS, Backend, CipherVector, HEParams, OpCounter, PlainVector, RegionMask
 from .model import (
     FC,
     RELU_COEFFS,
@@ -61,9 +61,11 @@ from .layers import (
 from .engine import (
     CostModel,
     LayerMetrics,
+    LevelAlignment,
     OpMetrics,
     estimate_cost,
     infer,
+    ledger_metrics,
     run_inference,
     verify_against_oracle,
 )

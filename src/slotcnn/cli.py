@@ -6,7 +6,7 @@ Four commands share one option vocabulary:
 * ``run``     execute a batch and print the full inference report
 * ``verify``  compare against the plaintext oracle, optionally sweeping scales
 * ``bench``   print per-layer operation counts, optionally sweeping the budget;
-              counted on :class:`CountingBackend`, without slot arithmetic
+              priced from each layer's closed-form op ledger, without a run
 
 Exit codes: 0 on success, 1 on input/output or parse problems and on bad
 option values or non-finite samples, 2 on validation failures or a failed
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import engine, packing
 from .errors import NonFiniteInput, ParseError, SlotCnnError
-from .he_backend import CountingBackend, HEParams
+from .he_backend import HEParams
 from .model import ModelSpec, builtin, builtin_names, load_model, validate
 
 __all__ = ["main"]
@@ -292,9 +292,8 @@ def cmd_bench(args) -> int:
     if not report.ok:
         _print_violations(report)
         return EXIT_INVALID
-    plan = packing.footprint(m, params, args.align)
-    samples = _random_samples(m, 1, args.seed)
-    _, metrics, _ = engine.run_inference(m, samples, params, plan=plan, backend=CountingBackend(params))
+    packing.footprint(m, params, args.align)  # refuses a bad --align, or a footprint it pushes past the slots
+    metrics = engine.ledger_metrics(m, params)
     if args.depth_sweep:
         try:
             depths = [int(d) for d in args.depth_sweep.split(",") if d.strip()]
@@ -306,7 +305,7 @@ def cmd_bench(args) -> int:
         else:
             _emit(_csv_table(rows, ("depth", "est_cost")), args.report)
         return EXIT_OK
-    layer_rows = [r for r in metrics.per_layer if r.name != "Drop Level"]
+    layer_rows = [r for r in metrics.per_layer if not isinstance(r, engine.LevelAlignment)]
     if args.format == "json":
         _emit(json.dumps([r.to_dict() for r in layer_rows], indent=2), args.report)
     else:

@@ -2,9 +2,12 @@
 
 :func:`infer` encrypts packed inputs, aligns the level budget, applies every
 layer's slot construction, and decrypts the batch, collecting one metrics
-row per layer from the backend's operation counter.  Costs are priced from
-per-level operation histograms, so :func:`estimate_cost` can re-price a
-finished run under a different level budget without re-running it.
+row per layer from the backend's operation counter.  The op ledger does not
+depend on slot values, so :func:`ledger_metrics` builds the same rows
+without a run, from the closed-form ledger of each layer class along one
+:func:`~slotcnn.model.trace_layout` walk.  Costs are priced from per-level
+operation histograms, so :func:`estimate_cost` can re-price a finished run
+under a different level budget without re-running it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from .model import ModelSpec, reference_infer, trace_layout, validate
 __all__ = [
     "CostModel",
     "LayerMetrics",
+    "LevelAlignment",
     "OpMetrics",
     "infer",
+    "ledger_metrics",
     "run_inference",
     "estimate_cost",
     "verify_against_oracle",
@@ -81,6 +86,14 @@ class LayerMetrics:
 
 
 @dataclass
+class LevelAlignment(LayerMetrics):
+    """The row of the products that lower fresh ciphertexts to the level the model needs.
+
+    :func:`estimate_cost` re-prices it for the budget it is asked about.
+    """
+
+
+@dataclass
 class OpMetrics:
     """Per-layer metrics plus the run-wide facts cost re-pricing needs."""
 
@@ -103,19 +116,28 @@ class OpMetrics:
         return {"per_layer": [r.to_dict() for r in self.per_layer], "totals": self.totals()}
 
 
-def _metrics_row(name, before, backend, level_after, cost_model, poly_degree) -> LayerMetrics:
-    totals, hist = diff_snapshots(before, backend.counter.snapshot())
+def _metrics_row(cls, name, hist, level_after, cost_model, poly_degree) -> LayerMetrics:
+    """A row of ``cls`` for the ops in ``hist``, priced in its key order."""
+    totals = dict.fromkeys(("rotation", "pt_mult", "ct_mult", "add"), 0)
+    for (kind, _), count in hist.items():
+        totals[kind] += count
     est = sum(count * cost_model.price(kind, poly_degree, lvl) for (kind, lvl), count in hist.items())
-    return LayerMetrics(
+    return cls(
         name=name,
-        rotations=totals["rotations"],
-        pt_mults=totals["pt_mults"],
-        ct_mults=totals["ct_mults"],
-        adds=totals["adds"],
+        rotations=totals["rotation"],
+        pt_mults=totals["pt_mult"],
+        ct_mults=totals["ct_mult"],
+        adds=totals["add"],
         level_after=level_after,
         est_cost=est,
         hist=hist,
     )
+
+
+def _live_row(cls, name, before, backend, level_after, cost_model, poly_degree) -> LayerMetrics:
+    """The row of the ops ``backend`` recorded since the counter snapshot ``before``."""
+    _, hist = diff_snapshots(before, backend.counter.snapshot())
+    return _metrics_row(cls, name, hist, level_after, cost_model, poly_degree)
 
 
 def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=None, backend=None):
@@ -143,11 +165,11 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
     if m.layers:
         before = backend.counter.snapshot()
         state = drop_level(backend, state, total_mults)
-        per_layer.append(_metrics_row("Drop Level", before, backend, state.level, cost_model, n))
+        per_layer.append(_live_row(LevelAlignment, "Drop Level", before, backend, state.level, cost_model, n))
     for layer, static in zip(m.layers, static_rows):
         before = backend.counter.snapshot()
         state = apply_layer(backend, state, layer)
-        per_layer.append(_metrics_row(static.name, before, backend, state.level, cost_model, n))
+        per_layer.append(_live_row(LayerMetrics, static.name, before, backend, state.level, cost_model, n))
 
     decrypted = [backend.decrypt(ct) for ct in state.cts]
     final = state.layout
@@ -168,6 +190,41 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
         input_channels=m.channels,
     )
     return outputs, metrics
+
+
+def ledger_metrics(m: ModelSpec, params, cost_model=None) -> OpMetrics:
+    """The metrics :func:`infer` reports for ``m``, built from closed-form ledgers instead of a run.
+
+    The level-alignment row holds one product per input channel at each
+    level from the budget down to the model's need, and each layer's row the
+    records of its class's ``ledger`` at the level the trace reaches it.  A
+    row's ``hist`` lists its keys in the order a live counter first records
+    them over the whole run, so every cost is summed in the same order and
+    equals the live one bit for bit.  The model must chain structurally.
+    """
+    cost_model = cost_model or CostModel()
+    n = params.poly_degree
+    rows = trace_layout(m)
+    total_mults = sum(r.mults for r in rows)
+    order = {}  # every (kind, level) key so far, in the order a live counter first records it
+
+    def row(cls, name, records, level_after):
+        counts = {}
+        for kind, level, count in records:
+            if count:
+                order.setdefault((kind, level))
+                counts[kind, level] = counts.get((kind, level), 0) + count
+        return _metrics_row(cls, name, {key: counts[key] for key in order if key in counts}, level_after, cost_model, n)
+
+    per_layer = []
+    if rows:
+        aligned = [("pt_mult", level, m.channels) for level in range(params.depth, total_mults, -1)]
+        per_layer.append(row(LevelAlignment, "Drop Level", aligned, total_mults))
+    level = total_mults
+    for trace in rows:
+        per_layer.append(row(LayerMetrics, trace.name, trace.layer.ledger(trace.before, level), level - trace.mults))
+        level -= trace.mults
+    return OpMetrics(per_layer=per_layer, poly_degree=n, depth=params.depth, total_mults=total_mults, input_channels=m.channels)
 
 
 def run_inference(m: ModelSpec, samples, params, alignment: int = 1, plan=None, cost_model=None, backend=None):
@@ -199,7 +256,7 @@ def estimate_cost(metrics: OpMetrics, params, depth_override=None, cost_model=No
         raise ValueError(f"budget {depth} cannot run a model needing {metrics.total_mults} levels")
     total = 0.0
     for row in metrics.per_layer:
-        if row.name == "Drop Level":
+        if isinstance(row, LevelAlignment):
             for lvl in range(metrics.total_mults + 1, depth + 1):
                 total += metrics.input_channels * cost_model.price("pt_mult", n, lvl)
         else:

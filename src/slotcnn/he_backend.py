@@ -21,16 +21,11 @@ That is exact where einsum without ``optimize`` adds the terms in order from
 +0.0 with no fused multiply-add, as numpy's x86-64 wheels do; a numpy build
 that does not fails the pinned tests and ``slotcnn verify``.
 
-Every operation of :class:`Backend` runs in two steps: shared bookkeeping
-(width and level checks, the :class:`OpCounter` record, the result level),
-then a value hook that computes the result's slots.  The op ledger does not
-depend on slot values, so :class:`CountingBackend` overrides only the value
-hooks: every ciphertext and plaintext it returns shares one read-only zero
-vector of ``num_slots`` slots (or of the operand's width, for hand-built
-vectors of another width).  It raises the same errors, records the same
-ledger in the same order and reaches the same levels as :class:`Backend`,
-without the slot arithmetic or quantization, so it prices a schedule
-(``slotcnn bench``) at a fraction of the cost of running it.
+Every operation of :class:`Backend` checks widths and levels, records itself
+in the :class:`OpCounter` and then computes the result's slots.  The op
+ledger does not depend on slot values, so pricing a schedule needs no run:
+each layer class in :mod:`slotcnn.model` states its ledger in closed form,
+and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ __all__ = [
     "RegionMask",
     "OpCounter",
     "Backend",
-    "CountingBackend",
     "DEFAULT_PARAMS",
 ]
 
@@ -247,7 +241,7 @@ class Backend:
 
     def encrypt(self, plain: PlainVector) -> CipherVector:
         """Turn a plaintext into a fresh ciphertext at the full level budget."""
-        return CipherVector(self._summed(plain.values, ()), self.params.depth)  # a sum of one term is a copy
+        return CipherVector(plain.values.copy(), self.params.depth)
 
     def decrypt(self, cipher: CipherVector) -> np.ndarray:
         return cipher.values.copy()
@@ -272,7 +266,7 @@ class Backend:
             raise LevelExhausted("ciphertext has no multiplication budget left")
         self._check_width(cipher, plain)
         self.counter.record("pt_mult", cipher.level)
-        return CipherVector(self._product(cipher.values, plain.values), cipher.level - 1)
+        return CipherVector(self._quantized(cipher.values * plain.values), cipher.level - 1)
 
     def mul_cipher(self, a: CipherVector, b: CipherVector) -> CipherVector:
         """Slot-wise ciphertext-ciphertext product; consumes one level."""
@@ -281,7 +275,7 @@ class Backend:
             raise LevelExhausted("ciphertext has no multiplication budget left")
         self._check_width(a, b)
         self.counter.record("ct_mult", level)
-        return CipherVector(self._product(a.values, b.values), level - 1)
+        return CipherVector(self._quantized(a.values * b.values), level - 1)
 
     def masked_sum(self, terms, coefs, support, bias=None) -> list:
         """Per-row masked linear combinations of a stream of ciphertexts.
@@ -350,17 +344,14 @@ class Backend:
         first = next(terms, None)
         if first is None:
             raise ValueError("sum needs at least one term")
-        acc = CipherVector(first.values, first.level)  # carries the running level while terms are read
-        acc.values = self._summed(first.values, (self._recorded_add(acc, term) for term in terms))
+        acc = CipherVector(first.values.copy(), first.level)
+        for term in terms:
+            self._check_width(acc, term)
+            if isinstance(term, CipherVector):
+                acc.level = min(acc.level, term.level)
+            self.counter.record("add", acc.level)
+            acc.values += term.values
         return acc
-
-    def _recorded_add(self, acc: CipherVector, term) -> np.ndarray:
-        """Check ``term``'s width, lower ``acc`` to the result level and record the add there."""
-        self._check_width(acc, term)
-        if isinstance(term, CipherVector):
-            acc.level = min(acc.level, term.level)
-        self.counter.record("add", acc.level)
-        return term.values
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
         """Cyclic left shift by ``r`` slots (negative ``r`` shifts right)."""
@@ -368,7 +359,7 @@ class Backend:
         self.counter.record("rotation", cipher.level)
         return CipherVector(self._rotated(cipher.values, r), cipher.level)
 
-    # -- slot values: the only part CountingBackend replaces ---------------
+    # -- slot values -------------------------------------------------------
 
     def _quantized(self, arr: np.ndarray) -> np.ndarray:
         """Round an owned array in place to ``scale_bits`` fractional bits when quantization is on."""
@@ -377,15 +368,6 @@ class Backend:
             np.rint(arr, out=arr)
             np.divide(arr, self._scale, out=arr)
         return arr
-
-    def _summed(self, first: np.ndarray, rest) -> np.ndarray:
-        acc = first.copy()
-        for values in rest:
-            acc += values
-        return acc
-
-    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._quantized(a * b)
 
     def _masked_rows(self, values, coefs, support, bias) -> list:
         if isinstance(support, tuple):
@@ -429,35 +411,6 @@ class Backend:
             self._doubled = (values, np.concatenate((values, values)))
             self._doubled[1].flags.writeable = False
         return self._doubled[1][r : r + self.num_slots]
-
-
-class CountingBackend(Backend):
-    """A :class:`Backend` that keeps the checks, levels and op ledger but no values.
-
-    Every ciphertext and plaintext it returns holds the shared read-only
-    zero vector of its width, which is ``num_slots`` for anything the layer
-    schedules build, so running a schedule on it costs only the
-    bookkeeping.  Use it to read a schedule's ledger, never its outputs.
-    """
-
-    def __init__(self, params: HEParams):
-        super().__init__(params)
-        self._zero_vectors = {}
-
-    def _zeros_like(self, values: np.ndarray, *_) -> np.ndarray:
-        zeros = self._zero_vectors.get(values.size)
-        if zeros is None:
-            zeros = self._zero_vectors[values.size] = np.zeros(values.size)
-            zeros.flags.writeable = False
-        return zeros
-
-    _quantized = _product = _rotated = _zeros_like
-
-    def _summed(self, first: np.ndarray, rest) -> np.ndarray:
-        return self._zeros_like(first, *rest)  # unpacking reads the whole stream, recording every add
-
-    def _masked_rows(self, values, coefs, support, bias) -> list:
-        return [self._zeros_like(*values)] * len(coefs)  # reads the whole stream, as above
 
 
 def _grid_views(mask: RegionMask, offsets: tuple, stride: int, width: int) -> list:

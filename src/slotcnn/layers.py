@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import FootprintOverflow, ShapeMismatch, TargetAboveCurrent
 from .he_backend import Backend, RegionMask
-from .model import FC, ApproxReLU, AvgPool2d, Conv1d, Conv2d, Flatten, LayoutState, Square
+from .model import FC, ApproxReLU, AvgPool2d, Conv1d, Conv2d, Flatten, LayoutState, Square, fc_operation_counts
 
 __all__ = [
     "LayoutState",
@@ -217,17 +217,6 @@ def flatten(backend: Backend, state: CipherState, layer: Flatten = None) -> Ciph
     flat_len = w_in * h_in
     out = backend.sum(backend.rotate(ct, -ch * flat_len) if ch else ct for ch, ct in enumerate(cts))
     return CipherState([out], Flatten.step(lay)[0])
-
-
-def fc_operation_counts(dat_in: int, dat_out: int) -> dict:
-    """Operation census of the fully connected schedule for given sizes."""
-    reps = math.ceil(dat_in / dat_out)
-    return {
-        "rotation_indices": dat_out,
-        "masked_mults": 2 * dat_out,
-        "fold_rotations": reps,
-        "nontrivial_rotations": dat_out + reps - 1,
-    }
 
 
 def fc(backend: Backend, state: CipherState, layer: FC) -> CipherState:

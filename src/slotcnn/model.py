@@ -4,8 +4,10 @@ plaintext inference oracle.
 A model is a plain sequence of layers over a ``channels x height x width``
 input.  Each layer class is the one definition of its type: its JSON tag and
 report name, its weight shapes, its validation rules, its plaintext forward
-pass, and its layout step, which maps the :class:`LayoutState` the layer reads
-to the one it leaves and counts the multiplicative levels it consumes.
+pass, its layout step, which maps the :class:`LayoutState` the layer reads
+to the one it leaves and counts the multiplicative levels it consumes, and its
+op ledger, the rotations, products and additions its slot schedule records,
+in closed form from that layout and the level.
 :func:`trace_layout` walks those steps from the input layout, and each slot
 schedule in :mod:`slotcnn.layers` takes its output layout and its shape errors
 from the same step, so the static depth budget can never drift from what
@@ -46,6 +48,7 @@ __all__ = [
     "ValidationReport",
     "trace_layout",
     "flatten_dispatch",
+    "fc_operation_counts",
     "mult_depth",
     "validate",
     "reference_infer",
@@ -100,6 +103,17 @@ def flatten_dispatch(gaps_zero: bool, pending_one: bool, interval: int, w_in: in
     return masked, row, col
 
 
+def fc_operation_counts(dat_in: int, dat_out: int) -> dict:
+    """Operation census of the fully connected schedule for given sizes."""
+    reps = math.ceil(dat_in / dat_out)
+    return {
+        "rotation_indices": dat_out,
+        "masked_mults": 2 * dat_out,
+        "fold_rotations": reps,
+        "nontrivial_rotations": dat_out + reps - 1,
+    }
+
+
 def _as_array(data, shape, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.size != int(np.prod(shape)):
@@ -114,7 +128,10 @@ class Layer:
     ``shapes`` the weight shapes in :func:`builtin`'s draw order, ``rules``
     the ``(rule, message)`` pairs the layer breaks on its own.  ``step(layout)``
     returns ``(layout after, levels used)`` or raises a shape error, and
-    ``forward`` is the plaintext oracle.
+    ``forward`` is the plaintext oracle.  ``ledger(layout, level)`` lists the
+    ``(kind, level, count)`` op records the slot schedule makes when it reads
+    ``layout`` at ``level``, each kind and level first in the order the
+    schedule first records it; a count may be 0, for an op it does not make.
     """
 
     @property
@@ -155,6 +172,8 @@ class _Conv(Layer):
         s = self.stride
         if s < 1:
             raise ShapeMismatch(f"{self.kind} stride must be at least 1, got {s}")
+        if self.kernel < 1:
+            raise ShapeMismatch(f"{self.kind} kernel must be at least 1, got {self.kernel}")
         if self.ch_in != lay.channels:
             raise ShapeMismatch(f"{self.kind} expects {self.ch_in} channels, input has {lay.channels}")
         if lay.h_in < kh or lay.w_in < kw:
@@ -163,6 +182,12 @@ class _Conv(Layer):
         out = lay._replace(interval=lay.interval * s, w_in=w_out, h_in=h_out, channels=self.ch_out,
                            pending_const=1.0, gaps_zero=True)
         return out, 1
+
+    def ledger(self, lay: LayoutState, level: int) -> list:
+        """One rotation per tap; per output channel and tap a product, and an addition that sums it or the bias."""
+        kh, kw = self.kernel_hw
+        taps = self.ch_in * kh * kw
+        return [("rotation", level, taps), ("pt_mult", level, self.ch_out * taps), ("add", level - 1, self.ch_out * taps)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         kh, kw = self.kernel_hw
@@ -240,6 +265,11 @@ class AvgPool2d(Layer):
                            pending_const=lay.pending_const * (1.0 / (c * c)), gaps_zero=False)
         return out, 0
 
+    def ledger(self, lay: LayoutState, level: int) -> list:
+        """Per channel, one rotation per window slot and the additions that sum them."""
+        taps = self.kernel * self.kernel
+        return [("rotation", level, lay.channels * taps), ("add", level, lay.channels * (taps - 1))]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         c = self.kernel
         ch, h, w = x.shape
@@ -263,6 +293,10 @@ class Square(Layer):
     def step(lay: LayoutState):
         return lay._replace(pending_const=lay.pending_const * lay.pending_const), 1
 
+    @staticmethod
+    def ledger(lay: LayoutState, level: int) -> list:
+        return [("ct_mult", level, lay.channels)]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x * x
 
@@ -280,6 +314,12 @@ class ApproxReLU(Layer):
 
     def step(self, lay: LayoutState):
         return lay._replace(pending_const=1.0, gaps_zero=True), 2
+
+    @staticmethod
+    def ledger(lay: LayoutState, level: int) -> list:
+        """Per channel in Horner order: the masked product, the linear term, the square, the constant."""
+        ch = lay.channels
+        return [("pt_mult", level, ch), ("add", level - 1, ch), ("ct_mult", level - 1, ch), ("add", level - 2, ch)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return (self.a2 * x + self.a1) * x + self.a0
@@ -302,6 +342,28 @@ class Flatten(Layer):
         flat = lay.w_in * lay.h_in * lay.channels
         out = lay._replace(interval=1, w_in=flat, h_in=1, channels=1, pending_const=1.0, gaps_zero=True)
         return out, int(masked or row) + int(col)
+
+    @staticmethod
+    def ledger(lay: LayoutState, level: int) -> list:
+        """The records of :func:`slotcnn.layers.flatten`'s steps, each made for every channel in turn."""
+        masked, row, col = Flatten.dispatch(lay)
+        ch, i = lay.channels, lay.interval
+        records = []
+
+        def slide(parts: int, step: int) -> None:  # a masked product per part, then rotations (none by 0) and adds
+            nonlocal level
+            records.extend([("pt_mult", level, ch * parts), ("rotation", level - 1, ch * (parts - 1) * (step != 0)),
+                            ("add", level - 1, ch * (parts - 1))])
+            level -= 1
+
+        if masked:
+            slide(lay.w_in, i - 1)
+        elif row:
+            records.extend([("rotation", level, ch * (i - 1)), ("add", level, ch * (i - 1))])  # the pre-sum
+            slide(math.ceil(lay.w_in / i), i * (i - 1))
+        if col:
+            slide(lay.h_in, lay.w_img * i - lay.w_in)
+        return records + [("rotation", level, ch - 1), ("add", level, ch - 1)]  # channels onto one ciphertext
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(-1)
@@ -329,6 +391,14 @@ class FC(Layer):
         if self.dat_in != lay.w_in:
             raise ShapeMismatch(f"fc expects {self.dat_in} inputs, flattened vector has {lay.w_in}")
         return lay._replace(w_in=self.dat_out, pending_const=1.0, gaps_zero=False), 1
+
+    def ledger(self, lay: LayoutState, level: int) -> list:
+        """Diagonal rotations and their two masked products each, then the wrap correction, folds and bias."""
+        counts = fc_operation_counts(self.dat_in, self.dat_out)
+        diagonals = counts["rotation_indices"] - 1  # diagonal 0 is the input itself
+        folds = counts["fold_rotations"]  # the wrap correction, then one rotation per fold after the first
+        return [("pt_mult", level, counts["masked_mults"]), ("rotation", level, diagonals), ("add", level - 1, 2 * diagonals),
+                ("rotation", level - 1, folds), ("add", level - 1, folds + 1)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 1:
@@ -575,6 +645,15 @@ def _as_int(value, key: str) -> int:
     return int(value)
 
 
+def _refuse_non_numbers(value, key: str) -> None:
+    """Refuse booleans and strings, also inside weight lists: ``float`` and numpy would turn them into numbers."""
+    if isinstance(value, (bool, str)):
+        raise ParseError(f"{key}: expected a number, got {value!r}")
+    if isinstance(value, list) and not set(map(type, value)) <= {float, int}:  # a flat list of JSON numbers is fine
+        for item in value:
+            _refuse_non_numbers(item, key)
+
+
 def model_from_dict(data: dict) -> ModelSpec:
     try:
         name = str(data["name"])
@@ -592,8 +671,10 @@ def model_from_dict(data: dict) -> ModelSpec:
                     value = entry[key]
                     if f.type == "int":
                         value = _as_int(value, key)
-                    elif f.type == "float":
-                        value = float(value)
+                    else:
+                        _refuse_non_numbers(value, key)
+                        if f.type == "float":
+                            value = float(value)
                     args[f.name] = value
             layers.append(cls(**args))
         return ModelSpec(name=name, layers=tuple(layers), **dims)

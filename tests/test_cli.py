@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from slotcnn import HEParams, builtin, builtin_names, estimate_cost, model_to_dict, run_inference
+from helpers import random_stack
+from slotcnn import HEParams, builtin, builtin_names, estimate_cost, model_to_dict, run_inference, validate
 from slotcnn.cli import main
 
 
@@ -240,6 +241,23 @@ class TestBench:
         per_layer = [r for r in json.loads(run_out)["per_layer"] if r["layer"] != "Drop Level"]
         assert json.loads(out) == per_layer
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_model_file_json_and_sweep_equal_run(self, capsys, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        m = random_stack(rng)
+        while not m.layers or not validate(m, HEParams()).ok:
+            m = random_stack(rng)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(m)))
+        code, out, _ = run_cli(capsys, "bench", "--model", str(path), "--format", "json")
+        assert code == 0
+        code, run_out, _ = run_cli(capsys, "run", "--model", str(path), "--format", "json")
+        assert json.loads(out) == json.loads(run_out)["per_layer"][1:]
+        code, out, _ = run_cli(capsys, "bench", "--model", str(path), "--depth-sweep", "11,12,13")
+        _, metrics, _ = run_inference(m, rng.uniform(0.0, 1.0, (1, m.channels, m.height, m.width)), HEParams())
+        expected = [[str(d), repr(estimate_cost(metrics, HEParams(), depth_override=d))] for d in (11, 12, 13)]
+        assert list(csv.reader(io.StringIO(out)))[1:] == expected
+
     @pytest.mark.parametrize("name", builtin_names())
     def test_depth_sweep_equals_live_estimate(self, capsys, name):
         code, out, _ = run_cli(capsys, "bench", "--builtin", name, "--depth-sweep", "9,10,11")
@@ -281,6 +299,23 @@ class TestBadModelFiles:
         assert code == 2 and "PASS" not in out and "FAIL: max |err|" in out
         doc = json.loads(out[: out.rindex("FAIL")])
         assert doc["ok"] is False and not np.isfinite(doc["max_abs_err"])
+
+    @pytest.mark.parametrize("command", ["plan", "run", "bench", "verify"])
+    def test_zero_kernel_exit_2(self, capsys, tmp_path, command):
+        doc = model_to_dict(builtin("M7"))
+        doc["layers"][0].update(kernel=0, weights=[])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == 2 and out == ""
+        assert "(layer 0, kernel_stride)" in err and "(layer 0, shape): conv1d kernel must be at least 1" in err
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    @pytest.mark.parametrize("layer,key,value", [(1, "a0", True), (1, "a1", "0.5"), (0, "weights", True)])
+    def test_boolean_or_string_number_exit_1(self, capsys, tmp_path, command, layer, key, value):
+        path = self.model_file(tmp_path, "M3", layer, key, value)
+        code, out, err = run_cli(capsys, command, "--model", path)
+        assert code == 1 and out == "" and f"error: {key}: expected a number, got {value!r}" in err
 
     @pytest.mark.parametrize("key,value", [("stride", 2.9), ("kernel", "2")])
     def test_non_integral_field_exit_1(self, capsys, tmp_path, key, value):

@@ -17,8 +17,9 @@ from slotcnn import (
     CipherState,
     Conv1d,
     CostModel,
-    CountingBackend,
     Flatten,
+    LayerMetrics,
+    LevelAlignment,
     HEParams,
     ModelSpec,
     Square,
@@ -28,6 +29,7 @@ from slotcnn import (
     estimate_cost,
     footprint,
     infer,
+    ledger_metrics,
     mult_depth,
     reference_infer,
     run_inference,
@@ -251,56 +253,78 @@ class TestVerify:
 MAX_SWEEP_DEPTH = 13
 
 
-def ledger(backend_cls, m, params, samples):
+def ledger(metrics, params):
     """Everything a run reports that does not depend on slot values.
 
-    Per-layer rows (``to_dict``, ``hist`` in key order, ``level_after``),
-    the backend's whole counter in key order, and
-    ``estimate_cost`` at every budget from the model's need up to
-    ``MAX_SWEEP_DEPTH``.  A run that raises yields the error instead.
+    Per-layer rows (type, ``to_dict``, ``hist`` in key order,
+    ``level_after``), the run-wide facts, and ``estimate_cost`` at every
+    budget from the model's need up to ``MAX_SWEEP_DEPTH``.
     """
-    backend = backend_cls(params)
-    try:
-        _, metrics, _ = run_inference(m, samples, params, backend=backend)
-    except SlotCnnError as err:
-        return type(err), str(err)
-    rows = [(r.to_dict(), list(r.hist.items()), r.level_after) for r in metrics.per_layer]
-    counter = (backend.counter.snapshot(), list(backend.counter.by_level.items()))
+    rows = [(type(r), r.to_dict(), list(r.hist.items()), r.level_after) for r in metrics.per_layer]
+    facts = (metrics.poly_degree, metrics.depth, metrics.total_mults, metrics.input_channels)
     costs = [
         (d, estimate_cost(metrics, params, depth_override=d))
         for d in range(metrics.total_mults, MAX_SWEEP_DEPTH + 1)
     ]
-    return rows, counter, costs
+    return rows, facts, costs
+
+
+def assert_static_equals_live(m, params, samples):
+    _, live, _ = run_inference(m, samples, params)
+    assert ledger(ledger_metrics(m, params), params) == ledger(live, params), m.layers
+
+
+def flatten_branches(m):
+    """The flatten dispatch each flatten of ``m`` takes."""
+    return {row.layer.dispatch(row.before) for row in trace_layout(m) if isinstance(row.layer, Flatten)}
 
 
 class TestCountingLedger:
-    """CountingBackend reports exactly the ledger a live Backend run records."""
+    """The ledger ``ledger_metrics`` counts in closed form equals the one a live Backend run records."""
 
     @pytest.mark.parametrize("quantize", [False, True])
     @pytest.mark.parametrize("name", builtin_names())
     def test_builtins(self, name, quantize):
         m = builtin(name)
-        params = HEParams(quantize=quantize, scale_bits=32)
-        samples = rand_samples(m, 2, seed=7)
-        assert ledger(CountingBackend, m, params, samples) == ledger(Backend, m, params, samples)
+        for depth in range(mult_depth(m)[1], MAX_SWEEP_DEPTH + 1):
+            params = HEParams(depth=depth, quantize=quantize, scale_bits=32)
+            assert_static_equals_live(m, params, rand_samples(m, 2, seed=7))
 
     def test_random_stacks(self):
         rng = np.random.default_rng(2024)
         checked = 0
-        seen = set()
-        for _ in range(400):
+        seen, branches = set(), set()
+        for _ in range(1000):
             m = random_stack(rng)
-            params = HEParams(poly_degree=2048, depth=int(rng.integers(8, 12)), quantize=bool(rng.random() < 0.5))
+            params = HEParams(poly_degree=int(rng.choice([2048, 4096])), depth=int(rng.integers(8, 13)),
+                              quantize=bool(rng.random() < 0.5))
             if not validate(m, params).ok:
                 continue
-            samples = rand_samples(m, int(rng.integers(1, 3)), seed=checked)
-            assert ledger(CountingBackend, m, params, samples) == ledger(Backend, m, params, samples), m.layers
+            assert_static_equals_live(m, params, rand_samples(m, int(rng.integers(1, 3)), seed=checked))
             seen.update(type(layer).__name__ for layer in m.layers)
+            branches |= flatten_branches(m)
             checked += 1
-            if checked == 100:
+            if checked == 300:
                 break
-        assert checked == 100
+        assert checked == 300
         assert seen == {"Conv2d", "Conv1d", "AvgPool2d", "Square", "ApproxReLU", "Flatten", "FC"}
+        assert {masked or row for masked, row, _ in branches} == {True, False}
+        assert {row for _, row, _ in branches} == {True, False} and {col for *_, col in branches} == {True, False}
+
+    def test_alignment_row_is_typed(self):
+        m = builtin("M1")
+        _, live, _ = run_inference(m, rand_samples(m, 1), PARAMS)
+        want = estimate_cost(live, PARAMS, depth_override=13)
+        for metrics in (live, ledger_metrics(m, PARAMS)):
+            assert [type(r) for r in metrics.per_layer] == [LevelAlignment] + [LayerMetrics] * len(m.layers)
+            metrics.per_layer[0].name = "Conv2d"
+            metrics.per_layer[1].name = "Drop Level"
+            assert estimate_cost(metrics, PARAMS, depth_override=13) == want
+
+    def test_empty_model_has_no_rows(self):
+        m = ModelSpec(name="empty", channels=2, height=3, width=3, layers=())
+        assert ledger_metrics(m, PARAMS).per_layer == []
+        assert_static_equals_live(m, PARAMS, rand_samples(m, 1))
 
 
 class TestSampleIsolation:
@@ -373,9 +397,15 @@ class TestRandomStackProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    def test_static_ledger_equals_live_ledger(self, seed):
+        m, params, _, xs = fuzz_case(seed)
+        assert_static_equals_live(m, params, xs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
     def test_live_layout_equals_static_trace(self, seed):
         m, params, plan, _ = fuzz_case(seed)
-        backend = CountingBackend(params)
+        backend = Backend(params)
         cts = [backend.encrypt(backend.encode([])) for _ in range(m.channels)]
         state = CipherState(cts, m.input_layout(plan.offsets, plan.footprint))
         for layer, row in zip(m.layers, trace_layout(m)):

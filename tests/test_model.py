@@ -246,6 +246,19 @@ class TestValidate:
             assert [v["rule"] for v in report.violations] == ["kernel_stride", "shape"]
             assert "stride must be at least 1" in report.violations[1]["message"]
 
+    def test_zero_kernel_refused_by_the_conv_step(self):
+        doc = model_to_dict(builtin("M7"))
+        doc["layers"][0].update(kernel=0, weights=[])
+        m = model_from_dict(doc)
+        with pytest.raises(ShapeMismatch, match="conv1d kernel must be at least 1, got 0") as err:
+            trace_layout(m)
+        assert err.value.layer_index == 0
+        report = validate(m, HEParams())
+        assert [(v["layer"], v["rule"]) for v in report.violations] == [(0, "kernel_stride"), (0, "shape")]
+        conv2d = ModelSpec("x", 1, 9, 9, (Conv2d(ch_in=1, ch_out=1, kernel=0, stride=1, weights=[], bias=[0.0]),))
+        with pytest.raises(ShapeMismatch, match="conv2d kernel must be at least 1"):
+            trace_layout(conv2d)
+
     def test_shape_chain_violation_reported_not_raised(self):
         m = ModelSpec("x", 1, 5, 5, (AvgPool2d(kernel=2),))
         report = validate(m, HEParams())
@@ -470,6 +483,23 @@ class TestSerialization:
         doc["input"]["channels"] = "1"
         with pytest.raises(ParseError, match="channels must be an integer"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("layer,key,value", [(1, "a0", True), (1, "a1", "0.5"), (1, "a2", "abc"),
+                                                 (0, "bias", ["0.5", True, 0, 0, 0, 0]), (0, "bias", [0.5, True, 0, 0, 0, 0]),
+                                                 (4, "weights", [[1.0] * 1014, [False] + [1.0] * 1013] * 60)])
+    def test_float_fields_and_weights_refuse_booleans_and_strings(self, layer, key, value):
+        doc = model_to_dict(builtin("M3"))
+        doc["layers"][layer][key] = value
+        with pytest.raises(ParseError, match=f"{key}: expected a number, got "):
+            model_from_dict(doc)
+
+    def test_float_fields_and_weights_accept_numbers(self):
+        doc = model_to_dict(builtin("M3"))
+        doc["layers"][1].update(a0=1, a1=-0.5, a2=np.float64(2.0))
+        doc["layers"][0]["bias"] = [1, 2.5, -3, 0, 0, 0]
+        m = model_from_dict(doc)
+        assert (m.layers[1].a0, m.layers[1].a1, m.layers[1].a2) == (1.0, -0.5, 2.0)
+        assert m.layers[0].bias.tolist() == [1.0, 2.5, -3.0, 0.0, 0.0, 0.0]
 
     def test_relu_coefficient_round_trip(self):
         doc = {"name": "x", "input": {"channels": 1, "height": 2, "width": 2},
