@@ -406,9 +406,16 @@ class TestMaskedSum:
             be.masked_sum([CipherVector(np.zeros(8), 1)], np.ones((1, 1)), np.arange(2), np.zeros(1))
 
 
-class TestLevelAndWidthErrors:
-    def test_level_exhausted_at_level_zero(self):
-        be = Backend(HEParams(poly_degree=8, depth=1))
+class TestCountingBackend:
+    """Level and width errors leave the op ledger as it was.
+
+    The class name and the ``cls`` parameters date from when these checks
+    also ran on a counting-only backend; they keep the test ids stable.
+    """
+
+    @pytest.mark.parametrize("cls", [Backend])
+    def test_level_exhausted_at_level_zero(self, cls):
+        be = cls(HEParams(poly_degree=8, depth=1))
         ones = be.encode(np.ones(4))
         ct = be.mul_plain(be.encrypt(be.encode([1.0])), ones)
         assert ct.level == 0
@@ -421,8 +428,9 @@ class TestLevelAndWidthErrors:
             be.masked_sum([ct], np.ones((1, 1)), np.arange(2), np.zeros(1))
         assert be.counter.snapshot() == before
 
-    def test_width_and_size_errors(self):
-        be = Backend(P4)
+    @pytest.mark.parametrize("cls", [Backend])
+    def test_width_and_size_errors(self, cls):
+        be = cls(P4)
         ct = be.encrypt(be.encode([1, 2]))
         wide = CipherVector(np.zeros(8), P4.depth)
         for call in (
@@ -449,8 +457,9 @@ def counted(items, be, pulls):
 
 
 class TestMaskedSumStream:
+    @pytest.mark.parametrize("cls", [Backend])
     @pytest.mark.parametrize("with_bias", [True, False])
-    def test_generator_equals_list(self, with_bias):
+    def test_generator_equals_list(self, cls, with_bias):
         params = HEParams(poly_degree=64, depth=4, scale_bits=8, quantize=True)
         rng = np.random.default_rng(5)
         x = rng.uniform(-4, 4, params.num_slots)
@@ -460,7 +469,7 @@ class TestMaskedSumStream:
         shifts = (0, 3, -7, 11, 5)
         results = []
         for streamed in (False, True):
-            be = Backend(params)
+            be = cls(params)
             ct = be.encrypt(be.encode(x))
             pulls = []
             if streamed:
@@ -522,15 +531,16 @@ def add_chain(be, terms):
 
 
 class TestSum:
+    @pytest.mark.parametrize("cls", [Backend])
     @pytest.mark.parametrize("quantize", [False, True])
-    def test_equals_add_chain(self, quantize):
+    def test_equals_add_chain(self, cls, quantize):
         params = HEParams(poly_degree=64, depth=4, scale_bits=8, quantize=quantize)
         xs = np.random.default_rng(6).uniform(-4, 4, (3, params.num_slots))
         drops = (0, 2, 1)
         plan = [(0, 0), (0, 5), (1, -3), (2, 7), (0, 9), (2, 0), (1, 1)]
         results = []
         for combine in (add_chain, Backend.sum):
-            be = Backend(params)
+            be = cls(params)
             ones = be.encode(np.ones(params.num_slots))
             cts = []
             for x, drop in zip(xs, drops):
@@ -547,8 +557,9 @@ class TestSum:
         assert results[0] == results[1]
         assert results[1][1] == 2 and results[1][2][3] == len(plan) - 1
 
-    def test_pulls_each_term_after_the_previous_add(self):
-        be = Backend(P8)
+    @pytest.mark.parametrize("cls", [Backend])
+    def test_pulls_each_term_after_the_previous_add(self, cls):
+        be = cls(P8)
         ct = be.encrypt(be.encode(np.arange(8.0)))
         pulls = []
 
@@ -570,8 +581,9 @@ class TestSum:
         assert single.values is not ct.values and np.array_equal(single.values, ct.values)
         assert single.level == ct.level and be.counter.adds == 2
 
-    def test_width_mismatch_keeps_the_chain_ledger(self):
-        be = Backend(P8)
+    @pytest.mark.parametrize("cls", [Backend])
+    def test_width_mismatch_keeps_the_chain_ledger(self, cls):
+        be = cls(P8)
         ct = be.encrypt(be.encode(np.arange(8.0)))
         narrow = CipherVector(np.zeros(4), ct.level)
         with pytest.raises(SlotMismatch):
