@@ -117,19 +117,22 @@ def _load_model(args) -> ModelSpec:
 
 
 def _samples_from_json(data, m: ModelSpec):
-    if not isinstance(data, dict) or "samples" not in data:
-        raise ParseError('input file must contain an object with a "samples" list')
+    entries = data.get("samples") if isinstance(data, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise ParseError('input file must contain an object with a non-empty "samples" list')
     samples = []
-    for i, entry in enumerate(data["samples"]):
-        if entry and isinstance(entry[0], (int, float)):
-            channels = [entry]
-        else:
-            channels = entry
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list):
+            raise ParseError(f"sample {i} must be a list of values or of channels, got {entry!r}")
+        channels = [entry] if entry and isinstance(entry[0], (int, float)) else entry
         if len(channels) != m.channels:
             raise ParseError(f"sample {i} has {len(channels)} channels, model expects {m.channels}")
         plane = []
         for vec in channels:
-            arr = np.asarray(vec, dtype=np.float64)
+            try:
+                arr = np.asarray(vec, dtype=np.float64)
+            except (TypeError, ValueError) as err:
+                raise ParseError(f"sample {i} holds a value that is not a number: {err}") from err
             if arr.size != m.height * m.width:
                 raise ParseError(f"sample {i} channel has {arr.size} values, model expects {m.height * m.width}")
             plane.append(arr.reshape(m.height, m.width))

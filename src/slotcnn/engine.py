@@ -232,6 +232,8 @@ def run_inference(m: ModelSpec, samples, params, alignment: int = 1, plan=None, 
 
     Returns ``(outputs, metrics, plan)``.
     """
+    if len(samples) == 0:
+        raise ValueError("run_inference needs at least one sample")
     if plan is None:
         plan = packing.footprint(m, params, alignment)
     flat = [packing.flatten_input(s) for s in samples]

@@ -16,7 +16,8 @@ doubled copy of it, shared by consecutive rotations of that vector (the
 simulator's hoisted rotations).
 
 :meth:`Backend.masked_sum` sums convolution's products in one ``np.einsum``
-call over a gathered ``(terms, slots)`` matrix of ``terms * slots * 8`` bytes.
+call over the terms' gathered support slots, and :meth:`Backend.diagonal_sum`
+the fully connected layer's in one call per block of terms over their runs.
 That is exact where einsum without ``optimize`` adds the terms in order from
 +0.0 with no fused multiply-add, as numpy's x86-64 wheels do; a numpy build
 that does not fails the pinned tests and ``slotcnn verify``.
@@ -30,7 +31,6 @@ and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -97,6 +97,7 @@ class HEParams:
 
 
 DEFAULT_PARAMS = HEParams()
+_GATHER_BYTES = 1 << 18  # about the most bytes of term slots diagonal_sum gathers for one contraction
 
 
 @dataclass(eq=False)
@@ -123,10 +124,8 @@ class CipherVector:
 class RegionMask(NamedTuple):
     """Plaintext ``values`` (broadcast to ``shape``) on one grid of slots in every sample region.
 
-    The grid holds the positions ``start + i * steps[0] + j * steps[1]``,
-    ``i < shape[0]`` and ``j < shape[1]``, counted from each batch offset.  A
-    negative ``start`` puts the grid just before the offset, which for offset
-    0 means the last slots of the vector.
+    The grid holds the positions ``start + i * steps[0] + j * steps[1]``, ``i < shape[0]``
+    and ``j < shape[1]``, counted from each batch offset; it lies inside the vector.
     """
 
     start: int
@@ -288,7 +287,7 @@ class Backend:
         ``support`` is a flat array of slot indices shared by all masks and
         ``coefs[o, t]`` a scalar, or ``support`` is the tuple of evenly spaced
         batch offsets and ``coefs[o][t]`` a :class:`RegionMask` applied at
-        each of them (``None`` for no slots, and no ``bias``).
+        each of them (and no ``bias``).
 
         Values on the mask slots and the ledger are those of the ``mul_plain``
         / ``add`` loop over full-width masks, summed in term order from +0.0
@@ -301,21 +300,62 @@ class Backend:
         """
         if isinstance(support, tuple) and (bias is not None or len({b - a for a, b in zip(support, support[1:])}) > 1):
             raise ValueError(f"region masks need evenly spaced batch offsets and no bias, got offsets {support}")
-        count = len(coefs[0])
         if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
             raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
-        terms = iter(terms)
-        first = next(terms, None)
-        if first is None:
-            raise ValueError("masked_sum needs at least one term")
-        level = first.level
-        if level < 1:
-            raise LevelExhausted("ciphertext has no multiplication budget left")
-        checked = self._checked(itertools.chain([first], terms), level, len(coefs), count)
+        level, checked = self._stream(terms, len(coefs), len(coefs[0]))
         out = self._masked_rows(checked, coefs, support, bias)
         if bias is not None:
             self.counter.record("add", level - 1, len(coefs))
         return [CipherVector(v, level - 1) for v in out]
+
+    def diagonal_sum(self, terms, diag: np.ndarray, offsets: tuple) -> list:
+        """The front and wrap rows of the diagonal method's masked products over a stream of ciphertexts.
+
+        Term ``t`` is read only on its run of ``d = diag.shape[1]`` slots from ``t`` slots before each batch offset,
+        times ``diag[t]``; slots at or after an offset form the front row, those before it the wrap row.  Values,
+        ledger and stream are ``masked_sum``'s with those runs as full-width masks, every other slot an exact zero.
+        Offsets are evenly spaced, ``max(d, len(diag) - 1)`` or more apart and from the end of the vector.
+        """
+        (count, width), n, wide = diag.shape, self.num_slots, len(offsets)
+        reach, stride = max(width, count - 1), (offsets[1:2] or (n,))[0] - offsets[0]  # a lone offset: room to the end
+        if stride < reach or offsets != tuple(range(offsets[0], offsets[-1] + 1, stride)) or offsets[0] < 0 or offsets[-1] + reach > n:
+            raise ValueError(f"diagonal_sum needs offsets evenly spaced at least {reach} apart, got {offsets}")
+        level, checked = self._stream(terms, 2, count)
+        block = max(2, min(count, _GATHER_BYTES // (8 * wide * (width + 1))))
+        span, origin = width + block - 1, -(-count // block) * block - 1  # column origin + s of acc: slot s after each offset
+        acc, coefs, gathered = np.zeros((wide, origin + width)), np.zeros((block + 1, span)), np.zeros((block + 1, wide, span))
+        coefs[0] = 1.0  # row 0 carries the sums so far through each contraction
+        # Rows 1 + b hold term t0 + b of a block b columns left of term t0, so one slot's products share a column.
+        rows = np.ndarray((block, width), np.float64, coefs, 8 * (span + block - 1), (8 * span - 8, 8))
+        runs = np.ndarray((block, wide, width), np.float64, gathered, 8 * (wide * span + block - 1), (8 * wide * span - 8, 8 * span, 8))
+        for t, term in enumerate(checked):
+            term, b, start = np.ascontiguousarray(term, dtype=np.float64), t % block, offsets[0] - t
+            cut = min(max(-start, 0), width)  # the first run's slots before slot 0 are the last ones
+            runs[b, 0, :cut], runs[b, 0, cut:] = term[n + start : n + start + cut], term[start + cut : start + width]
+            runs[b, 1:] = np.ndarray((wide - 1, width), np.float64, term, 8 * (start + stride), (8 * stride, 8))
+            if b == block - 1 or t == count - 1:
+                rows[: b + 1] = self._quantized(np.array(diag[t - b : t + 1], dtype=np.float64))
+                part = acc[:, origin - t + b - block + 1 :][:, :span]
+                if self.params.quantize:  # every product is rounded, so one term at a time
+                    for c, g in zip(coefs[1 : b + 2], gathered[1 : b + 2]):
+                        part += self._quantized(c * g)
+                else:
+                    gathered[0] = part
+                    np.einsum("ts,tks->ks", coefs[: b + 2], gathered[: b + 2], out=part, optimize=False)
+        out = np.zeros((2, n))
+        out[0, np.add.outer(offsets, np.arange(width))] = acc[:, origin:]
+        out[1, np.add.outer(offsets, np.arange(1 - count, 0))] = acc[:, origin - count + 1 : origin]
+        return [CipherVector(row, level - 1) for row in out]
+
+    def _stream(self, terms, rows: int, count: int):
+        """The terms' level and a stream of ``count`` checked terms that records ``rows`` products and sums per term."""
+        terms = iter(terms)
+        first = next(terms, None)
+        if first is None:
+            raise ValueError("masked_sum needs at least one term")
+        if first.level < 1:
+            raise LevelExhausted("ciphertext has no multiplication budget left")
+        return first.level, self._checked(itertools.chain([first], terms), first.level, rows, count)
 
     def _checked(self, terms, level: int, rows: int, count: int):
         """Yield ``count`` terms' slots, each once its width is checked and its products and sums are recorded."""
@@ -394,14 +434,12 @@ class Backend:
         out = [np.zeros(self.num_slots) for _ in masks]
         for t, term in enumerate(values):
             term = np.ascontiguousarray(term, dtype=np.float64)
-            for row, row_masks in zip(out, masks):
-                mask = row_masks[t]
-                if mask is None:
-                    continue
+            for row, mask in zip(out, [row_masks[t] for row_masks in masks]):
                 coef = self._quantized(np.array(mask.values, dtype=np.float64))
-                for shape, offset, strides in _grid_views(mask, offsets, stride, row.size):
-                    acc = np.ndarray(shape, np.float64, row, offset, strides)
-                    acc += self._quantized(np.ndarray(shape, np.float64, term, offset, strides) * coef)
+                grid = (len(offsets), *mask.shape), np.float64
+                at = 8 * (offsets[0] + mask.start), (8 * stride, 8 * mask.steps[0], 8 * mask.steps[1])
+                acc = np.ndarray(*grid, row, *at)
+                acc += self._quantized(np.ndarray(*grid, term, *at) * coef)
         return out
 
     def _rotated(self, values: np.ndarray, r: int) -> np.ndarray:
@@ -411,14 +449,3 @@ class Backend:
             self._doubled = (values, np.concatenate((values, values)))
             self._doubled[1].flags.writeable = False
         return self._doubled[1][r : r + self.num_slots]
-
-
-def _grid_views(mask: RegionMask, offsets: tuple, stride: int, width: int) -> list:
-    """``(shape, byte offset, byte strides)`` of the mask's grid at every offset, in ``width`` float64 slots.
-
-    Offsets whose grid starts before slot 0 wrap to the end of the vector and get a view of their own.
-    """
-    wrapped = bisect.bisect_left(offsets, -mask.start)
-    strides = (8 * stride, 8 * mask.steps[0], 8 * mask.steps[1])
-    groups = ((0, wrapped, width), (wrapped, len(offsets), 0))
-    return [((hi - lo, *mask.shape), 8 * (offsets[lo] + mask.start + shift), strides) for lo, hi, shift in groups if lo < hi]

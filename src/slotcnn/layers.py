@@ -14,15 +14,16 @@ Masks apply at *all* batch offsets of the plan, whether or not a sample is
 present there, so a batched run performs exactly the same slot arithmetic
 as a solo run and their outputs match bit for bit.
 
-Convolution, flatten and the fully connected layer hand their masked
-products and sums to :meth:`Backend.masked_sum`.  It forms each product
-only on its mask's slots, given once per sample region, and leaves exact
-zeros elsewhere, so no value of one sample reaches another sample's result
-through a zero mask slot, however large it grows.  Its values on the mask
-slots and its op ledger are those of the ``mul_plain`` / ``add`` loop over
-full-width masks.  Rotations stream into it, and those of every other
-rotate-and-add chain into :meth:`Backend.sum`, so one rotated ciphertext is
-alive at a time.  Only ``approx_relu`` still multiplies full-width masks.
+Convolution and flatten hand their masked products and sums to
+:meth:`Backend.masked_sum`, the fully connected layer to
+:meth:`Backend.diagonal_sum`.  Both form each product only on its mask's
+slots, given once per sample region, and leave exact zeros elsewhere, so no
+value of one sample reaches another sample's result through a zero mask
+slot, however large it grows.  Their values on the mask slots and their op
+ledger are those of the ``mul_plain`` / ``add`` loop over full-width masks.
+Rotations stream into them, and those of every other rotate-and-add chain
+into :meth:`Backend.sum`, so one rotated ciphertext is alive at a time.
+Only ``approx_relu`` still multiplies full-width masks.
 """
 
 from __future__ import annotations
@@ -225,9 +226,11 @@ def fc(backend: Backend, state: CipherState, layer: FC) -> CipherState:
     The weight matrix is laid out along rotated diagonals: rotation ``o`` of
     the input meets two masks (the part of diagonal ``o`` that does not wrap
     past the working window, and the wrapped remainder, pre-rotated so a
-    single corrective rotation fixes all wrapped parts at once).  Summing
-    ``ceil(dat_in / dat_out)``-many ``dat_out``-strided rotations of the
-    masked sum then folds the window down to one dot product per output
+    single corrective rotation fixes all wrapped parts at once).
+    :meth:`Backend.diagonal_sum` forms both masked sums at every batch offset
+    in a few einsum calls, reading each rotation only on the samples' inputs.
+    Summing ``ceil(dat_in / dat_out)``-many ``dat_out``-strided rotations of
+    the masked sum then folds the window down to one dot product per output
     slot.  Slots past ``dat_out`` are left holding fold junk.
     """
     lay = state.layout
@@ -238,22 +241,17 @@ def fc(backend: Backend, state: CipherState, layer: FC) -> CipherState:
     if window > lay.footprint:
         raise FootprintOverflow(f"fc working window {window} exceeds the footprint {lay.footprint}")
 
-    # Rotation o of the input meets diagonal o of the (pre-scaled) weights,
-    # diag[o, j] = W[(j - o) mod d_out, j], at slot j - o: in the front part
-    # [0, d_in - o) or in the wrap part [-o, 0), which one rotation by
-    # `window` later moves behind the front.  On W stacked on itself, entry
-    # (o, j) is row d_out - o + (j mod d_out), column j, so every diagonal
-    # is one strided view: a step along j inside a block of d_out columns
-    # goes one row down and one column right.
+    # Rotation o meets diagonal o of the scaled weights, diag[o, j] = W[(j - o) mod d_out, j], at slot j - o:
+    # in the front part, or in the wrap part before slot 0 that one rotation by `window` moves behind the front.
+    # On W stacked on itself, (o, j) is row d_out - o + (j mod d_out), column j: one strided view for all o.
     stacked = np.zeros((2 * d_out, window))
     stacked[:d_out, :d_in] = stacked[d_out:, :d_in] = layer.weights * lay.pending_const
     strides = (-8 * window, 8 * d_out, 8 * window + 8)
     diag = np.ndarray((d_out, reps, d_out), np.float64, stacked, 8 * d_out * window, strides).reshape(d_out, window)
-    front = [RegionMask(0, (1, d_in - o), diag[o, o:d_in]) if o < d_in else None for o in range(d_out)]
-    wrap = [RegionMask(-o, (1, min(o, d_in)), diag[o, : min(o, d_in)]) if o else None for o in range(d_out)]
+    del stacked  # the block is twice the diagonals' size: free it before diagonal_sum gathers
     ct = state.cts[0]
     rotations = (backend.rotate(ct, o) if o else ct for o in range(d_out))
-    acc_front, acc_wrap = backend.masked_sum(rotations, [front, wrap], lay.batch_offsets)
+    acc_front, acc_wrap = backend.diagonal_sum(rotations, diag[:, :d_in], lay.batch_offsets)
     summed = backend.add(acc_front, backend.rotate(acc_wrap, -window))
     out = backend.sum(backend.rotate(summed, i * d_out) if i else summed for i in range(reps))
     bias = np.zeros(backend.num_slots)

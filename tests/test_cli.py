@@ -9,7 +9,8 @@ import pytest
 
 from helpers import random_stack
 from slotcnn import HEParams, builtin, builtin_names, estimate_cost, model_to_dict, run_inference, validate
-from slotcnn.cli import main
+from slotcnn.cli import _load_samples, main
+from slotcnn.errors import ParseError
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,15 @@ class TestRun:
         inp.write_text(json.dumps({"samples": [[1.0, 2.0]]}))
         code, _, err = run_cli(capsys, "run", "--builtin", "M7", "--input", str(inp))
         assert code == 1
+
+    @pytest.mark.parametrize("samples", [5, [5], [{"a": 1}], [], [[{"a": 1}]]])
+    def test_malformed_json_samples_exit_1(self, capsys, tmp_path, samples):
+        inp = tmp_path / "input.json"
+        inp.write_text(json.dumps({"samples": samples}))
+        with pytest.raises(ParseError):
+            _load_samples(str(inp), builtin("M7"))
+        code, out, err = run_cli(capsys, "run", "--builtin", "M7", "--input", str(inp))
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("batch", ["-1", "0"])
     def test_bad_batch_exit_1(self, capsys, batch):

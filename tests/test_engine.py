@@ -84,6 +84,10 @@ class TestInference:
         assert metrics.per_layer[0].level_after == metrics.total_mults
         assert metrics.per_layer[-1].level_after == 0
 
+    def test_empty_batch_is_refused(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            run_inference(builtin("M7"), [], PARAMS)
+
     def test_m1_operation_totals(self):
         m = builtin("M1")
         _, metrics, _ = run_inference(m, rand_samples(m, 1), PARAMS)
@@ -459,3 +463,41 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class KeyRecordingBackend(Backend):
+    """Notes every rotation amount a schedule passes to ``Backend.rotate``, as ``r % num_slots``."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.amounts = set()
+
+    def rotate(self, cipher, r):
+        self.amounts.add(r % self.num_slots)
+        return super().rotate(cipher, r)
+
+
+ROTATION_KEYS = {"M1": 95, "M2": 74, "M3": 145, "M4": 241, "M5": 176, "M6": 79, "M7": 45}
+
+
+@pytest.fixture(scope="module")
+def rotation_keys():
+    """The distinct rotation amounts of one solo run of every built-in at the default 8192 slots."""
+    keys = {}
+    for name in builtin_names():
+        m, backend = builtin(name), KeyRecordingBackend(PARAMS)
+        run_inference(m, rand_samples(m, 1), PARAMS, backend=backend)
+        keys[name] = backend.amounts
+    return keys
+
+
+class TestRotationKeys:
+    """Every rotation of a schedule goes through ``Backend.rotate``: the Galois-key set a subclass sees is pinned."""
+
+    @pytest.mark.parametrize("name", sorted(ROTATION_KEYS))
+    def test_distinct_amounts_per_builtin(self, rotation_keys, name):
+        assert len(rotation_keys[name]) == ROTATION_KEYS[name]
+
+    @pytest.mark.parametrize("names,count", [(("M4", "M5"), 253), (("M1", "M3", "M6", "M7"), 181), (tuple(ROTATION_KEYS), 342)])
+    def test_union_over_each_benchmark_workload(self, rotation_keys, names, count):
+        assert len(set().union(*(rotation_keys[name] for name in names))) == count

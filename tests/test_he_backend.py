@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from slotcnn import Backend, CipherVector, DEFAULT_PARAMS, HEParams, OpCounter, PlainVector
 from slotcnn import RegionMask
 from slotcnn.errors import LevelExhausted, OversizedInput, SlotMismatch
+from slotcnn import he_backend
 from slotcnn.he_backend import diff_snapshots
 
 P8 = HEParams(poly_degree=16, depth=5)  # 8 slots
@@ -521,6 +522,92 @@ class TestMaskedSumStream:
         assert be.counter.snapshot() == before
 
 
+def loop_diagonal_sum(be, terms, diag, offsets):
+    """The mul_plain / add loop over full-width front and wrap masks that Backend.diagonal_sum stands for.
+
+    Term ``t`` meets ``diag[t, j]`` at slot ``off + j - t`` of every offset: in the front mask when
+    ``j >= t``, else in the wrap mask.  Each row starts from +0.0, with no ``add`` recorded for it.
+    """
+    n = be.params.num_slots
+    acc = [None, None]
+    for t, term in enumerate(terms):
+        masks = np.zeros((2, n))
+        for off in offsets:
+            for j, c in enumerate(diag[t]):
+                masks[int(j < t), (off + j - t) % n] = c
+        prods = [be.mul_plain(term, be._plain(mask)) for mask in masks]
+        acc = [CipherVector(0.0 + p.values, p.level) if a is None else be.add(a, p) for a, p in zip(acc, prods)]
+    return acc
+
+
+class TestDiagonalSum:
+    @settings(max_examples=120, deadline=None)
+    @given(width=st.integers(1, 9), count=st.integers(1, 9), n_offsets=st.integers(1, 4), extra=st.integers(0, 3),
+           first=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), quantize=st.booleans())
+    def test_equals_full_width_loop(self, width, count, n_offsets, extra, first, seed, quantize):
+        params = HEParams(poly_degree=128, depth=3, scale_bits=8, quantize=quantize)
+        stride = max(width, count - 1) + extra
+        offsets = tuple(first + i * stride for i in range(n_offsets))
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-4, 4, params.num_slots)
+        diag = rng.uniform(-2, 2, (count, width))
+        results = []
+        for method in (loop_diagonal_sum, Backend.diagonal_sum):
+            be = Backend(params)
+            ct = be.encrypt(be.encode(x))
+            out = method(be, (be.rotate(ct, t) if t else ct for t in range(count)), diag, offsets)
+            results.append(([v.values.tobytes() for v in out], [v.level for v in out], be.counter.snapshot(), list(be.counter.by_level)))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("gather_bytes", [8, 1 << 18])
+    def test_blocks_of_terms_sum_in_term_order(self, gather_bytes, monkeypatch):
+        """Cancelling products on one slot sum in term order, however the terms are split into contractions."""
+        monkeypatch.setattr(he_backend, "_GATHER_BYTES", gather_bytes)
+        for quantize in (False, True):
+            be = Backend(HEParams(poly_degree=64, depth=3, scale_bits=8, quantize=quantize))
+            ct = be.encrypt(be.encode(np.ones(32)))
+            diag = np.diag(np.tile([1e16, 1.0, -1e16, 1.0], 5))  # term t meets diag[t, t] on slot 0
+            front, _ = be.diagonal_sum((be.rotate(ct, t) for t in range(20)), diag, (0,))
+            want = loop_diagonal_sum(Backend(be.params), [ct] * 20, diag, (0,))[0]
+            assert front.values.tobytes() == want.values.tobytes() and front.values[0] == 1.0
+
+    def test_reads_each_term_only_on_its_runs(self):
+        be = Backend(P8)
+        junk = np.full(8, np.inf)
+        junk[[0, 1, 4, 5]] = [1.0, 2.0, 3.0, 4.0]
+        terms = [CipherVector(np.roll(junk, -t), 3) for t in range(3)]
+        front, wrap = be.diagonal_sum(terms, np.ones((3, 2)), (0, 4))
+        assert np.array_equal(front.values, [3, 2, 0, 0, 7, 4, 0, 0]) and np.array_equal(wrap.values, [0, 0, 3, 7, 0, 0, 1, 3])
+
+    @pytest.mark.parametrize("n_terms", [1, 3])
+    def test_stream_of_the_wrong_length_is_refused(self, n_terms):
+        be = Backend(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        terms = [be.rotate(ct, r) for r in range(n_terms)]
+        before = be.counter.snapshot()
+        with pytest.raises(ValueError, match=f"needs 2 terms, got {'more' if n_terms > 2 else n_terms}"):
+            be.diagonal_sum(iter(terms), np.ones((2, 2)), (0, 4))
+        assert be.counter.snapshot() == before
+
+    def test_wrong_width_term_takes_back_earlier_records(self):
+        be = Backend(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        before = be.counter.snapshot()
+        with pytest.raises(SlotMismatch):
+            be.diagonal_sum(iter([ct, ct, CipherVector(np.zeros(4), ct.level)]), np.ones((3, 2)), (0, 4))
+        assert be.counter.snapshot() == before
+
+    @pytest.mark.parametrize("offsets", [(0, 2, 5), (0, 1), (0, 4, 8), (7,), (-1, 3)])
+    def test_offsets_that_let_rows_overlap_are_refused(self, offsets):
+        be = Backend(P8)
+        ct = be.encrypt(be.encode(np.arange(8.0)))
+        pulled = []
+        terms = (pulled.append(r) or be.rotate(ct, r) for r in range(3))
+        with pytest.raises(ValueError, match="evenly spaced"):
+            be.diagonal_sum(terms, np.ones((3, 2)), offsets)
+        assert pulled == [] and be.counter.snapshot()[:4] == (0, 0, 0, 0)
+
+
 def add_chain(be, terms):
     """The ``add`` loop that :meth:`Backend.sum` stands for, pulling each term as it goes."""
     terms = iter(terms)
@@ -614,22 +701,16 @@ def loop_region_sum(be, terms, masks, offsets):
 
 @st.composite
 def region_masks(draw, rows, n_terms, footprint):
-    """Random grids inside one region of ``footprint`` slots, or just before it."""
+    """Random grids inside one region of ``footprint`` slots."""
     masks = []
     for _ in range(rows):
         row = []
         for _ in range(n_terms):
-            if draw(st.booleans()) and draw(st.booleans()):
-                row.append(None)
-                continue
             a, b, q = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
             run = (b - 1) * q + 1
             p = run + draw(st.integers(0, 2))
             extent = (a - 1) * p + run
-            if draw(st.booleans()):
-                start = -extent - draw(st.integers(0, footprint - extent))
-            else:
-                start = draw(st.integers(0, footprint - extent))
+            start = draw(st.integers(0, footprint - extent))
             values = draw(st.one_of(st.floats(-2, 2), st.lists(st.floats(-2, 2), min_size=b, max_size=b)))
             row.append(RegionMask(start, (a, b), np.asarray(values), (p, q)))
         masks.append(row)

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from helpers import SMALL_PARAMS, build_state, gap_slots, make_backend, read_state, single_layout
 
 from slotcnn import (
     FC,
     ApproxReLU,
     AvgPool2d,
+    Backend,
+    CipherState,
+    CipherVector,
     Conv1d,
     Conv2d,
     HEParams,
@@ -463,6 +468,75 @@ class TestFC:
         state = build_state(be, flat_layout(65, 70), np.zeros((1, 1, 65)))
         with pytest.raises(FootprintOverflow):
             fc(be, state, rand_fc(np.random.default_rng(0), 65, 16))
+
+
+def loop_fc(be, state, layer):
+    """fc's schedule over full-width masks: two mul_plain per rotation, summed by add from +0.0, then fc's fold and bias."""
+    lay, n = state.layout, be.params.num_slots
+    d_in, d_out = layer.dat_in, layer.dat_out
+    reps = -(-d_in // d_out)
+    weights = layer.weights * lay.pending_const
+    acc = [None, None]
+    for o in range(d_out):
+        term = be.rotate(state.cts[0], o) if o else state.cts[0]
+        masks = np.zeros((2, n))  # diagonal o meets input j at slot j - o: the front when j >= o, else the wrap
+        for off in lay.batch_offsets:
+            for j in range(d_in):
+                masks[int(j < o), (off + j - o) % n] = weights[(j - o) % d_out, j]
+        prods = [be.mul_plain(term, be._plain(mask)) for mask in masks]
+        acc = [CipherVector(0.0 + p.values, p.level) if a is None else be.add(a, p) for a, p in zip(acc, prods)]
+    summed = be.add(acc[0], be.rotate(acc[1], -reps * d_out))
+    out = be.sum(be.rotate(summed, i * d_out) if i else summed for i in range(reps))
+    bias = np.zeros(n)
+    bias[np.add.outer(lay.batch_offsets, np.arange(d_out))] = layer.bias
+    return be.add(out, be._plain(bias))
+
+
+@st.composite
+def fc_cases(draw):
+    """An FC layer on a flat layout of 1-4 samples at 128 slots, with ``d_out`` above, at or below ``d_in``."""
+    d_in, d_out = draw(st.sampled_from([1, 2, 5, 9, 16])), draw(st.sampled_from([1, 2, 3, 7, 12]))
+    window = -(-d_in // d_out) * d_out
+    footprint = window + draw(st.sampled_from([0, 0, 1, 5]))  # 0 puts the window on the whole footprint
+    stride = footprint + draw(st.integers(0, 3))
+    n_offsets = draw(st.integers(1, max(1, min(4, 128 // stride))))
+    pending = draw(st.sampled_from([1.0, 0.25, -1.5, 1 / 9]))
+    lay = single_layout(1, 1, d_in, footprint=footprint, pending=pending, offsets=[i * stride for i in range(n_offsets)])
+    params = HEParams(poly_degree=256, depth=4, scale_bits=draw(st.sampled_from([8, 30])), quantize=draw(st.booleans()))
+    layer = rand_fc(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d_in, d_out)
+    return lay, params, layer
+
+
+class TestFCDiagonals:
+    @settings(max_examples=150, deadline=None)
+    @given(case=fc_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_full_width_loop(self, case, seed):
+        lay, params, layer = case
+        x = np.random.default_rng(seed).uniform(-4, 4, params.num_slots)
+        results = []
+        for method in (loop_fc, fc):
+            be = Backend(params)
+            out = method(be, CipherState([be.encrypt(be.encode(x))], lay), layer)
+            out = out.cts[0] if isinstance(out, CipherState) else out
+            results.append((out.values.tobytes(), out.level, be.counter.snapshot(), list(be.counter.by_level)))
+        assert results[0] == results[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=fc_cases(), junk=st.sampled_from([np.inf, -np.inf, 1e200]), seed=st.integers(0, 2**32 - 1))
+    def test_junk_in_one_sample_region_reaches_no_output(self, case, junk, seed):
+        lay, params, layer = case
+        assume(lay.footprint > lay.w_in)  # some slots lie between the input and the end of the footprint
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-4, 4, params.num_slots)
+        hit = int(rng.integers(len(lay.batch_offsets)))
+        spoiled = x.copy()
+        spoiled[lay.batch_offsets[hit] + lay.w_in : lay.batch_offsets[hit] + lay.footprint] = junk
+        outs = []
+        for values in (x, spoiled):
+            be = Backend(params)
+            out = fc(be, CipherState([be.encrypt(be.encode(values))], lay), layer)
+            outs.append([be.decrypt(out.cts[0])[off : off + layer.dat_out].tobytes() for off in lay.batch_offsets])
+        assert outs[0] == outs[1]
 
 
 class TestApplyLayer:
