@@ -302,7 +302,7 @@ class Backend:
             raise ValueError(f"region masks need evenly spaced batch offsets and no bias, got offsets {support}")
         if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
             raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
-        level, checked = self._stream(terms, len(coefs), len(coefs[0]))
+        level, checked = self._stream("masked_sum", terms, len(coefs), len(coefs[0]))
         out = self._masked_rows(checked, coefs, support, bias)
         if bias is not None:
             self.counter.record("add", level - 1, len(coefs))
@@ -320,21 +320,21 @@ class Backend:
         reach, stride = max(width, count - 1), (offsets[1:2] or (n,))[0] - offsets[0]  # a lone offset: room to the end
         if stride < reach or offsets != tuple(range(offsets[0], offsets[-1] + 1, stride)) or offsets[0] < 0 or offsets[-1] + reach > n:
             raise ValueError(f"diagonal_sum needs offsets evenly spaced at least {reach} apart, got {offsets}")
-        level, checked = self._stream(terms, 2, count)
-        block = max(2, min(count, _GATHER_BYTES // (8 * wide * (width + 1))))
-        span, origin = width + block - 1, -(-count // block) * block - 1  # column origin + s of acc: slot s after each offset
+        level, checked = self._stream("diagonal_sum", terms, 2, count)
+        block = max(2, min(count, _GATHER_BYTES // (8 * wide * width)))  # terms per contraction
+        span, origin = width + block - 1, -(-count // block) * block - 1  # acc column origin + s: slot s after each offset
         acc, coefs, gathered = np.zeros((wide, origin + width)), np.zeros((block + 1, span)), np.zeros((block + 1, wide, span))
         coefs[0] = 1.0  # row 0 carries the sums so far through each contraction
-        # Rows 1 + b hold term t0 + b of a block b columns left of term t0, so one slot's products share a column.
-        rows = np.ndarray((block, width), np.float64, coefs, 8 * (span + block - 1), (8 * span - 8, 8))
-        runs = np.ndarray((block, wide, width), np.float64, gathered, 8 * (wide * span + block - 1), (8 * wide * span - 8, 8 * span, 8))
         for t, term in enumerate(checked):
             term, b, start = np.ascontiguousarray(term, dtype=np.float64), t % block, offsets[0] - t
+            # The block's term i goes to row 1 + i, i columns left of its first term, so one slot's products share a column.
+            coefs[1 + b, block - 1 - b :][:width] = diag[t]
+            run = gathered[1 + b, :, block - 1 - b :][:, :width]
             cut = min(max(-start, 0), width)  # the first run's slots before slot 0 are the last ones
-            runs[b, 0, :cut], runs[b, 0, cut:] = term[n + start : n + start + cut], term[start + cut : start + width]
-            runs[b, 1:] = np.ndarray((wide - 1, width), np.float64, term, 8 * (start + stride), (8 * stride, 8))
+            run[0, :cut], run[0, cut:] = term[n + start : n + start + cut], term[start + cut : start + width]
+            run[1:] = np.ndarray((wide - 1, width), np.float64, term, 8 * (start + stride), (8 * stride, 8))
             if b == block - 1 or t == count - 1:
-                rows[: b + 1] = self._quantized(np.array(diag[t - b : t + 1], dtype=np.float64))
+                self._quantized(coefs[1 : b + 2])
                 part = acc[:, origin - t + b - block + 1 :][:, :span]
                 if self.params.quantize:  # every product is rounded, so one term at a time
                     for c, g in zip(coefs[1 : b + 2], gathered[1 : b + 2]):
@@ -347,17 +347,17 @@ class Backend:
         out[1, np.add.outer(offsets, np.arange(1 - count, 0))] = acc[:, origin - count + 1 : origin]
         return [CipherVector(row, level - 1) for row in out]
 
-    def _stream(self, terms, rows: int, count: int):
-        """The terms' level and a stream of ``count`` checked terms that records ``rows`` products and sums per term."""
+    def _stream(self, name: str, terms, rows: int, count: int):
+        """The level and a stream of ``count`` checked terms recording ``rows`` products and sums each; errors name ``name``."""
         terms = iter(terms)
         first = next(terms, None)
         if first is None:
-            raise ValueError("masked_sum needs at least one term")
+            raise ValueError(f"{name} needs at least one term")
         if first.level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
-        return first.level, self._checked(itertools.chain([first], terms), first.level, rows, count)
+        return first.level, self._checked(name, itertools.chain([first], terms), first.level, rows, count)
 
-    def _checked(self, terms, level: int, rows: int, count: int):
+    def _checked(self, name: str, terms, level: int, rows: int, count: int):
         """Yield ``count`` terms' slots, each once its width is checked and its products and sums are recorded."""
         n = self.num_slots
         for t, term in enumerate(itertools.chain(terms, [None])):
@@ -368,7 +368,7 @@ class Backend:
                 self.counter.discard("add", level - 1, rows * (t - 1))
                 if t < count and term is not None:
                     raise SlotMismatch(f"operand widths differ: {term.values.size} vs {n}")
-                raise ValueError(f"masked_sum needs {count} terms, got {'more' if term is not None else t}")
+                raise ValueError(f"{name} needs {count} terms, got {'more' if term is not None else t}")
             self.counter.record("pt_mult", level, rows)
             if t:
                 self.counter.record("add", level - 1, rows)

@@ -248,7 +248,6 @@ def fc(backend: Backend, state: CipherState, layer: FC) -> CipherState:
     stacked[:d_out, :d_in] = stacked[d_out:, :d_in] = layer.weights * lay.pending_const
     strides = (-8 * window, 8 * d_out, 8 * window + 8)
     diag = np.ndarray((d_out, reps, d_out), np.float64, stacked, 8 * d_out * window, strides).reshape(d_out, window)
-    del stacked  # the block is twice the diagonals' size: free it before diagonal_sum gathers
     ct = state.cts[0]
     rotations = (backend.rotate(ct, o) if o else ct for o in range(d_out))
     acc_front, acc_wrap = backend.diagonal_sum(rotations, diag[:, :d_in], lay.batch_offsets)

@@ -335,7 +335,7 @@ class TestCounter:
 
 
 def loop_masked_sum(be, terms, coefs, support, bias):
-    """The mul_plain / add loop that Backend.masked_sum replaces."""
+    """The mul_plain / add loop that Backend.masked_sum replaces; each row starts from +0.0, with no ``add`` recorded for it."""
     pattern = np.zeros(be.params.num_slots)
     pattern[support] = 1.0
     out = []
@@ -343,7 +343,7 @@ def loop_masked_sum(be, terms, coefs, support, bias):
         acc = None
         for t, term in enumerate(terms):
             prod = be.mul_plain(term, be._plain(pattern * coefs[o, t]))
-            acc = prod if acc is None else be.add(acc, prod)
+            acc = CipherVector(0.0 + prod.values, prod.level) if acc is None else be.add(acc, prod)
         out.append(be.add(acc, be._plain(pattern * bias[o])))
     return out
 
@@ -681,7 +681,7 @@ class TestSum:
 
 
 def loop_region_sum(be, terms, masks, offsets):
-    """The mul_plain / add loop over full-width masks that region masks stand for."""
+    """The mul_plain / add loop over full-width masks that region masks stand for; each row starts from +0.0."""
     n = be.params.num_slots
     out = []
     for row in masks:
@@ -694,7 +694,7 @@ def loop_region_sum(be, terms, masks, offsets):
                 for off in offsets:
                     full[(off + positions) % n] = np.broadcast_to(mask.values, mask.shape)
             prod = be.mul_plain(term, be._plain(full))
-            acc = prod if acc is None else be.add(acc, prod)
+            acc = CipherVector(0.0 + prod.values, prod.level) if acc is None else be.add(acc, prod)
         out.append(acc)
     return out
 
