@@ -40,6 +40,7 @@ from .model import (
     model_to_dict,
     mult_depth,
     reference_infer,
+    slot_sizes,
     trace_layout,
     validate,
 )

@@ -192,20 +192,33 @@ def _csv_table(rows, header) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _print_violations(report) -> None:
-    for v in report.violations:
-        where = "model" if v["layer"] is None else f"layer {v['layer']}"
-        print(f"invalid ({where}, {v['rule']}): {v['message']}", file=sys.stderr)
+class _Invalid(Exception):
+    """The violations of a model that fails validation; ``main`` prints them and exits 2."""
 
 
-def cmd_plan(args) -> int:
+def _prepare(args, plan: bool = True):
+    """The model and parameters the options name and, unless ``plan`` is false, their packing plan."""
     m = _load_model(args)
     params = _load_params(args)
     report = validate(m, params)
     if not report.ok:
-        _print_violations(report)
-        return EXIT_INVALID
-    plan = packing.footprint(m, params, args.align)
+        raise _Invalid(report.violations)
+    return m, params, packing.footprint(m, params, args.align) if plan else None
+
+
+_LAYER_HEADER = ("layer", "rotations", "pt_mults", "ct_mults", "adds", "level_after", "est_cost")
+
+
+def _layer_csv(rows, totals=None) -> str:
+    """The per-layer table of ``run`` and ``bench``, with a last row of ``totals`` when given."""
+    table = [(r.name, r.rotations, r.pt_mults, r.ct_mults, r.adds, r.level_after, r.est_cost) for r in rows]
+    if totals:
+        table.append(("totals", totals["rotations"], totals["pt_mults"], totals["ct_mults"], totals["adds"], "", totals["est_cost"]))
+    return _csv_table(table, _LAYER_HEADER)
+
+
+def cmd_plan(args) -> int:
+    _, _, plan = _prepare(args)
     if args.format == "csv":
         rows = [(e["layer"], e["slots"]) for e in plan.per_layer_sizes]
         rows.append(("footprint", plan.footprint))
@@ -216,27 +229,8 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _report_csv(metrics) -> str:
-    header = ("layer", "rotations", "pt_mults", "ct_mults", "adds", "level_after", "est_cost")
-    rows = [
-        (r.name, r.rotations, r.pt_mults, r.ct_mults, r.adds, r.level_after, r.est_cost)
-        for r in metrics.per_layer
-    ]
-    totals = metrics.totals()
-    rows.append(
-        ("totals", totals["rotations"], totals["pt_mults"], totals["ct_mults"], totals["adds"], "", totals["est_cost"])
-    )
-    return _csv_table(rows, header)
-
-
 def cmd_run(args) -> int:
-    m = _load_model(args)
-    params = _load_params(args)
-    report = validate(m, params)
-    if not report.ok:
-        _print_violations(report)
-        return EXIT_INVALID
-    plan = packing.footprint(m, params, args.align)
+    m, params, plan = _prepare(args)
     if args.batch is not None and args.batch < 1:
         raise ParseError(f"--batch must be at least 1, got {args.batch}")
     if args.input:
@@ -247,7 +241,7 @@ def cmd_run(args) -> int:
         samples = _random_samples(m, args.batch or 1, args.seed)
     outputs, metrics, plan = engine.run_inference(m, samples, params, plan=plan)
     if args.format == "csv":
-        _emit(_report_csv(metrics), args.report)
+        _emit(_layer_csv(metrics.per_layer, metrics.totals()), args.report)
     else:
         doc = {
             "model": m.name,
@@ -261,12 +255,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    m = _load_model(args)
-    params = _load_params(args)
-    report = validate(m, params)
-    if not report.ok:
-        _print_violations(report)
-        return EXIT_INVALID
+    m, params, _ = _prepare(args, plan=False)  # the oracle check plans for itself, after checking --trials
     result = engine.verify_against_oracle(m, params, n_trials=args.trials, seed=args.seed, tol=args.tol, alignment=args.align)
     doc = {"model": m.name, "params": params.to_dict(), **result}
     ok = result["ok"]
@@ -289,13 +278,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    m = _load_model(args)
-    params = _load_params(args)
-    report = validate(m, params)
-    if not report.ok:
-        _print_violations(report)
-        return EXIT_INVALID
-    packing.footprint(m, params, args.align)  # refuses a bad --align, or a footprint it pushes past the slots
+    m, params, _ = _prepare(args)  # the plan refuses a bad --align, or a footprint it pushes past the slots
     metrics = engine.ledger_metrics(m, params)
     if args.depth_sweep:
         try:
@@ -312,12 +295,7 @@ def cmd_bench(args) -> int:
     if args.format == "json":
         _emit(json.dumps([r.to_dict() for r in layer_rows], indent=2), args.report)
     else:
-        header = ("layer", "rotations", "pt_mults", "ct_mults", "adds", "level_after", "est_cost")
-        rows = [
-            (r.name, r.rotations, r.pt_mults, r.ct_mults, r.adds, r.level_after, r.est_cost)
-            for r in layer_rows
-        ]
-        _emit(_csv_table(rows, header), args.report)
+        _emit(_layer_csv(layer_rows), args.report)
     return EXIT_OK
 
 
@@ -331,6 +309,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _Invalid as err:
+        for v in err.args[0]:
+            where = "model" if v["layer"] is None else f"layer {v['layer']}"
+            print(f"invalid ({where}, {v['rule']}): {v['message']}", file=sys.stderr)
+        return EXIT_INVALID
     except (ParseError, NonFiniteInput, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

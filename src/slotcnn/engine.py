@@ -1,8 +1,10 @@
 """Inference driver, operation metrics, and the cost model.
 
-:func:`infer` encrypts packed inputs, aligns the level budget, applies every
-layer's slot construction, and decrypts the batch, collecting one metrics
-row per layer from the backend's operation counter.  The op ledger does not
+:func:`infer` validates the model, encrypts packed inputs, aligns the level
+budget, applies every layer's slot construction along the validation's
+layout trace, and decrypts the batch, collecting one metrics row per layer:
+the ``(kind, level)`` histogram the backend's counter recorded for it, and
+its price.  The op ledger does not
 depend on slot values, so :func:`ledger_metrics` builds the same rows
 without a run, from the closed-form ledger of each layer class along one
 :func:`~slotcnn.model.trace_layout` walk.  Costs are priced from per-level
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import packing
 from .errors import SlotCnnError
-from .he_backend import Backend, diff_snapshots
+from .he_backend import Backend, KindTotals, diff_snapshots
 from .layers import CipherState, apply_layer, drop_level, valid_positions
 from .model import ModelSpec, reference_infer, trace_layout, validate
 
@@ -61,14 +63,14 @@ class CostModel:
 
 
 @dataclass
-class LayerMetrics:
-    """Operation counts one layer added to the schedule."""
+class LayerMetrics(KindTotals):
+    """The ops one layer added to the schedule, as a ``(kind, level) -> count`` histogram.
+
+    ``hist`` is the row's only stored ledger; its per-kind totals
+    (``rotations``, ``pt_mults``, ``ct_mults``, ``adds``) are read from it.
+    """
 
     name: str
-    rotations: int
-    pt_mults: int
-    ct_mults: int
-    adds: int
     level_after: int
     est_cost: float
     hist: dict = field(default_factory=dict, repr=False)
@@ -116,28 +118,19 @@ class OpMetrics:
         return {"per_layer": [r.to_dict() for r in self.per_layer], "totals": self.totals()}
 
 
+def _price(hist, cost_model, poly_degree) -> float:
+    """The cost of the ops in ``hist``, summed in its key order."""
+    return sum(count * cost_model.price(kind, poly_degree, lvl) for (kind, lvl), count in hist.items())
+
+
 def _metrics_row(cls, name, hist, level_after, cost_model, poly_degree) -> LayerMetrics:
     """A row of ``cls`` for the ops in ``hist``, priced in its key order."""
-    totals = dict.fromkeys(("rotation", "pt_mult", "ct_mult", "add"), 0)
-    for (kind, _), count in hist.items():
-        totals[kind] += count
-    est = sum(count * cost_model.price(kind, poly_degree, lvl) for (kind, lvl), count in hist.items())
-    return cls(
-        name=name,
-        rotations=totals["rotation"],
-        pt_mults=totals["pt_mult"],
-        ct_mults=totals["ct_mult"],
-        adds=totals["add"],
-        level_after=level_after,
-        est_cost=est,
-        hist=hist,
-    )
+    return cls(name=name, level_after=level_after, est_cost=_price(hist, cost_model, poly_degree), hist=hist)
 
 
 def _live_row(cls, name, before, backend, level_after, cost_model, poly_degree) -> LayerMetrics:
     """The row of the ops ``backend`` recorded since the counter snapshot ``before``."""
-    _, hist = diff_snapshots(before, backend.counter.snapshot())
-    return _metrics_row(cls, name, hist, level_after, cost_model, poly_degree)
+    return _metrics_row(cls, name, diff_snapshots(before, backend.counter.snapshot()), level_after, cost_model, poly_degree)
 
 
 def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=None, backend=None):
@@ -159,14 +152,13 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
     cts = [backend.encrypt(backend.encode(pv.values)) for pv in packed_inputs]
     state = CipherState(cts, m.input_layout(plan.offsets, plan.footprint))
 
-    static_rows = trace_layout(m)
-    total_mults = sum(r.mults for r in static_rows)
+    total_mults = report.total_mults
     per_layer = []
     if m.layers:
         before = backend.counter.snapshot()
         state = drop_level(backend, state, total_mults)
         per_layer.append(_live_row(LevelAlignment, "Drop Level", before, backend, state.level, cost_model, n))
-    for layer, static in zip(m.layers, static_rows):
+    for layer, static in zip(m.layers, report.trace):
         before = backend.counter.snapshot()
         state = apply_layer(backend, state, layer)
         per_layer.append(_live_row(LayerMetrics, static.name, before, backend, state.level, cost_model, n))
@@ -262,7 +254,7 @@ def estimate_cost(metrics: OpMetrics, params, depth_override=None, cost_model=No
             for lvl in range(metrics.total_mults + 1, depth + 1):
                 total += metrics.input_channels * cost_model.price("pt_mult", n, lvl)
         else:
-            total += sum(count * cost_model.price(kind, n, lvl) for (kind, lvl), count in row.hist.items())
+            total += _price(row.hist, cost_model, n)
     return total
 
 

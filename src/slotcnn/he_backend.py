@@ -23,7 +23,8 @@ That is exact where einsum without ``optimize`` adds the terms in order from
 that does not fails the pinned tests and ``slotcnn verify``.
 
 Every operation of :class:`Backend` checks widths and levels, records itself
-in the :class:`OpCounter` and then computes the result's slots.  The op
+in the :class:`OpCounter`'s ``(kind, level)`` histogram, the op ledger's one
+stored form, and then computes the result's slots.  The op
 ledger does not depend on slot values, so pricing a schedule needs no run:
 each layer class in :mod:`slotcnn.model` states its ledger in closed form,
 and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
@@ -44,6 +45,7 @@ __all__ = [
     "PlainVector",
     "CipherVector",
     "RegionMask",
+    "KindTotals",
     "OpCounter",
     "Backend",
     "DEFAULT_PARAMS",
@@ -134,35 +136,42 @@ class RegionMask(NamedTuple):
     steps: tuple = (0, 1)
 
 
+_KINDS = {"rotation": "rotations", "pt_mult": "pt_mults", "ct_mult": "ct_mults", "add": "adds"}
+
+
+class KindTotals:
+    """Per-kind totals read from the ``(kind, level) -> count`` histogram ``hist``."""
+
+    def totals(self) -> dict:
+        totals = dict.fromkeys(_KINDS.values(), 0)
+        for (kind, _), count in self.hist.items():
+            totals[_KINDS[kind]] += count
+        return totals
+
+    rotations = property(lambda self: self.totals()["rotations"])
+    pt_mults = property(lambda self: self.totals()["pt_mults"])
+    ct_mults = property(lambda self: self.totals()["ct_mults"])
+    adds = property(lambda self: self.totals()["adds"])
+
+
 @dataclass
-class OpCounter:
+class OpCounter(KindTotals):
     """Write-only tally of backend operations, bucketed by level.
 
     ``by_level`` maps ``(kind, level)`` to a count, where ``level`` is the
     operand level at the time of the call (for rotations and additions the
-    level of the result).  The per-kind totals are kept separately so they
-    stay cheap to read.
+    level of the result), in the order each key was first recorded.  It is
+    the only stored form of the ledger; the per-kind totals are read from it.
     """
 
-    rotations: int = 0
-    pt_mults: int = 0
-    ct_mults: int = 0
-    adds: int = 0
     by_level: dict = field(default_factory=dict)
 
+    hist = property(lambda self: self.by_level)
+
     def record(self, kind: str, level: int, count: int = 1) -> None:
-        if kind == "rotation":
-            self.rotations += count
-        elif kind == "add":
-            self.adds += count
-        elif kind == "pt_mult":
-            self.pt_mults += count
-        elif kind == "ct_mult":
-            self.ct_mults += count
-        else:
+        if kind not in _KINDS:
             raise KeyError(kind)
-        key = (kind, level)
-        self.by_level[key] = self.by_level.get(key, 0) + count
+        self.by_level[kind, level] = self.by_level.get((kind, level), 0) + count
 
     def discard(self, kind: str, level: int, count: int) -> None:
         """Take back ``count`` earlier records of an operation that raised part way."""
@@ -171,32 +180,13 @@ class OpCounter:
             if not self.by_level[kind, level]:
                 del self.by_level[kind, level]
 
-    def totals(self) -> dict:
-        return {
-            "rotations": self.rotations,
-            "pt_mults": self.pt_mults,
-            "ct_mults": self.ct_mults,
-            "adds": self.adds,
-        }
-
-    def snapshot(self) -> tuple:
-        return (self.rotations, self.pt_mults, self.ct_mults, self.adds, dict(self.by_level))
+    def snapshot(self) -> dict:
+        return dict(self.by_level)
 
 
-def diff_snapshots(before: tuple, after: tuple) -> tuple:
-    """Per-kind totals and level histogram accumulated between two snapshots."""
-    totals = {
-        "rotations": after[0] - before[0],
-        "pt_mults": after[1] - before[1],
-        "ct_mults": after[2] - before[2],
-        "adds": after[3] - before[3],
-    }
-    hist = {}
-    for key, count in after[4].items():
-        delta = count - before[4].get(key, 0)
-        if delta:
-            hist[key] = delta
-    return totals, hist
+def diff_snapshots(before: dict, after: dict) -> dict:
+    """The histogram of the ops recorded between two snapshots, in ``after``'s key order."""
+    return {key: count - before.get(key, 0) for key, count in after.items() if count != before.get(key, 0)}
 
 
 class Backend:

@@ -7,7 +7,8 @@ report name, its weight shapes, its validation rules, its plaintext forward
 pass, its layout step, which maps the :class:`LayoutState` the layer reads
 to the one it leaves and counts the multiplicative levels it consumes, and its
 op ledger, the rotations, products and additions its slot schedule records,
-in closed form from that layout and the level.
+in closed form from that layout and the level, and the slots one sample's
+schedule reaches past its offset, which :func:`slot_sizes` collects.
 :func:`trace_layout` walks those steps from the input layout, and each slot
 schedule in :mod:`slotcnn.layers` takes its output layout and its shape errors
 from the same step, so the static depth budget can never drift from what
@@ -47,6 +48,7 @@ __all__ = [
     "LayerTrace",
     "ValidationReport",
     "trace_layout",
+    "slot_sizes",
     "flatten_dispatch",
     "fc_operation_counts",
     "mult_depth",
@@ -132,6 +134,9 @@ class Layer:
     ``(kind, level, count)`` op records the slot schedule makes when it reads
     ``layout`` at ``level``, each kind and level first in the order the
     schedule first records it; a count may be 0, for an op it does not make.
+    ``slot_needs(layout, name)`` lists the ``{"layer", "slots"}`` entries of
+    the slot prefix, counted from a sample's offset, the schedule needs when it
+    reads ``layout``; a layer that stays inside the input image lists none.
     """
 
     @property
@@ -148,6 +153,10 @@ class Layer:
 
     def rules(self):
         return ()
+
+    @staticmethod
+    def slot_needs(lay: LayoutState, name: str) -> list:
+        return []
 
 
 @dataclass(eq=False)
@@ -270,6 +279,10 @@ class AvgPool2d(Layer):
         taps = self.kernel * self.kernel
         return [("rotation", level, lay.channels * taps), ("add", level, lay.channels * (taps - 1))]
 
+    def slot_needs(self, lay: LayoutState, name: str) -> list:
+        """The image plus the head-room its window rotations smear values into."""
+        return [{"layer": name, "slots": lay.w_img * lay.h_img + (lay.w_img + 1) * (self.kernel - 1)}]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         c = self.kernel
         ch, h, w = x.shape
@@ -365,6 +378,16 @@ class Flatten(Layer):
             slide(lay.h_in, lay.w_img * i - lay.w_in)
         return records + [("rotation", level, ch - 1), ("add", level, ch - 1)]  # channels onto one ciphertext
 
+    @staticmethod
+    def slot_needs(lay: LayoutState, name: str) -> list:
+        """The flat vector, and the slots row removal's pre-sum reads when it runs."""
+        needs = [{"layer": name, "slots": lay.w_in * lay.h_in * lay.channels}]
+        if Flatten.dispatch(lay)[1]:  # the pre-sum reads (interval - 1)**2 slots past its last kept slot
+            i = lay.interval
+            last = (lay.h_in - 1) * lay.w_img * i + (math.ceil(lay.w_in / i) - 1) * i * (i - 1) + lay.w_in - 1
+            needs.append({"layer": "Flatten pre-sum", "slots": last + (i - 1) ** 2 + 1})
+        return needs
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(-1)
 
@@ -390,6 +413,8 @@ class FC(Layer):
             raise NotFlattened("fully connected layer requires a flattened input")
         if self.dat_in != lay.w_in:
             raise ShapeMismatch(f"fc expects {self.dat_in} inputs, flattened vector has {lay.w_in}")
+        if self.dat_out < 1:
+            raise ShapeMismatch(f"fc needs at least one output, got {self.dat_out}")
         return lay._replace(w_in=self.dat_out, pending_const=1.0, gaps_zero=False), 1
 
     def ledger(self, lay: LayoutState, level: int) -> list:
@@ -399,6 +424,10 @@ class FC(Layer):
         folds = counts["fold_rotations"]  # the wrap correction, then one rotation per fold after the first
         return [("pt_mult", level, counts["masked_mults"]), ("rotation", level, diagonals), ("add", level - 1, 2 * diagonals),
                 ("rotation", level - 1, folds), ("add", level - 1, folds + 1)]
+
+    def slot_needs(self, lay: LayoutState, name: str) -> list:
+        """The working window: the outputs, repeated once per fold."""
+        return [{"layer": name, "slots": self.dat_out * math.ceil(self.dat_in / self.dat_out)}]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 1:
@@ -490,6 +519,13 @@ def trace_layout(m: ModelSpec) -> list:
     return rows
 
 
+def slot_sizes(m: ModelSpec, rows) -> list:
+    """The ``{"layer", "slots"}`` entries of the slot prefix one sample needs: its image, then the traced layers' needs."""
+    return [{"layer": "input", "slots": m.width * m.height}] + [
+        need for row in rows for need in row.layer.slot_needs(row.before, row.name)
+    ]
+
+
 def mult_depth(m: ModelSpec):
     """Per-layer and total multiplicative level consumption.
 
@@ -502,9 +538,11 @@ def mult_depth(m: ModelSpec):
 
 @dataclass
 class ValidationReport:
+    """``trace`` holds the :class:`LayerTrace` rows, empty when the layers do not chain."""
+
     ok: bool
     total_mults: int
-    per_layer_mults: list
+    trace: list
     violations: list = field(default_factory=list)
 
 
@@ -534,12 +572,10 @@ def validate(m: ModelSpec, params) -> ValidationReport:
             flag(fc_positions[0], "flatten_structure", "the flatten layer must come before the first fully connected layer")
 
     rows = None
-    per_layer = []
     total = 0
     try:
         rows = trace_layout(m)
-        per_layer = [r.mults for r in rows]
-        total = sum(per_layer)
+        total = sum(r.mults for r in rows)
     except (ShapeMismatch, NonDivisibleDims, NotFlattened) as err:
         flag(getattr(err, "layer_index", None), "shape", str(err))
 
@@ -562,14 +598,11 @@ def validate(m: ModelSpec, params) -> ValidationReport:
                         f"layer output {row.h_out}x{row.w_out} at interval {row.interval_out} "
                         f"exceeds the {m.height}x{m.width} image grid",
                     )
-        from . import packing  # local import to avoid a module cycle
+        need = max(entry["slots"] for entry in slot_sizes(m, rows))
+        if need > params.num_slots:
+            flag(None, "footprint", f"a single sample needs {need} slots, ciphertext has {params.num_slots}")
 
-        try:
-            packing.footprint(m, params)
-        except Exception as err:  # overflow or degenerate plans
-            flag(None, "footprint", str(err))
-
-    return ValidationReport(ok=not violations, total_mults=total, per_layer_mults=per_layer, violations=violations)
+    return ValidationReport(ok=not violations, total_mults=total, trace=rows or [], violations=violations)
 
 
 # -- plaintext oracle ------------------------------------------------------

@@ -1,11 +1,12 @@
 """Slot budgeting and batch packing.
 
 One ciphertext carries ``num_slots`` slots, but a single sample only ever
-touches a prefix of them.  The footprint planner walks the model and takes
-the widest prefix any layer needs: the input image,
-the head-room each pooling stage smears values into, the flattened vector
-and the slots its row-removal pre-sum reads, and the working window of each
-fully connected layer.  Rounding that width up to an alignment boundary
+touches a prefix of them.  The footprint planner traces the model and takes
+the widest prefix it needs: the input image and each layer's own
+``slot_needs`` (:func:`slotcnn.model.slot_sizes`), that is the head-room
+each pooling stage smears values into, the flattened vector and the slots
+its row-removal pre-sum reads, and the working window of each fully
+connected layer.  Rounding that width up to an alignment boundary
 gives the per-sample stride; whatever multiple of it fits into the slot
 count is the batch capacity.  Packing then just lays samples out at those
 offsets, and every layer construction applies its masks at the same offsets
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch
 from .he_backend import PlainVector
-from .model import FC, AvgPool2d, Flatten, ModelSpec, trace_layout
+from .model import ModelSpec, slot_sizes, trace_layout
 
 __all__ = ["PackPlan", "flatten_input", "footprint", "batch_pack", "batch_unpack"]
 
@@ -63,22 +64,7 @@ def footprint(m: ModelSpec, params, alignment: int = 1) -> PackPlan:
     """
     if alignment < 1:
         raise ValueError(f"alignment must be at least 1, got {alignment}")
-    rows = trace_layout(m)
-    sizes = [{"layer": "input", "slots": m.width * m.height}]
-    for row in rows:
-        lay = row.before
-        if isinstance(row.layer, AvgPool2d):
-            c = row.layer.kernel
-            sizes.append({"layer": row.name, "slots": m.width * m.height + (m.width + 1) * (c - 1)})
-        elif isinstance(row.layer, Flatten):
-            sizes.append({"layer": row.name, "slots": lay.w_in * lay.h_in * lay.channels})
-            if Flatten.dispatch(lay)[1]:  # row removal's pre-sum reads (interval - 1)**2 slots past its last kept slot
-                i = lay.interval
-                last = (lay.h_in - 1) * m.width * i + (math.ceil(lay.w_in / i) - 1) * i * (i - 1) + lay.w_in - 1
-                sizes.append({"layer": "Flatten pre-sum", "slots": last + (i - 1) ** 2 + 1})
-        elif isinstance(row.layer, FC):
-            reps = math.ceil(row.layer.dat_in / row.layer.dat_out)
-            sizes.append({"layer": row.name, "slots": row.layer.dat_out * reps})
+    sizes = slot_sizes(m, trace_layout(m))
     raw = max(entry["slots"] for entry in sizes)
     aligned = math.ceil(raw / alignment) * alignment
     n = params.num_slots

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_stack
-from slotcnn import HEParams, builtin, builtin_names, estimate_cost, model_to_dict, run_inference, validate
+from slotcnn import HEParams, builtin, builtin_names, estimate_cost, footprint, model_to_dict, run_inference, validate
 from slotcnn.cli import _load_samples, main
 from slotcnn.errors import ParseError
 
@@ -332,3 +332,46 @@ class TestBadModelFiles:
         path = self.model_file(tmp_path, "M7", 0, key, value)
         code, out, err = run_cli(capsys, "verify", "--model", path)
         assert code == 1 and out == "" and f"error: {key} must be an integer" in err
+
+    @pytest.mark.parametrize("command", ["plan", "run", "bench", "verify"])
+    def test_fc_without_outputs_exit_2(self, capsys, tmp_path, command):
+        doc = model_to_dict(builtin("M1"))
+        fc = max(i for i, layer in enumerate(doc["layers"]) if layer["type"] == "fc")  # the last layer: nothing reads its output
+        doc["layers"][fc].update(out=0, weights=[], bias=[])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == f"invalid (layer {fc}, shape): fc needs at least one output, got 0\n"
+
+
+class TestWalkCounts:
+    """Validation, planning and inference reuse one layout trace instead of walking the model again."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        from slotcnn import engine, model, packing
+
+        calls = []
+        for module in (model, packing, engine):
+            def counted(m, _trace=module.trace_layout):
+                calls.append(m.name)
+                return _trace(m)
+
+            monkeypatch.setattr(module, "trace_layout", counted)
+        return calls
+
+    def test_validate_walks_once(self, walks):
+        assert validate(builtin("M1"), HEParams()).ok and len(walks) == 1
+
+    def test_run_inference_with_a_plan_walks_once(self, walks):
+        m, params = builtin("M1"), HEParams()
+        plan = footprint(m, params)
+        walks.clear()
+        run_inference(m, np.zeros((2, 1, 28, 28)), params, plan=plan)
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("command,most", [("plan", 2), ("bench", 3), ("run", 3)])
+    def test_cli_walks(self, capsys, walks, command, most):
+        code, _, _ = run_cli(capsys, command, "--builtin", "M1")
+        assert code == 0 and 1 <= len(walks) <= most
