@@ -8,6 +8,9 @@ Four commands share one option vocabulary:
 * ``bench``   print per-layer operation counts, optionally sweeping the budget;
               priced from each layer's closed-form op ledger, without a run
 
+``plan`` and ``bench`` read the architecture only, so a built-in draws no
+weights for them, and they walk the model's layout once, in validation.
+
 Exit codes: 0 on success, 1 on input/output or parse problems and on bad
 option values or non-finite samples, 2 on validation failures or a failed
 verification.
@@ -27,7 +30,7 @@ import numpy as np
 from . import engine, packing
 from .errors import NonFiniteInput, ParseError, SlotCnnError
 from .he_backend import HEParams
-from .model import ModelSpec, builtin, builtin_names, load_model, validate
+from .model import ModelSpec, _refuse_non_numbers, builtin, builtin_names, load_model, validate
 
 __all__ = ["main"]
 
@@ -44,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--depth", type=int, help="override the multiplicative level budget")
     parser.add_argument("--scale-bits", type=int, help="override the fixed-point precision")
     parser.add_argument("--quantize", action="store_true", help="turn fixed-point quantization on")
-    parser.add_argument("--seed", type=int, default=0, help="seed for built-in weights and random inputs")
+    parser.add_argument("--seed", type=int, default=0, help="seed for the built-in weights and random inputs of run and verify; plan and bench read no weights")
     parser.add_argument("--align", type=int, default=1, help="round the footprint up to this alignment")
     parser.add_argument("--report", metavar="PATH", help="also write the report to this file")
 
@@ -110,9 +113,9 @@ def _load_params(args) -> HEParams:
         raise ParseError(f"bad parameters: {err}") from err
 
 
-def _load_model(args) -> ModelSpec:
+def _load_model(args, weights: bool) -> ModelSpec:
     if args.builtin:
-        return builtin(args.builtin, seed=args.seed)
+        return builtin(args.builtin, seed=args.seed, weights=weights)
     return load_model(args.model)
 
 
@@ -124,6 +127,7 @@ def _samples_from_json(data, m: ModelSpec):
     for i, entry in enumerate(entries):
         if not isinstance(entry, list):
             raise ParseError(f"sample {i} must be a list of values or of channels, got {entry!r}")
+        _refuse_non_numbers(entry, f"sample {i}")
         channels = [entry] if entry and isinstance(entry[0], (int, float)) else entry
         if len(channels) != m.channels:
             raise ParseError(f"sample {i} has {len(channels)} channels, model expects {m.channels}")
@@ -196,14 +200,29 @@ class _Invalid(Exception):
     """The violations of a model that fails validation; ``main`` prints them and exits 2."""
 
 
-def _prepare(args, plan: bool = True):
-    """The model and parameters the options name and, unless ``plan`` is false, their packing plan."""
-    m = _load_model(args)
+def _prepare(args, plan: bool = True, weights: bool = True):
+    """The model and parameters the options name, their layout trace and, unless ``plan`` is false, their packing plan.
+
+    The trace is validation's, so the plan reuses it; ``weights`` is false
+    for the commands that read the architecture only.
+    """
+    m = _load_model(args, weights)
     params = _load_params(args)
     report = validate(m, params)
     if not report.ok:
         raise _Invalid(report.violations)
-    return m, params, packing.footprint(m, params, args.align) if plan else None
+    return m, params, report.trace, packing.footprint(m, params, args.align, trace=report.trace) if plan else None
+
+
+def _int_list(text: str, option: str) -> list:
+    """The integers of a comma-separated option value; an empty list would answer nothing, so it is refused."""
+    try:
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError as err:
+        raise ParseError(f"bad {option} value: {err}") from err
+    if not values:
+        raise ParseError(f"{option} needs at least one value, got {text!r}")
+    return values
 
 
 _LAYER_HEADER = ("layer", "rotations", "pt_mults", "ct_mults", "adds", "level_after", "est_cost")
@@ -218,7 +237,7 @@ def _layer_csv(rows, totals=None) -> str:
 
 
 def cmd_plan(args) -> int:
-    _, _, plan = _prepare(args)
+    _, _, _, plan = _prepare(args, weights=False)
     if args.format == "csv":
         rows = [(e["layer"], e["slots"]) for e in plan.per_layer_sizes]
         rows.append(("footprint", plan.footprint))
@@ -230,7 +249,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    m, params, plan = _prepare(args)
+    m, params, _, plan = _prepare(args)
     if args.batch is not None and args.batch < 1:
         raise ParseError(f"--batch must be at least 1, got {args.batch}")
     if args.input:
@@ -255,15 +274,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    m, params, _ = _prepare(args, plan=False)  # the oracle check plans for itself, after checking --trials
+    m, params, _, _ = _prepare(args, plan=False)  # the oracle check plans for itself, after checking --trials
+    scales = None if args.scale_sweep is None else _int_list(args.scale_sweep, "--scale-sweep")
     result = engine.verify_against_oracle(m, params, n_trials=args.trials, seed=args.seed, tol=args.tol, alignment=args.align)
     doc = {"model": m.name, "params": params.to_dict(), **result}
     ok = result["ok"]
-    if args.scale_sweep:
-        try:
-            scales = [int(s) for s in args.scale_sweep.split(",") if s.strip()]
-        except ValueError as err:
-            raise ParseError(f"bad --scale-sweep value: {err}") from err
+    if scales is not None:
         sweep = []
         for bits in scales:
             q_params = HEParams.from_dict({**params.to_dict(), "quantize": True, "scale_bits": bits})
@@ -278,13 +294,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    m, params, _ = _prepare(args)  # the plan refuses a bad --align, or a footprint it pushes past the slots
-    metrics = engine.ledger_metrics(m, params)
-    if args.depth_sweep:
-        try:
-            depths = [int(d) for d in args.depth_sweep.split(",") if d.strip()]
-        except ValueError as err:
-            raise ParseError(f"bad --depth-sweep value: {err}") from err
+    m, params, trace, _ = _prepare(args, weights=False)  # the plan refuses a bad --align, or a footprint it pushes past the slots
+    metrics = engine.ledger_metrics(m, params, trace=trace)
+    if args.depth_sweep is not None:
+        depths = _int_list(args.depth_sweep, "--depth-sweep")
         rows = [(d, engine.estimate_cost(metrics, params, depth_override=d)) for d in depths]
         if args.format == "json":
             _emit(json.dumps([{"depth": d, "est_cost": c} for d, c in rows], indent=2), args.report)

@@ -7,9 +7,10 @@ the ``(kind, level)`` histogram the backend's counter recorded for it, and
 its price.  The op ledger does not
 depend on slot values, so :func:`ledger_metrics` builds the same rows
 without a run, from the closed-form ledger of each layer class along one
-:func:`~slotcnn.model.trace_layout` walk.  Costs are priced from per-level
-operation histograms, so :func:`estimate_cost` can re-price a finished run
-under a different level budget without re-running it.
+:func:`~slotcnn.model.trace_layout` walk, which the caller may hand over.
+Costs are priced from per-level operation histograms, so
+:func:`estimate_cost` can re-price a finished run under a different level
+budget without re-running it.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
     return outputs, metrics
 
 
-def ledger_metrics(m: ModelSpec, params, cost_model=None) -> OpMetrics:
+def ledger_metrics(m: ModelSpec, params, cost_model=None, trace=None) -> OpMetrics:
     """The metrics :func:`infer` reports for ``m``, built from closed-form ledgers instead of a run.
 
     The level-alignment row holds one product per input channel at each
@@ -193,10 +194,12 @@ def ledger_metrics(m: ModelSpec, params, cost_model=None) -> OpMetrics:
     row's ``hist`` lists its keys in the order a live counter first records
     them over the whole run, so every cost is summed in the same order and
     equals the live one bit for bit.  The model must chain structurally.
+    ``trace`` is ``m``'s :func:`~slotcnn.model.trace_layout` rows, walked
+    here when not given.
     """
     cost_model = cost_model or CostModel()
     n = params.poly_degree
-    rows = trace_layout(m)
+    rows = trace_layout(m) if trace is None else trace
     total_mults = sum(r.mults for r in rows)
     order = {}  # every (kind, level) key so far, in the order a live counter first records it
 

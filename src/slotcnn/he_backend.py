@@ -33,6 +33,7 @@ and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -70,6 +71,14 @@ class HEParams:
     log_q: int = 432
 
     def __post_init__(self) -> None:
+        for name in ("poly_degree", "depth", "scale_bits", "log_q"):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+            if isinstance(value, bool) or not integral:  # range() and bit tests would fail or mislead later
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.quantize, bool):  # any string, "no" included, would be true
+            raise TypeError(f"quantize must be true or false, got {self.quantize!r}")
         if self.poly_degree < 4 or self.poly_degree & (self.poly_degree - 1):
             raise ValueError("poly_degree must be a power of two, at least 4")
         if self.depth < 1:

@@ -744,7 +744,8 @@ def load_model(path) -> ModelSpec:
 
 # Each entry: input (channels, height, width) followed by layer stubs.
 # Weight tensors are drawn uniformly from [-0.5, 0.5) with a seeded generator,
-# layer by layer in the order of each layer type's ``shapes``.
+# layer by layer in the order of each layer type's ``shapes``, or are read-only
+# NaN placeholders that take no memory when only the architecture is asked for.
 _BUILTINS = {
     "M1": ((1, 28, 28), (
         ("conv2d", dict(ch_in=1, ch_out=8, kernel=4, stride=3)),
@@ -824,17 +825,24 @@ def builtin_names() -> list:
     return sorted(_BUILTINS)
 
 
-def builtin(name: str, seed: int = 0) -> ModelSpec:
-    """Instantiate a built-in architecture with seeded random weights."""
+def builtin(name: str, seed: int = 0, weights: bool = True) -> ModelSpec:
+    """Instantiate a built-in architecture with seeded random weights.
+
+    With ``weights=False`` nothing is drawn and ``seed`` is unused: every
+    weight tensor is a read-only NaN view that takes no memory, which is all
+    that validating, planning and pricing the architecture read.  Inference
+    on such a model returns NaN, never a plausible output.
+    """
     key = name.upper()
     if key not in _BUILTINS:
         raise UnknownModel(f"unknown built-in model {name!r}; available: {', '.join(builtin_names())}")
     (channels, height, width), stubs = _BUILTINS[key]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if weights else None
     layers = []
     for kind, *args in stubs:
         cls = _LAYER_TYPES[kind]
         args = args[0] if args else {}
-        weights = {attr: rng.uniform(-0.5, 0.5, size=shape) for attr, shape in cls.shapes(args).items()}
-        layers.append(cls(**args, **weights))
+        tensors = {attr: rng.uniform(-0.5, 0.5, size=shape) if weights else np.broadcast_to(np.nan, shape)
+                   for attr, shape in cls.shapes(args).items()}
+        layers.append(cls(**args, **tensors))
     return ModelSpec(name=key, channels=channels, height=height, width=width, layers=tuple(layers))

@@ -55,16 +55,17 @@ def flatten_input(sample) -> list:
     return [arr[c].reshape(-1) for c in range(arr.shape[0])]
 
 
-def footprint(m: ModelSpec, params, alignment: int = 1) -> PackPlan:
+def footprint(m: ModelSpec, params, alignment: int = 1, trace=None) -> PackPlan:
     """Compute the per-sample slot footprint and batch capacity.
 
     The footprint is the maximum over all per-layer slot requirements,
     rounded up to ``alignment``.  Raises :class:`FootprintOverflow` when
-    even a single sample does not fit into the ciphertext.
+    even a single sample does not fit into the ciphertext.  ``trace`` is
+    ``m``'s :func:`~slotcnn.model.trace_layout` rows, walked here when not given.
     """
     if alignment < 1:
         raise ValueError(f"alignment must be at least 1, got {alignment}")
-    sizes = slot_sizes(m, trace_layout(m))
+    sizes = slot_sizes(m, trace_layout(m) if trace is None else trace)
     raw = max(entry["slots"] for entry in sizes)
     aligned = math.ceil(raw / alignment) * alignment
     n = params.num_slots

@@ -131,6 +131,15 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "--builtin", "M7", "--input", str(inp))
         assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", [[True] * 128, ["0.5"] * 128, [[0.5] * 127 + [False]], [["0.5"] * 128]])
+    def test_non_number_sample_values_exit_1(self, capsys, tmp_path, entry):
+        inp = tmp_path / "input.json"
+        inp.write_text(json.dumps({"samples": [[0.5] * 128, entry]}))
+        with pytest.raises(ParseError, match="^sample 1: expected a number"):
+            _load_samples(str(inp), builtin("M7"))
+        code, out, err = run_cli(capsys, "run", "--builtin", "M7", "--input", str(inp))
+        assert code == 1 and out == "" and err.startswith("error: sample 1: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("batch", ["-1", "0"])
     def test_bad_batch_exit_1(self, capsys, batch):
         code, out, err = run_cli(capsys, "run", "--builtin", "M1", "--batch", batch)
@@ -197,6 +206,17 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--builtin", "M7", "--scale-sweep", "a,b")
         assert code == 1
 
+    @pytest.mark.parametrize("sweep", [",", "", " , ", "a,b"])
+    def test_bad_or_empty_sweep_refused_before_the_oracle_runs(self, capsys, monkeypatch, sweep):
+        from slotcnn import engine
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle check ran before the sweep was parsed")
+
+        monkeypatch.setattr(engine, "verify_against_oracle", no_oracle)
+        code, out, err = run_cli(capsys, "verify", "--builtin", "M7", "--trials", "2", "--scale-sweep", sweep)
+        assert code == 1 and out == "" and err.startswith(("error: --scale-sweep needs at least one value", "error: bad --scale-sweep value"))
+
 
 class TestBench:
     def test_m2_conv2_row(self, capsys):
@@ -218,6 +238,11 @@ class TestBench:
         costs = [float(r[1]) for r in rows]
         assert [int(r[0]) for r in rows] == [7, 8, 9, 10, 11]
         assert all(b > a for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("sweep", [",", "", " , "])
+    def test_empty_depth_sweep_exit_1(self, capsys, sweep):
+        code, out, err = run_cli(capsys, "bench", "--builtin", "M1", "--depth-sweep", sweep)
+        assert code == 1 and out == "" and err.startswith("error: --depth-sweep needs at least one value")
 
     def test_depth_sweep_below_need_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--builtin", "M1", "--depth-sweep", "3")
@@ -345,6 +370,42 @@ class TestBadModelFiles:
         assert err == f"invalid (layer {fc}, shape): fc needs at least one output, got 0\n"
 
 
+class TestParamsFile:
+    """A parameter file whose field has the wrong type is refused, not silently converted or left to crash."""
+
+    @pytest.mark.parametrize("command", ["plan", "run", "bench", "verify"])
+    @pytest.mark.parametrize("fields", [{"depth": 11.5}, {"depth": True}, {"scale_bits": "32"}, {"quantize": "no"}, {"quantize": 1}])
+    def test_bad_field_type_exit_1(self, capsys, tmp_path, command, fields):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(fields))
+        code, out, err = run_cli(capsys, command, "--builtin", "M7", "--params", str(path))
+        assert code == 1 and out == "" and err.startswith("error: bad parameters: ") and err.count("\n") == 1
+
+    def test_integral_float_and_unknown_keys_accepted(self, capsys, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"depth": 10.0, "comment": "ignored"}))
+        assert run_cli(capsys, "bench", "--builtin", "M7", "--params", str(path)) == run_cli(capsys, "bench", "--builtin", "M7", "--depth", "10")
+
+
+class TestPricingReadsNoWeights:
+    """``plan`` and ``bench`` price a built-in from its architecture: they draw no weights, and print the same bytes."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_no_seeded_draw(self, capsys, monkeypatch, name):
+        from slotcnn import model
+
+        commands = [("plan", "--seed", "7"), ("plan", "--format", "csv"), ("bench",), ("bench", "--format", "json"),
+                    ("bench", "--depth-sweep", "9,10,11")]
+        expected = [run_cli(capsys, command, "--builtin", name, *rest) for command, *rest in commands]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("plan and bench read no weights, so they must draw none")
+
+        monkeypatch.setattr(model.np.random, "default_rng", no_draw)
+        assert [run_cli(capsys, command, "--builtin", name, *rest) for command, *rest in commands] == expected
+        assert all(code == 0 for code, _, _ in expected)
+
+
 class TestWalkCounts:
     """Validation, planning and inference reuse one layout trace instead of walking the model again."""
 
@@ -371,7 +432,7 @@ class TestWalkCounts:
         run_inference(m, np.zeros((2, 1, 28, 28)), params, plan=plan)
         assert len(walks) == 1
 
-    @pytest.mark.parametrize("command,most", [("plan", 2), ("bench", 3), ("run", 3)])
+    @pytest.mark.parametrize("command,most", [("plan", 1), ("bench", 1), ("run", 3)])
     def test_cli_walks(self, capsys, walks, command, most):
         code, _, _ = run_cli(capsys, command, "--builtin", "M1")
         assert code == 0 and 1 <= len(walks) <= most

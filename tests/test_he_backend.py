@@ -45,6 +45,21 @@ class TestParams:
         p = HEParams.from_dict({"poly_degree": 64, "num_slots": 9999, "comment": "x"})
         assert p.poly_degree == 64 and p.num_slots == 32
 
+    @pytest.mark.parametrize("field", ["poly_degree", "depth", "scale_bits", "log_q"])
+    @pytest.mark.parametrize("value", [True, 11.5, "16", None])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            HEParams(**{field: value})
+
+    def test_integral_numbers_become_ints(self):
+        p = HEParams(poly_degree=64.0, depth=np.int64(4))
+        assert (p.poly_degree, p.depth) == (64, 4) and type(p.poly_degree) is int and type(p.depth) is int
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_quantize_must_be_a_bool(self, value):
+        with pytest.raises(TypeError, match="quantize"):
+            HEParams(quantize=value)
+
 
 class TestEncode:
     def test_zero_fill(self):

@@ -1,5 +1,6 @@
 """Model descriptions, validation, depth accounting, and the plaintext oracle."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from slotcnn import (
     model_to_dict,
     mult_depth,
     reference_infer,
+    run_inference,
     trace_layout,
     validate,
 )
@@ -123,6 +125,37 @@ class TestBuiltins:
                     arr = getattr(layer, attr, None)
                     if arr is not None:
                         assert np.all(arr >= -0.5) and np.all(arr < 0.5)
+
+    def test_seeded_weights_pinned(self):
+        """The draw order and generator stay fixed: these are the weights every seeded run has used."""
+        digest = hashlib.sha256()
+        for seed in (0, 1, 7):
+            for name in builtin_names():
+                for layer in builtin(name, seed=seed).layers:
+                    for attr in ("weights", "bias"):
+                        if hasattr(layer, attr):
+                            digest.update(getattr(layer, attr).tobytes())
+        assert digest.hexdigest() == "c7ecc5ccee611411644d168b5e619e4bf05fc3ecc183d5f27d7ec0724f933018"
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_architecture_only_placeholders(self, name):
+        """Without weights, every tensor is a read-only NaN view of one value, on the seeded model's layers."""
+        bare, seeded = builtin(name, seed=3, weights=False), builtin(name, seed=3)
+        assert [type(l) for l in bare.layers] == [type(l) for l in seeded.layers]
+        for layer, drawn in zip(bare.layers, seeded.layers):
+            for attr in ("weights", "bias"):
+                if hasattr(layer, attr):
+                    arr = getattr(layer, attr)
+                    assert arr.shape == getattr(drawn, attr).shape and not any(arr.strides)
+                    assert np.isnan(arr).all() and not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr.flat[0] = 0.0
+        assert [r[2:] for r in trace_layout(bare)] == [r[2:] for r in trace_layout(seeded)]
+
+    def test_architecture_only_inference_is_nan(self):
+        m = builtin("M7", weights=False)
+        outputs, _, _ = run_inference(m, np.full((2, 1, 1, 128), 0.5), HEParams())
+        assert all(np.isnan(out).all() for out in outputs)
 
 
 class TestDepthAccounting:
