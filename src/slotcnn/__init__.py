@@ -19,21 +19,29 @@ from .errors import (
     UnknownModel,
 )
 from .he_backend import DEFAULT_PARAMS, Backend, CipherVector, HEParams, OpCounter, PlainVector, RegionMask
-from .model import (
+from .layers import (
     FC,
     RELU_COEFFS,
     ApproxReLU,
     AvgPool2d,
+    CipherState,
     Conv1d,
     Conv2d,
     Flatten,
+    Layer,
+    LayoutState,
+    Square,
+    apply_layer,
+    drop_level,
+    fc_operation_counts,
+    valid_positions,
+)
+from .model import (
     LayerTrace,
     ModelSpec,
-    Square,
     ValidationReport,
     builtin,
     builtin_names,
-    flatten_dispatch,
     layer_forward,
     load_model,
     model_from_dict,
@@ -45,20 +53,6 @@ from .model import (
     validate,
 )
 from .packing import PackPlan, batch_pack, batch_unpack, flatten_input, footprint
-from .layers import (
-    CipherState,
-    LayoutState,
-    apply_layer,
-    approx_relu,
-    avgpool,
-    conv,
-    drop_level,
-    fc,
-    fc_operation_counts,
-    flatten,
-    square,
-    valid_positions,
-)
 from .engine import (
     CostModel,
     LayerMetrics,

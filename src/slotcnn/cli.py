@@ -276,13 +276,14 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     m, params, _, _ = _prepare(args, plan=False)  # the oracle check plans for itself, after checking --trials
     scales = None if args.scale_sweep is None else _int_list(args.scale_sweep, "--scale-sweep")
+    # Every sweep entry's parameters are checked before the first oracle run, so a bad bit count costs none.
+    sweep_params = [HEParams.from_dict({**params.to_dict(), "quantize": True, "scale_bits": bits}) for bits in scales or ()]
     result = engine.verify_against_oracle(m, params, n_trials=args.trials, seed=args.seed, tol=args.tol, alignment=args.align)
     doc = {"model": m.name, "params": params.to_dict(), **result}
     ok = result["ok"]
     if scales is not None:
         sweep = []
-        for bits in scales:
-            q_params = HEParams.from_dict({**params.to_dict(), "quantize": True, "scale_bits": bits})
+        for bits, q_params in zip(scales, sweep_params):
             q_result = engine.verify_against_oracle(m, q_params, n_trials=args.trials, seed=args.seed, tol=args.tol, alignment=args.align)
             sweep.append({"scale_bits": bits, "mean_abs_err": q_result["mean_abs_err"], "max_abs_err": q_result["max_abs_err"]})
         errors = [entry["mean_abs_err"] for entry in sweep]

@@ -26,7 +26,7 @@ Every operation of :class:`Backend` checks widths and levels, records itself
 in the :class:`OpCounter`'s ``(kind, level)`` histogram, the op ledger's one
 stored form, and then computes the result's slots.  The op
 ledger does not depend on slot values, so pricing a schedule needs no run:
-each layer class in :mod:`slotcnn.model` states its ledger in closed form,
+each layer class in :mod:`slotcnn.layers` states its ledger in closed form,
 and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
 """
 

@@ -93,8 +93,8 @@ def batch_pack(samples, plan: PackPlan) -> list:
 
     Every value must be finite; NaN and infinity raise
     :class:`NonFiniteInput`.  A huge finite value that overflows later does
-    not reach other samples through the masked products of ``conv``, ``fc``
-    and ``flatten``, which are formed only on their masks' slots.
+    not reach other samples through the masked products of the convolution,
+    ``Flatten`` and ``FC`` schedules, which are formed only on their masks' slots.
     """
     if len(samples) > plan.capacity:
         raise CapacityExceeded(f"{len(samples)} samples exceed the batch capacity {plan.capacity}")

@@ -28,8 +28,7 @@ from slotcnn import (
     trace_layout,
     verify_against_oracle,
 )
-from slotcnn.layers import fc, fc_operation_counts
-from slotcnn.model import _fc_forward
+from slotcnn.layers import apply_layer, fc_operation_counts
 from slotcnn.packing import footprint
 
 DEFAULT = HEParams()
@@ -291,9 +290,9 @@ def test_pool_division_folding():
         w = np.random.default_rng(29).uniform(-0.5, 0.5, (5, 10))
         b = np.random.default_rng(31).uniform(-0.5, 0.5, 5)
         layer = FC(dat_in=10, dat_out=5, weights=w, bias=b)
-        out_state = fc(be, state, layer)
+        out_state = apply_layer(be, state, layer)
         got = read_state(be, out_state)[0, 0, :5]
-        if not np.array_equal(got, _fc_forward(layer, x.reshape(-1))):
+        if not np.array_equal(got, layer.forward(x.reshape(-1))):
             ok = False
 
     report("deferred pooling division folds exactly into every successor layer", ok)

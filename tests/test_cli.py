@@ -1,7 +1,9 @@
 """Command line interface: plan, run, verify, bench."""
 
 import csv
+import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -206,7 +208,7 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--builtin", "M7", "--scale-sweep", "a,b")
         assert code == 1
 
-    @pytest.mark.parametrize("sweep", [",", "", " , ", "a,b"])
+    @pytest.mark.parametrize("sweep", [",", "", " , ", "a,b", "0", "16,0"])
     def test_bad_or_empty_sweep_refused_before_the_oracle_runs(self, capsys, monkeypatch, sweep):
         from slotcnn import engine
 
@@ -215,7 +217,8 @@ class TestVerify:
 
         monkeypatch.setattr(engine, "verify_against_oracle", no_oracle)
         code, out, err = run_cli(capsys, "verify", "--builtin", "M7", "--trials", "2", "--scale-sweep", sweep)
-        assert code == 1 and out == "" and err.startswith(("error: --scale-sweep needs at least one value", "error: bad --scale-sweep value"))
+        assert code == 1 and out == ""
+        assert err.startswith(("error: --scale-sweep needs at least one value", "error: bad --scale-sweep value", "error: scale_bits must be at least 1"))
 
 
 class TestBench:
@@ -369,6 +372,24 @@ class TestBadModelFiles:
         assert code == 2 and out == ""
         assert err == f"invalid (layer {fc}, shape): fc needs at least one output, got 0\n"
 
+    @pytest.mark.parametrize("command", ["plan", "run", "bench", "verify"])
+    def test_conv_without_outputs_exit_2(self, capsys, tmp_path, command):
+        doc = {"name": "c", "input": {"channels": 1, "height": 4, "width": 4},
+               "layers": [{"type": "conv2d", "in": 1, "out": 0, "kernel": 2, "stride": 1, "weights": [], "bias": []}]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == "invalid (layer 0, shape): conv2d needs at least one output channel, got 0\n"
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    @pytest.mark.parametrize("layer,key", [(0, "paddng"), (1, "A2")])
+    def test_unknown_layer_key_exit_1(self, capsys, tmp_path, command, layer, key):
+        path = self.model_file(tmp_path, "M3", layer, key, 9)
+        code, out, err = run_cli(capsys, command, "--model", path)
+        kind = model_to_dict(builtin("M3"))["layers"][layer]["type"]
+        assert code == 1 and out == "" and err == f"error: layer {layer} ({kind}): unknown key '{key}'\n"
+
 
 class TestParamsFile:
     """A parameter file whose field has the wrong type is refused, not silently converted or left to crash."""
@@ -436,3 +457,24 @@ class TestWalkCounts:
     def test_cli_walks(self, capsys, walks, command, most):
         code, _, _ = run_cli(capsys, command, "--builtin", "M1")
         assert code == 0 and 1 <= len(walks) <= most
+
+
+class TestPinnedBytes:
+    """One digest over the bytes a default run produces for every built-in, pinned so a refactor can show it changed nothing."""
+
+    def test_builtins_digest(self, capsys):
+        digest = hashlib.sha256()
+        for name in builtin_names():
+            for seed in (0, 1):
+                m = builtin(name, seed=seed)
+                samples = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2, m.channels, m.height, m.width))
+                outputs, metrics, _ = run_inference(m, samples, HEParams())
+                for out in outputs:
+                    digest.update(out.tobytes())
+                for row in metrics.per_layer:
+                    digest.update(repr((row.name, list(row.hist.items()), row.est_cost)).encode())
+                for command, fmt in itertools.product(("plan", "bench", "run"), ("json", "csv")):
+                    code, out, err = run_cli(capsys, command, "--builtin", name, "--seed", str(seed), "--format", fmt)
+                    assert code == 0 and err == ""
+                    digest.update(out.encode())
+        assert digest.hexdigest() == "a900e5b1712c6b93f1c0912ceed0316bbbd6b90c586b7c8281514f38bf57b42e"

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from slotcnn import (
     Backend,
     CipherState,
     Conv1d,
+    Conv2d,
     CostModel,
     Flatten,
     LayerMetrics,
     LevelAlignment,
     HEParams,
+    Layer,
     ModelSpec,
     Square,
     apply_layer,
@@ -329,6 +332,42 @@ class TestCountingLedger:
         m = ModelSpec(name="empty", channels=2, height=3, width=3, layers=())
         assert ledger_metrics(m, PARAMS).per_layer == []
         assert_static_equals_live(m, PARAMS, rand_samples(m, 1))
+
+
+@dataclass(eq=False)
+class Doubler(Layer):
+    """A layer type the package does not know: it doubles every slot, with one addition per channel."""
+
+    @staticmethod
+    def step(lay):
+        return lay, 0
+
+    def schedule(self, backend, state):
+        return CipherState([backend.add(ct, ct) for ct in state.cts], state.layout)
+
+    @staticmethod
+    def ledger(lay, level):
+        return [("add", level, lay.channels)]
+
+    def forward(self, x):
+        return x + x
+
+
+class TestUnregisteredLayer:
+    """A new ``Layer`` subclass runs, prices and checks against the oracle with nothing registered for it."""
+
+    def test_inference_ledger_and_oracle(self):
+        rng = np.random.default_rng(71)
+        conv = Conv2d(ch_in=1, ch_out=2, kernel=3, stride=1, weights=rng.uniform(-1, 1, (2, 1, 3, 3)), bias=rng.uniform(-1, 1, 2))
+        fc = FC(dat_in=8, dat_out=3, weights=rng.uniform(-1, 1, (3, 8)), bias=rng.uniform(-1, 1, 3))
+        m = ModelSpec(name="doubled", channels=1, height=6, width=6,
+                      layers=(conv, Doubler(), AvgPool2d(kernel=2), Doubler(), Square(), Flatten(), fc))
+        assert validate(m, PARAMS).ok
+        samples = rand_samples(m, 3, seed=5)
+        outputs, metrics, _ = run_inference(m, samples, PARAMS)
+        assert all(np.array_equal(out, reference_infer(m, x)) for out, x in zip(outputs, samples))
+        assert [r.name for r in metrics.per_layer][2] == "Doubler" and metrics.per_layer[2].adds == 2
+        assert_static_equals_live(m, PARAMS, samples)
 
 
 class TestSampleIsolation:

@@ -15,18 +15,14 @@ from slotcnn import (
     CipherVector,
     Conv1d,
     Conv2d,
+    Flatten,
     HEParams,
     RELU_COEFFS,
+    Square,
     apply_layer,
-    approx_relu,
-    avgpool,
-    conv,
     drop_level,
-    fc,
     fc_operation_counts,
-    flatten,
     layer_forward,
-    square,
     valid_positions,
 )
 from slotcnn.errors import (
@@ -37,7 +33,6 @@ from slotcnn.errors import (
     ShapeMismatch,
     TargetAboveCurrent,
 )
-from slotcnn.model import _fc_forward
 
 
 def rand_conv2d(rng, ch_in, ch_out, kernel, stride, padding=0):
@@ -101,7 +96,7 @@ class TestConv2d:
         x = np.arange(9.0).reshape(1, 3, 3)
         layer = Conv2d(ch_in=1, ch_out=1, kernel=1, stride=1,
                        weights=np.array([[[[2.0]]]]), bias=np.array([0.5]))
-        out = conv(be, build_state(be, lay, x, gap_rng=np.random.default_rng(0)), layer)
+        out = apply_layer(be, build_state(be, lay, x, gap_rng=np.random.default_rng(0)), layer)
         assert out.layout.interval == 1 and (out.layout.h_in, out.layout.w_in) == (3, 3)
         assert np.array_equal(read_state(be, out), 2.0 * x + 0.5)
 
@@ -127,7 +122,7 @@ class TestConv2d:
         gap_rng = None if lay.gaps_zero else np.random.default_rng(5)
         state = build_state(be, lay, x, gap_rng=gap_rng)
         layer = rand_conv2d(rng, ch_in, ch_out, kernel, stride)
-        out = conv(be, state, layer)
+        out = apply_layer(be, state, layer)
         want = layer_forward(layer, x)
         assert np.array_equal(read_state(be, out), want)
         assert out.layout.interval == interval * stride
@@ -140,7 +135,7 @@ class TestConv2d:
         lay = single_layout(2, 6, 6)
         state = build_state(be, lay, rng.uniform(-1, 1, (2, 6, 6)))
         layer = rand_conv2d(rng, 2, 3, 3, 1)
-        conv(be, state, layer)
+        apply_layer(be, state, layer)
         assert be.counter.rotations == 2 * 9
         assert be.counter.pt_mults == 2 * 3 * 9
         assert be.counter.ct_mults == 0
@@ -149,26 +144,26 @@ class TestConv2d:
     def test_level_consumption(self):
         be = make_backend()
         state = build_state(be, single_layout(1, 4, 4), np.zeros((1, 4, 4)))
-        out = conv(be, state, rand_conv2d(np.random.default_rng(0), 1, 2, 2, 1))
+        out = apply_layer(be, state, rand_conv2d(np.random.default_rng(0), 1, 2, 2, 1))
         assert out.level == SMALL_PARAMS.depth - 1
 
     def test_padding_rejected(self):
         be = make_backend()
         state = build_state(be, single_layout(1, 4, 4), np.zeros((1, 4, 4)))
         with pytest.raises(PaddingUnsupported):
-            conv(be, state, rand_conv2d(np.random.default_rng(0), 1, 1, 2, 1, padding=1))
+            apply_layer(be, state, rand_conv2d(np.random.default_rng(0), 1, 1, 2, 1, padding=1))
 
     def test_channel_mismatch(self):
         be = make_backend()
         state = build_state(be, single_layout(1, 4, 4), np.zeros((1, 4, 4)))
         with pytest.raises(ShapeMismatch):
-            conv(be, state, rand_conv2d(np.random.default_rng(0), 2, 1, 2, 1))
+            apply_layer(be, state, rand_conv2d(np.random.default_rng(0), 2, 1, 2, 1))
 
     def test_kernel_too_large(self):
         be = make_backend()
         state = build_state(be, single_layout(1, 3, 3), np.zeros((1, 3, 3)))
         with pytest.raises(ShapeMismatch):
-            conv(be, state, rand_conv2d(np.random.default_rng(0), 1, 1, 4, 1))
+            apply_layer(be, state, rand_conv2d(np.random.default_rng(0), 1, 1, 4, 1))
 
     def test_batched_offsets_match_solo(self):
         rng = np.random.default_rng(12)
@@ -176,10 +171,10 @@ class TestConv2d:
         layer = rand_conv2d(rng, 1, 2, 2, 2)
         be_b = make_backend()
         lay_b = single_layout(1, 5, 5, footprint=25, offsets=(0, 25, 50))
-        out_b = conv(be_b, build_state(be_b, lay_b, x), layer)
+        out_b = apply_layer(be_b, build_state(be_b, lay_b, x), layer)
         be_s = make_backend()
         lay_s = single_layout(1, 5, 5, footprint=25, offsets=(0,))
-        out_s = conv(be_s, build_state(be_s, lay_s, x), layer)
+        out_s = apply_layer(be_s, build_state(be_s, lay_s, x), layer)
         for off in (0, 25, 50):
             assert np.array_equal(read_state(be_b, out_b, offset=off), read_state(be_s, out_s))
 
@@ -191,7 +186,7 @@ class TestConv1d:
         lay = single_layout(2, 1, 16)
         x = rng.uniform(-1, 1, (2, 1, 16))
         layer = rand_conv1d(rng, 2, 3, 2, 2)
-        out = conv(be, build_state(be, lay, x), layer)
+        out = apply_layer(be, build_state(be, lay, x), layer)
         assert np.array_equal(read_state(be, out), layer_forward(layer, x))
         assert (out.layout.h_in, out.layout.w_in, out.layout.interval) == (1, 8, 2)
 
@@ -201,7 +196,7 @@ class TestConv1d:
         lay = single_layout(1, 1, 8, interval=2, w_img=16, h_img=1, pending=0.25, gaps_zero=False)
         x = rng.uniform(-1, 1, (1, 1, 8))
         layer = rand_conv1d(rng, 1, 2, 2, 2)
-        out = conv(be, build_state(be, lay, x, gap_rng=np.random.default_rng(1)), layer)
+        out = apply_layer(be, build_state(be, lay, x, gap_rng=np.random.default_rng(1)), layer)
         assert np.array_equal(read_state(be, out), layer_forward(layer, x))
         assert out.layout.interval == 4
 
@@ -209,13 +204,13 @@ class TestConv1d:
         be = make_backend()
         state = build_state(be, single_layout(1, 2, 8), np.zeros((1, 2, 8)))
         with pytest.raises(ShapeMismatch):
-            conv(be, state, rand_conv1d(np.random.default_rng(0), 1, 1, 2, 1))
+            apply_layer(be, state, rand_conv1d(np.random.default_rng(0), 1, 1, 2, 1))
 
     def test_operation_counts(self):
         be = make_backend()
         rng = np.random.default_rng(7)
         state = build_state(be, single_layout(2, 1, 8), rng.uniform(-1, 1, (2, 1, 8)))
-        conv(be, state, rand_conv1d(rng, 2, 4, 2, 2))
+        apply_layer(be, state, rand_conv1d(rng, 2, 4, 2, 2))
         assert be.counter.rotations == 2 * 2
         assert be.counter.pt_mults == 2 * 4 * 2
 
@@ -224,7 +219,7 @@ class TestAvgPool:
     def test_window_sum_and_pending(self):
         be = make_backend()
         lay = single_layout(1, 2, 2)
-        out = avgpool(be, build_state(be, lay, [[[1.0, 2.0], [3.0, 4.0]]]), AvgPool2d(kernel=2))
+        out = apply_layer(be, build_state(be, lay, [[[1.0, 2.0], [3.0, 4.0]]]), AvgPool2d(kernel=2))
         assert be.decrypt(out.cts[0])[0] == 10.0
         assert out.layout.pending_const == 0.25
         assert not out.layout.gaps_zero
@@ -236,13 +231,13 @@ class TestAvgPool:
         be = make_backend()
         lay = single_layout(channels, 6, 6)
         x = rng.uniform(-1, 1, (channels, 6, 6))
-        out = avgpool(be, build_state(be, lay, x), AvgPool2d(kernel=c))
+        out = apply_layer(be, build_state(be, lay, x), AvgPool2d(kernel=c))
         assert np.array_equal(read_state(be, out), layer_forward(AvgPool2d(kernel=c), x))
 
     def test_zero_multiplications(self):
         be = make_backend()
         state = build_state(be, single_layout(3, 4, 4), np.zeros((3, 4, 4)))
-        out = avgpool(be, state, AvgPool2d(kernel=2))
+        out = apply_layer(be, state, AvgPool2d(kernel=2))
         assert be.counter.pt_mults == 0 and be.counter.ct_mults == 0
         assert be.counter.rotations == 3 * 4
         assert be.counter.adds == 3 * 3
@@ -252,13 +247,13 @@ class TestAvgPool:
         be = make_backend()
         state = build_state(be, single_layout(1, 5, 5), np.zeros((1, 5, 5)))
         with pytest.raises(NonDivisibleDims):
-            avgpool(be, state, AvgPool2d(kernel=2))
+            apply_layer(be, state, AvgPool2d(kernel=2))
 
     def test_pending_composes(self):
         be = make_backend()
         lay = single_layout(1, 4, 4, pending=0.25)
         state = build_state(be, lay, np.ones((1, 4, 4)))
-        out = avgpool(be, state, AvgPool2d(kernel=2))
+        out = apply_layer(be, state, AvgPool2d(kernel=2))
         assert out.layout.pending_const == 0.25 * 0.25
 
 
@@ -267,7 +262,7 @@ class TestSquare:
         be = make_backend()
         lay = single_layout(1, 2, 2, pending=0.25, gaps_zero=False)
         x = np.array([[[1.5, -2.0], [0.5, 3.0]]])
-        out = square(be, build_state(be, lay, x))
+        out = apply_layer(be, build_state(be, lay, x), Square())
         assert out.layout.pending_const == 0.0625
         assert np.array_equal(read_state(be, out), x * x)
         assert out.level == SMALL_PARAMS.depth - 1
@@ -279,7 +274,7 @@ class TestApproxReLU:
         a0, a1, a2 = RELU_COEFFS
         be = make_backend()
         lay = single_layout(1, 1, 2)
-        out = approx_relu(be, build_state(be, lay, [[[0.0, 1.0]]]), ApproxReLU())
+        out = apply_layer(be, build_state(be, lay, [[[0.0, 1.0]]]), ApproxReLU())
         got = read_state(be, out)[0, 0]
         assert got[0] == a0
         assert got[1] == pytest.approx(0.992444, abs=1e-9)
@@ -290,7 +285,7 @@ class TestApproxReLU:
         lay = single_layout(2, 3, 3, interval=2, w_img=6, h_img=6, pending=0.25, gaps_zero=False)
         x = rng.uniform(-1, 1, (2, 3, 3))
         layer = ApproxReLU()
-        out = approx_relu(be, build_state(be, lay, x, gap_rng=np.random.default_rng(2)), layer)
+        out = apply_layer(be, build_state(be, lay, x, gap_rng=np.random.default_rng(2)), layer)
         assert np.array_equal(read_state(be, out), layer_forward(layer, x))
         assert out.layout.pending_const == 1.0 and out.layout.gaps_zero
         assert np.all(gap_slots(be, out) == 0.0)
@@ -298,7 +293,7 @@ class TestApproxReLU:
     def test_costs_two_levels(self):
         be = make_backend()
         state = build_state(be, single_layout(2, 2, 2), np.zeros((2, 2, 2)))
-        out = approx_relu(be, state, ApproxReLU())
+        out = apply_layer(be, state, ApproxReLU())
         assert out.level == SMALL_PARAMS.depth - 2
         assert be.counter.pt_mults == 2 and be.counter.ct_mults == 2 and be.counter.adds == 4
 
@@ -318,7 +313,7 @@ class TestFlatten:
         be = make_backend()
         lay = single_layout(2, 3, 3, interval=2, w_img=6, h_img=6, pending=0.25, gaps_zero=False)
         x = rng.uniform(-1, 1, (2, 3, 3))
-        out = flatten(be, build_state(be, lay, x, gap_rng=np.random.default_rng(3)))
+        out = apply_layer(be, build_state(be, lay, x, gap_rng=np.random.default_rng(3)), Flatten())
         self.assert_flattened(be, out, x, levels_used=2)
 
     def test_masked_path_single_row(self):
@@ -326,7 +321,7 @@ class TestFlatten:
         be = make_backend()
         lay = single_layout(2, 1, 8, interval=4, w_img=32, h_img=1, pending=0.0625, gaps_zero=False)
         x = rng.uniform(-1, 1, (2, 1, 8))
-        out = flatten(be, build_state(be, lay, x, gap_rng=np.random.default_rng(4)))
+        out = apply_layer(be, build_state(be, lay, x, gap_rng=np.random.default_rng(4)), Flatten())
         self.assert_flattened(be, out, x, levels_used=1)
 
     def test_row_removal_path(self):
@@ -334,7 +329,7 @@ class TestFlatten:
         be = make_backend()
         lay = single_layout(2, 3, 3, interval=3, w_img=9, h_img=9)
         x = rng.uniform(-1, 1, (2, 3, 3))
-        out = flatten(be, build_state(be, lay, x))
+        out = apply_layer(be, build_state(be, lay, x), Flatten())
         self.assert_flattened(be, out, x, levels_used=2)
 
     def test_column_removal_only(self):
@@ -342,7 +337,7 @@ class TestFlatten:
         be = make_backend()
         lay = single_layout(2, 4, 4)
         x = rng.uniform(-1, 1, (2, 4, 4))
-        out = flatten(be, build_state(be, lay, x))
+        out = apply_layer(be, build_state(be, lay, x), Flatten())
         self.assert_flattened(be, out, x, levels_used=1)
 
     def test_pure_channel_packing(self):
@@ -350,7 +345,7 @@ class TestFlatten:
         be = make_backend()
         lay = single_layout(5, 1, 1, interval=4, w_img=4, h_img=4)
         x = rng.uniform(-1, 1, (5, 1, 1))
-        out = flatten(be, build_state(be, lay, x))
+        out = apply_layer(be, build_state(be, lay, x), Flatten())
         assert be.counter.pt_mults == 0 and be.counter.ct_mults == 0
         assert be.counter.rotations == 4 and be.counter.adds == 4
         self.assert_flattened(be, out, x, levels_used=0)
@@ -358,7 +353,7 @@ class TestFlatten:
     def test_single_slot_identity(self):
         be = make_backend()
         lay = single_layout(1, 1, 1)
-        out = flatten(be, build_state(be, lay, [[[3.25]]]))
+        out = apply_layer(be, build_state(be, lay, [[[3.25]]]), Flatten())
         assert be.counter.totals() == {"rotations": 0, "pt_mults": 0, "ct_mults": 0, "adds": 0}
         self.assert_flattened(be, out, [[[3.25]]], levels_used=0)
 
@@ -366,7 +361,7 @@ class TestFlatten:
         be = make_backend()
         lay = single_layout(2, 2, 2, interval=2, w_img=4, h_img=4)
         x = np.arange(8.0).reshape(2, 2, 2)
-        out = flatten(be, build_state(be, lay, x))
+        out = apply_layer(be, build_state(be, lay, x), Flatten())
         off = out.layout.batch_offsets[0]
         assert np.array_equal(be.decrypt(out.cts[0])[off : off + 8], np.arange(8.0))
 
@@ -379,9 +374,9 @@ class TestFC:
         lay = flat_layout(d_in, fp)
         x = rng.uniform(-1, 1, d_in)
         layer = rand_fc(rng, d_in, d_out)
-        out = fc(be, build_state(be, lay, x.reshape(1, 1, d_in)), layer)
+        out = apply_layer(be, build_state(be, lay, x.reshape(1, 1, d_in)), layer)
         got = read_state(be, out).reshape(-1)
-        assert np.array_equal(got, _fc_forward(layer, x))
+        assert np.array_equal(got, layer.forward(x))
         assert np.allclose(got, layer.weights @ x + layer.bias, atol=1e-12)
         assert (out.layout.w_in, out.layout.h_in, out.layout.interval) == (d_out, 1, 1)
         assert not out.layout.gaps_zero
@@ -390,7 +385,7 @@ class TestFC:
         be = make_backend()
         lay = flat_layout(1, 4)
         layer = FC(dat_in=1, dat_out=1, weights=np.array([[2.5]]), bias=np.array([0.5]))
-        out = fc(be, build_state(be, lay, [[[3.0]]]), layer)
+        out = apply_layer(be, build_state(be, lay, [[[3.0]]]), layer)
         assert be.decrypt(out.cts[0])[0] == 2.5 * 3.0 + 0.5
 
     def test_pending_prescales_weights(self):
@@ -399,8 +394,8 @@ class TestFC:
         lay = single_layout(1, 1, 16, footprint=32, pending=0.25)
         x = rng.uniform(-1, 1, 16)
         layer = rand_fc(rng, 16, 4)
-        out = fc(be, build_state(be, lay, x.reshape(1, 1, 16)), layer)
-        assert np.array_equal(read_state(be, out).reshape(-1), _fc_forward(layer, x))
+        out = apply_layer(be, build_state(be, lay, x.reshape(1, 1, 16)), layer)
+        assert np.array_equal(read_state(be, out).reshape(-1), layer.forward(x))
         assert out.layout.pending_const == 1.0
 
     def test_junk_beyond_input_ignored(self):
@@ -418,8 +413,8 @@ class TestFC:
 
         state = CipherState([be.encrypt(be.encode(full))], lay)
         layer = rand_fc(rng, 13, 5)
-        out = fc(be, state, layer)
-        assert np.array_equal(read_state(be, out).reshape(-1), _fc_forward(layer, x))
+        out = apply_layer(be, state, layer)
+        assert np.array_equal(read_state(be, out).reshape(-1), layer.forward(x))
 
     def test_operation_counts_64_10(self):
         counts = fc_operation_counts(64, 10)
@@ -433,7 +428,7 @@ class TestFC:
         be = make_backend()
         lay = flat_layout(64, 128)
         state = build_state(be, lay, rng.uniform(-1, 1, (1, 1, 64)))
-        out = fc(be, state, rand_fc(rng, 64, 10))
+        out = apply_layer(be, state, rand_fc(rng, 64, 10))
         assert be.counter.rotations == 16
         assert be.counter.pt_mults == 20
         assert out.level == SMALL_PARAMS.depth - 1
@@ -449,25 +444,25 @@ class TestFC:
         layer = rand_fc(rng, 8, 2)
         strided = build_state(be, single_layout(1, 1, 8, interval=2, w_img=16, h_img=1), np.zeros((1, 1, 8)))
         with pytest.raises(NotFlattened):
-            fc(be, strided, layer)
+            apply_layer(be, strided, layer)
         tall = build_state(be, single_layout(1, 2, 4), np.zeros((1, 2, 4)))
         with pytest.raises(NotFlattened):
-            fc(be, tall, layer)
+            apply_layer(be, tall, layer)
         multi = build_state(be, single_layout(2, 1, 8), np.zeros((2, 1, 8)))
         with pytest.raises(NotFlattened):
-            fc(be, multi, layer)
+            apply_layer(be, multi, layer)
 
     def test_dimension_mismatch(self):
         be = make_backend()
         state = build_state(be, flat_layout(8, 16), np.zeros((1, 1, 8)))
         with pytest.raises(ShapeMismatch):
-            fc(be, state, rand_fc(np.random.default_rng(0), 9, 2))
+            apply_layer(be, state, rand_fc(np.random.default_rng(0), 9, 2))
 
     def test_window_must_fit_footprint(self):
         be = make_backend()
         state = build_state(be, flat_layout(65, 70), np.zeros((1, 1, 65)))
         with pytest.raises(FootprintOverflow):
-            fc(be, state, rand_fc(np.random.default_rng(0), 65, 16))
+            apply_layer(be, state, rand_fc(np.random.default_rng(0), 65, 16))
 
 
 def loop_fc(be, state, layer):
@@ -514,7 +509,7 @@ class TestFCDiagonals:
         lay, params, layer = case
         x = np.random.default_rng(seed).uniform(-4, 4, params.num_slots)
         results = []
-        for method in (loop_fc, fc):
+        for method in (loop_fc, apply_layer):
             be = Backend(params)
             out = method(be, CipherState([be.encrypt(be.encode(x))], lay), layer)
             out = out.cts[0] if isinstance(out, CipherState) else out
@@ -534,7 +529,7 @@ class TestFCDiagonals:
         outs = []
         for values in (x, spoiled):
             be = Backend(params)
-            out = fc(be, CipherState([be.encrypt(be.encode(values))], lay), layer)
+            out = apply_layer(be, CipherState([be.encrypt(be.encode(values))], lay), layer)
             outs.append([be.decrypt(out.cts[0])[off : off + layer.dat_out].tobytes() for off in lay.batch_offsets])
         assert outs[0] == outs[1]
 
@@ -548,7 +543,7 @@ class TestApplyLayer:
         st_a = build_state(be_a, single_layout(1, 6, 6), x)
         st_b = build_state(be_b, single_layout(1, 6, 6), x)
         st_a = apply_layer(be_a, st_a, conv_layer)
-        st_b = conv(be_b, st_b, conv_layer)
+        st_b = conv_layer.schedule(be_b, st_b)
         assert np.array_equal(read_state(be_a, st_a), read_state(be_b, st_b))
 
     def test_unknown_layer(self):
@@ -560,8 +555,6 @@ class TestApplyLayer:
 
 class TestLayerChain:
     def test_conv_pool_square_flatten_fc_matches_oracle(self):
-        from slotcnn import Flatten, Square
-
         rng = np.random.default_rng(67)
         be = make_backend(HEParams(poly_degree=2048, depth=8))
         x = rng.uniform(0, 1, (1, 8, 8))
@@ -570,11 +563,11 @@ class TestLayerChain:
         fc_layer = rand_fc(rng, 18, 4)
         lay = single_layout(1, 8, 8, footprint=81)
         state = build_state(be, lay, x)
-        state = conv(be, state, conv_layer)
-        state = avgpool(be, state, pool_layer)
-        state = square(be, state)
-        state = flatten(be, state)
-        state = fc(be, state, fc_layer)
+        state = apply_layer(be, state, conv_layer)
+        state = apply_layer(be, state, pool_layer)
+        state = apply_layer(be, state, Square())
+        state = apply_layer(be, state, Flatten())
+        state = apply_layer(be, state, fc_layer)
         want = x
         for layer in (conv_layer, pool_layer, Square(), Flatten(), fc_layer):
             want = layer_forward(layer, want)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_stack
+from helpers import random_stack, single_layout
 from slotcnn import (
     FC,
     ApproxReLU,
@@ -20,7 +20,6 @@ from slotcnn import (
     Square,
     builtin,
     builtin_names,
-    flatten_dispatch,
     layer_forward,
     load_model,
     model_from_dict,
@@ -40,7 +39,6 @@ from slotcnn.errors import (
     ShapeMismatch,
     UnknownModel,
 )
-from slotcnn.model import _fc_forward
 
 DEPTH_TOTALS = {"M1": 7, "M2": 7, "M3": 9, "M4": 9, "M5": 8, "M6": 7, "M7": 7}
 DEPTH_VECTORS = {
@@ -171,6 +169,12 @@ class TestDepthAccounting:
         per_layer, _ = mult_depth(m)
         idx = next(i for i, l in enumerate(m.layers) if isinstance(l, Flatten))
         assert per_layer[idx] == FLATTEN_MULTS[name]
+
+
+def flatten_dispatch(gaps_zero, pending_one, interval, w_in, h_in):
+    """:meth:`Flatten.dispatch` of a one-channel layout with these facts."""
+    lay = single_layout(1, h_in, w_in, interval=interval, pending=1.0 if pending_one else 0.25, gaps_zero=gaps_zero)
+    return Flatten.dispatch(lay)
 
 
 class TestFlattenDispatch:
@@ -415,7 +419,7 @@ class TestOracleFC:
         rng = np.random.default_rng(d_in * 31 + d_out)
         layer = tiny_fc(d_in, d_out, rng)
         x = rng.uniform(-1, 1, d_in)
-        assert np.allclose(_fc_forward(layer, x), layer.weights @ x + layer.bias, atol=1e-12)
+        assert np.allclose(layer.forward(x), layer.weights @ x + layer.bias, atol=1e-12)
 
     def test_fc_requires_flat_input(self):
         layer = tiny_fc(4, 2)
@@ -459,6 +463,13 @@ class TestSerialization:
                         assert np.array_equal(getattr(a, attr), getattr(b, attr))
             x = rng.uniform(0.0, 1.0, (m.channels, m.height, m.width))
             assert reference_infer(m2, x).tobytes() == reference_infer(m, x).tobytes()
+
+    @pytest.mark.parametrize("layer,key", [(0, "paddng"), (1, "A2"), (3, "kernal"), (4, "dat_in")])
+    def test_unknown_layer_keys_refused(self, layer, key):
+        doc = model_to_dict(builtin("M3"))
+        doc["layers"][layer][key] = 2
+        with pytest.raises(ParseError, match=f"layer {layer} \\({doc['layers'][layer]['type']}\\): unknown key '{key}'"):
+            model_from_dict(doc)
 
     def test_load_model_file(self, tmp_path):
         path = tmp_path / "m.json"
