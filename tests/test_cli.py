@@ -208,7 +208,7 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--builtin", "M7", "--scale-sweep", "a,b")
         assert code == 1
 
-    @pytest.mark.parametrize("sweep", [",", "", " , ", "a,b", "0", "16,0"])
+    @pytest.mark.parametrize("sweep", [",", "", " , ", "a,b"])
     def test_bad_or_empty_sweep_refused_before_the_oracle_runs(self, capsys, monkeypatch, sweep):
         from slotcnn import engine
 
@@ -217,8 +217,23 @@ class TestVerify:
 
         monkeypatch.setattr(engine, "verify_against_oracle", no_oracle)
         code, out, err = run_cli(capsys, "verify", "--builtin", "M7", "--trials", "2", "--scale-sweep", sweep)
-        assert code == 1 and out == ""
-        assert err.startswith(("error: --scale-sweep needs at least one value", "error: bad --scale-sweep value", "error: scale_bits must be at least 1"))
+        prefix = "error: bad --scale-sweep value" if sweep == "a,b" else "error: --scale-sweep needs at least one value"
+        assert code == 1 and out == "" and err.startswith(prefix)
+
+    @pytest.mark.parametrize("sweep", ["0", "16,0"])
+    def test_bad_scale_bits_refused_before_the_oracle_runs(self, capsys, monkeypatch, sweep):
+        from slotcnn import engine
+
+        calls = []
+
+        def counting_oracle(*args, **kwargs):
+            calls.append(args)
+            return {"ok": True, "mean_abs_err": 0.0, "max_abs_err": 0.0}
+
+        monkeypatch.setattr(engine, "verify_against_oracle", counting_oracle)
+        code, out, err = run_cli(capsys, "verify", "--builtin", "M7", "--trials", "2", "--scale-sweep", sweep)
+        assert code == 1 and out == "" and err.startswith("error: scale_bits must be at least 1")
+        assert len(calls) == 0
 
 
 class TestBench:
@@ -477,4 +492,6 @@ class TestPinnedBytes:
                     code, out, err = run_cli(capsys, command, "--builtin", name, "--seed", str(seed), "--format", fmt)
                     assert code == 0 and err == ""
                     digest.update(out.encode())
+        # The output bytes include conv's einsum sums, which depend on the numpy build (see the CI step that
+        # prints it); on a new numpy, first check the outputs against reference_infer before re-pinning.
         assert digest.hexdigest() == "a900e5b1712c6b93f1c0912ceed0316bbbd6b90c586b7c8281514f38bf57b42e"
