@@ -150,8 +150,8 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
     cost_model = cost_model or CostModel()
     n = params.poly_degree
 
-    cts = [backend.encrypt(backend.encode(pv.values)) for pv in packed_inputs]
-    state = CipherState(cts, m.input_layout(plan.offsets, plan.footprint))
+    ct = backend.encrypt([backend.encode(pv.values) for pv in packed_inputs])
+    state = CipherState(ct, m.input_layout(plan.offsets, plan.footprint))
 
     total_mults = report.total_mults
     per_layer = []
@@ -164,13 +164,13 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
         state = apply_layer(backend, state, layer)
         per_layer.append(_live_row(LayerMetrics, static.name, before, backend, state.level, cost_model, n))
 
-    decrypted = [backend.decrypt(ct) for ct in state.cts]
+    decrypted = backend.decrypt(state.ct)
     final = state.layout
     positions = valid_positions(final)
     count = plan.capacity if n_samples is None else n_samples
     outputs = []
     for off in plan.offsets[:count]:
-        vec = np.concatenate([decrypted[ch][off + positions] for ch in range(final.channels)])
+        vec = decrypted[:, off + positions].reshape(-1)
         if final.pending_const != 1.0:
             vec = vec * final.pending_const
         outputs.append(vec)

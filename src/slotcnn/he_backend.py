@@ -10,21 +10,32 @@ Slot arithmetic is plain 64-bit floating point, so results are exactly
 reproducible.  The only modeled approximation is an optional fixed-point
 quantization (round to ``scale_bits`` fractional bits, ties to even) applied
 at encode time and after every multiplication.  There is no noise model
-beyond that and no actual encryption.  Slot vectors are never written after
-they are made: a rotation of a full-width vector is a read-only view of one
-doubled copy of it, shared by consecutive rotations of that vector (the
-simulator's hoisted rotations).
+beyond that and no actual encryption.
+
+A :class:`CipherVector` is a stack of ciphertexts, one row of slots each, at
+one level; a model's channels travel as one stack.  A full-width stack stores
+every slot, and its rotation is a read-only view of one doubled copy of it,
+shared by consecutive rotations of that stack (the simulator's hoisted
+rotations).  A compact stack stores only its live slots, every other slot
+being +0.0: a masked sum returns one when its support covers fewer than
+``_COMPACT_SHARE`` of the slots, a sum of compact stacks stays one, and its
+rotations only move the slot indices.  An operation whose full-width result
+could hold anything but +0.0 outside the live slots returns a full-width
+stack, so compact storage never changes a decrypted byte.  Slot values are
+never written after they are made.
 
 :meth:`Backend.masked_sum` sums convolution's products in one ``np.einsum``
 call over the terms' gathered support slots, and :meth:`Backend.diagonal_sum`
 the fully connected layer's in one call per block of terms over their runs.
 That is exact where einsum without ``optimize`` adds the terms in order from
 +0.0 with no fused multiply-add, as numpy's x86-64 wheels do; a numpy build
-that does not fails the pinned tests and ``slotcnn verify``.
+that does not fails ``test_einsum_adds_rounded_products_in_term_order``, the
+pinned tests and ``slotcnn verify``.
 
-Every operation of :class:`Backend` checks widths and levels, records itself
-in the :class:`OpCounter`'s ``(kind, level)`` histogram, the op ledger's one
-stored form, and then computes the result's slots.  The op
+Every operation of :class:`Backend` runs once per stack: it checks widths and
+levels, records one op per row in the :class:`OpCounter`'s ``(kind, level)``
+histogram, the op ledger's one stored form, and then computes the result's
+slots.  The op
 ledger does not depend on slot values, so pricing a schedule needs no run:
 each layer class in :mod:`slotcnn.layers` states its ledger in closed form,
 and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
@@ -33,6 +44,7 @@ and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -109,6 +121,12 @@ class HEParams:
 
 DEFAULT_PARAMS = HEParams()
 _GATHER_BYTES = 1 << 18  # about the most bytes of term slots diagonal_sum gathers for one contraction
+# A masked sum whose support covers fewer than this share of the slots returns a compact stack.  At 8192 slots
+# that takes M1's conv (810 slots) and the convs after M2's, M4's and M5's first pooling (7-1008 slots), and
+# leaves the first convs of M2-M5 (4732-6300 slots), M6's conv (1225) and M7's (2048-4096) full-width.  In
+# per-layer timings M6 ran no faster with its conv compact, and denser supports pay more for index work than
+# they save.
+_COMPACT_SHARE = 1 / 8
 
 
 @dataclass(eq=False)
@@ -123,13 +141,30 @@ class PlainVector:
 
 @dataclass(eq=False)
 class CipherVector:
-    """A simulated ciphertext: slot values plus the remaining level budget."""
+    """A simulated ciphertext stack: slot values, one row per ciphertext, and the level budget the rows share.
+
+    ``values`` is ``(rows, width)``, or ``(width,)`` for a lone ciphertext.  A full-width stack stores every
+    slot.  A compact stack stores only its live columns: column ``j`` holds slot ``(slots[j] - shift) %
+    num_slots``, for sorted ``slots``, and every other slot of every row is +0.0; rotating it moves ``shift``
+    and copies nothing.  Indexing and iteration go over the rows, which keep the stack's slots.
+    """
 
     values: np.ndarray
     level: int
+    slots: object = None
+    shift: int = 0
 
-    def __len__(self) -> int:
-        return self.values.size
+    def __getitem__(self, index) -> "CipherVector":
+        return CipherVector(self.values[index], self.level, self.slots, self.shift)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.values)))
+
+
+def _rows(cipher) -> int:
+    """The number of ciphertexts in a stack."""
+    shape = cipher.values.shape
+    return shape[0] if len(shape) == 2 else math.prod(shape[:-1])
 
 
 class RegionMask(NamedTuple):
@@ -199,11 +234,11 @@ def diff_snapshots(before: dict, after: dict) -> dict:
 
 
 class Backend:
-    """Executes slot operations for one inference and counts them.
+    """Executes slot operations on ciphertext stacks for one inference and counts them.
 
-    All value semantics are pure functions of the operands; the counter and
-    the cached doubled copy of the last vector rotated are the only mutable
-    state, so one backend must not be shared between concurrent inferences.
+    Every operation acts on a whole stack at once and records one op per row.  All value semantics are pure
+    functions of the operands; the counter and the cached doubled copy of the last vector rotated or spread
+    out are the only mutable state, so one backend must not be shared between concurrent inferences.
     """
 
     def __init__(self, params: HEParams):
@@ -211,7 +246,7 @@ class Backend:
         self.num_slots = params.num_slots
         self.counter = OpCounter()
         self._scale = float(2**params.scale_bits)
-        self._doubled = (None, None)  # the last full-width vector rotated, held so its id stays unique
+        self._doubled = (None, None, None)  # the values and slots last doubled, held so their ids stay unique, and the copy
 
     # -- encoding ---------------------------------------------------------
 
@@ -237,18 +272,25 @@ class Backend:
         """
         return PlainVector(self._quantized(arr))
 
-    def encrypt(self, plain: PlainVector) -> CipherVector:
-        """Turn a plaintext into a fresh ciphertext at the full level budget."""
-        return CipherVector(plain.values.copy(), self.params.depth)
+    def encrypt(self, plain) -> CipherVector:
+        """Turn a plaintext, or a list of plaintexts (the rows of a stack), into a fresh ciphertext at the full level budget."""
+        values = np.stack([p.values for p in plain]) if isinstance(plain, (list, tuple)) else plain.values.copy()
+        return CipherVector(values, self.params.depth)
 
     def decrypt(self, cipher: CipherVector) -> np.ndarray:
-        return cipher.values.copy()
+        """Every slot of every row: ``(rows, num_slots)``, or ``(num_slots,)`` for a lone ciphertext."""
+        return self._dense(cipher).copy()
 
     # -- arithmetic -------------------------------------------------------
 
+    def _width(self, x) -> int:
+        return self.num_slots if getattr(x, "slots", None) is not None else x.values.shape[-1]
+
     def _check_width(self, a, b) -> None:
-        if a.values.size != b.values.size:
-            raise SlotMismatch(f"operand widths differ: {a.values.size} vs {b.values.size}")
+        if self._width(a) != self._width(b):
+            raise SlotMismatch(f"operand widths differ: {self._width(a)} vs {self._width(b)}")
+        if isinstance(b, CipherVector) and a.values.shape[:-1] != b.values.shape[:-1]:
+            raise SlotMismatch(f"operand stacks differ: {a.values.shape[:-1]} vs {b.values.shape[:-1]} rows")
 
     def add(self, a: CipherVector, b) -> CipherVector:
         """Slot-wise sum; free of level cost.
@@ -259,73 +301,122 @@ class Backend:
         return self.sum((a, b))
 
     def mul_plain(self, cipher: CipherVector, plain: PlainVector) -> CipherVector:
-        """Slot-wise ciphertext-plaintext product; consumes one level."""
+        """Slot-wise ciphertext-plaintext product; consumes one level.
+
+        A compact stack stays compact when every product outside its live slots is +0.0, that is when the
+        plaintext is finite and sign-free there; otherwise the product is full-width.
+        """
         if cipher.level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
         self._check_width(cipher, plain)
-        self.counter.record("pt_mult", cipher.level)
-        return CipherVector(self._quantized(cipher.values * plain.values), cipher.level - 1)
+        self.counter.record("pt_mult", cipher.level, _rows(cipher))
+        if cipher.slots is not None:
+            live = self._live(cipher)
+            spoils = np.signbit(plain.values) | ~np.isfinite(plain.values)
+            spoils[..., live] = False
+            if not spoils.any():
+                values = self._quantized(cipher.values * plain.values[..., live])
+                return CipherVector(values, cipher.level - 1, cipher.slots, cipher.shift)
+        return CipherVector(self._quantized(self._dense(cipher) * plain.values), cipher.level - 1)
 
     def mul_cipher(self, a: CipherVector, b: CipherVector) -> CipherVector:
-        """Slot-wise ciphertext-ciphertext product; consumes one level."""
+        """Slot-wise ciphertext-ciphertext product; consumes one level.  Compact only for two stacks on the same slots."""
         level = min(a.level, b.level)
         if level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
         self._check_width(a, b)
-        self.counter.record("ct_mult", level)
-        return CipherVector(self._quantized(a.values * b.values), level - 1)
+        self.counter.record("ct_mult", level, _rows(a))
+        if a.slots is not None and a.slots is b.slots and a.shift == b.shift:
+            return CipherVector(self._quantized(a.values * b.values), level - 1, a.slots, a.shift)
+        return CipherVector(self._quantized(self._dense(a) * self._dense(b)), level - 1)
 
-    def masked_sum(self, terms, coefs, support, bias=None) -> list:
-        """Per-row masked linear combinations of a stream of ciphertexts.
+    def masked_sum(self, terms, coefs, support, bias=None) -> CipherVector:
+        """Masked linear combinations of a stream of ciphertext stacks, one result row per mask row.
 
-        ``terms`` is an iterable of ciphertexts at one level, read once and in
-        order, so a generator of rotations keeps one alive at a time.  Row
-        ``o`` holds ``sum_t terms[t] * mask[o][t]``, plus ``bias[o]`` on the
-        support when ``bias`` is given, formed only on the masks' slots: every
-        other slot is an exact zero, whatever the terms hold there.  Either
-        ``support`` is a flat array of slot indices shared by all masks and
-        ``coefs[o, t]`` a scalar, or ``support`` is the tuple of evenly spaced
-        batch offsets and ``coefs[o][t]`` a :class:`RegionMask` applied at
-        each of them (and no ``bias``).
+        ``terms`` is an iterable of stacks of equal shape at one level, read
+        once and in order.  Either ``support`` is a flat array of slot indices
+        shared by all masks and ``coefs[o]`` holds a scalar per term row, in
+        row-major order over (row of the term, term): result row ``o`` is
+        ``sum_r,t terms[t][r] * coefs[o, r * len(terms) + t]``, plus ``bias[o]``
+        when ``bias`` is given.  Or ``support`` is the tuple of evenly spaced
+        batch offsets, ``coefs[o][t]`` a :class:`RegionMask` applied at each of
+        them (and no ``bias``), and result ``o`` is the stack ``sum_t terms[t]
+        * coefs[o][t]``: the values are ``(len(coefs), *term rows, width)``.
+        Results are formed only on the masks' slots, every other slot an exact
+        zero whatever the terms hold there, and are compact when those slots
+        are few.
 
         Values on the mask slots and the ledger are those of the ``mul_plain``
-        / ``add`` loop over full-width masks, summed in term order from +0.0
-        with the bias last; flat masks in one contraction.  The ledger is
-        recorded as the stream is read: per term, ``rows`` products at the
-        terms' level and, after the first term, ``rows`` additions one level
-        below; then ``rows`` bias additions.  Rows of unequal length raise
-        before anything is read or recorded; a term of the wrong width, or a
-        stream of the wrong length, raises and takes back the earlier records.
+        / ``add`` loop over full-width masks, summed in the order above from
+        +0.0 with the bias last; flat masks in one contraction.  The ledger is
+        recorded as the stream is read: per term, a product per result row and
+        term row at the terms' level and, after the first product of each
+        result row, as many additions one level below; then a bias addition
+        per row.  Rows of unequal length raise before anything is read or
+        recorded; a term of the wrong width, or a stream of the wrong length,
+        raises and takes back the earlier records.
         """
-        if isinstance(support, tuple) and (bias is not None or len({b - a for a, b in zip(support, support[1:])}) > 1):
+        region = isinstance(support, tuple)
+        stride = support[1] - support[0] if region and len(support) > 1 else 1
+        if region and (bias is not None or stride < 1 or support != tuple(range(support[0], support[-1] + 1, stride))):
             raise ValueError(f"region masks need evenly spaced batch offsets and no bias, got offsets {support}")
         if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
             raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
-        level, checked = self._stream("masked_sum", terms, len(coefs), len(coefs[0]))
-        out = self._masked_rows(checked, coefs, support, bias)
+        first, rest = self._first("masked_sum", terms)
+        rows, outs = _rows(first), len(coefs)
+        if region:
+            checked = self._checked("masked_sum", first, rest, outs * rows, outs * rows, len(coefs[0]))
+            return self._region_sum(checked, coefs, support, first)
+        coefs = np.asarray(coefs, dtype=np.float64)
+        if coefs.shape[1] % rows:
+            raise ValueError(f"masked_sum needs a coefficient per term row, got {coefs.shape[1]} for stacks of {rows}")
+        count = coefs.shape[1] // rows
+        checked = self._checked("masked_sum", first, rest, outs * rows, outs, count)
+        slots = np.asarray(support)
+        if np.any(slots[1:] <= slots[:-1]):
+            slots = np.unique(slots)
+        gathered = np.zeros((rows * count, max(slots.size, 2)))  # a pad column keeps einsum's term axis outermost
+        for t, term in enumerate(checked):
+            self._take(term, slots, gathered[t::count, : slots.size])
+        coefs = self._quantized(coefs.T.copy())
+        if self.params.quantize:
+            acc = np.zeros((outs, slots.size))
+            for c, row in zip(coefs, gathered):
+                acc += self._quantized(c[:, None] * row[: slots.size])
+        else:
+            acc = np.einsum("to,ts->os", coefs, gathered, optimize=False)[:, : slots.size]
         if bias is not None:
-            self.counter.record("add", level - 1, len(coefs))
-        return [CipherVector(v, level - 1) for v in out]
+            acc += self._quantized(np.array(bias, dtype=np.float64))[:, None]
+            self.counter.record("add", first.level - 1, outs)
+        if self._compact(slots.size):
+            return CipherVector(acc, first.level - 1, slots)
+        out = np.zeros((outs, self.num_slots))
+        out[:, slots] = acc
+        return CipherVector(out, first.level - 1)
 
-    def diagonal_sum(self, terms, diag: np.ndarray, offsets: tuple) -> list:
+    def diagonal_sum(self, terms, diag: np.ndarray, offsets: tuple) -> CipherVector:
         """The front and wrap rows of the diagonal method's masked products over a stream of ciphertexts.
 
         Term ``t`` is read only on its run of ``d = diag.shape[1]`` slots from ``t`` slots before each batch offset,
         times ``diag[t]``; slots at or after an offset form the front row, those before it the wrap row.  Values,
         ledger and stream are ``masked_sum``'s with those runs as full-width masks, every other slot an exact zero.
-        Offsets are evenly spaced, ``max(d, len(diag) - 1)`` or more apart and from the end of the vector.
+        Offsets are evenly spaced, ``max(d, len(diag) - 1)`` or more apart and from the end of the vector.  Terms
+        hold one ciphertext each, and the two full-width rows are shaped like them.
         """
         (count, width), n, wide = diag.shape, self.num_slots, len(offsets)
         reach, stride = max(width, count - 1), (offsets[1:2] or (n,))[0] - offsets[0]  # a lone offset: room to the end
         if stride < reach or offsets != tuple(range(offsets[0], offsets[-1] + 1, stride)) or offsets[0] < 0 or offsets[-1] + reach > n:
             raise ValueError(f"diagonal_sum needs offsets evenly spaced at least {reach} apart, got {offsets}")
-        level, checked = self._stream("diagonal_sum", terms, 2, count)
+        first, rest = self._first("diagonal_sum", terms)
+        if _rows(first) != 1:
+            raise ValueError(f"diagonal_sum needs terms of one ciphertext, got stacks of {_rows(first)}")
+        checked = self._checked("diagonal_sum", first, rest, 2, 2, count)
         block = max(2, min(count, _GATHER_BYTES // (8 * wide * width)))  # terms per contraction
         span, origin = width + block - 1, -(-count // block) * block - 1  # acc column origin + s: slot s after each offset
         acc, coefs, gathered = np.zeros((wide, origin + width)), np.zeros((block + 1, span)), np.zeros((block + 1, wide, span))
         coefs[0] = 1.0  # row 0 carries the sums so far through each contraction
         for t, term in enumerate(checked):
-            term, b, start = np.ascontiguousarray(term, dtype=np.float64), t % block, offsets[0] - t
+            term, b, start = np.ascontiguousarray(self._dense(term)).reshape(n), t % block, offsets[0] - t
             # The block's term i goes to row 1 + i, i columns left of its first term, so one slot's products share a column.
             coefs[1 + b, block - 1 - b :][:width] = diag[t]
             run = gathered[1 + b, :, block - 1 - b :][:, :width]
@@ -344,61 +435,153 @@ class Backend:
         out = np.zeros((2, n))
         out[0, np.add.outer(offsets, np.arange(width))] = acc[:, origin:]
         out[1, np.add.outer(offsets, np.arange(1 - count, 0))] = acc[:, origin - count + 1 : origin]
-        return [CipherVector(row, level - 1) for row in out]
+        return CipherVector(out.reshape(2, *first.values.shape[:-1], n), first.level - 1)
 
-    def _stream(self, name: str, terms, rows: int, count: int):
-        """The level and a stream of ``count`` checked terms recording ``rows`` products and sums each; errors name ``name``."""
+    def _first(self, name: str, terms):
+        """The first of a stream of terms, checked to have a level to spend, and the rest of the stream; errors name ``name``."""
         terms = iter(terms)
         first = next(terms, None)
         if first is None:
             raise ValueError(f"{name} needs at least one term")
         if first.level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
-        return first.level, self._checked(name, itertools.chain([first], terms), first.level, rows, count)
+        return first, terms
 
-    def _checked(self, name: str, terms, level: int, rows: int, count: int):
-        """Yield ``count`` terms' slots, each once its width is checked and its products and sums are recorded."""
-        n = self.num_slots
-        for t, term in enumerate(itertools.chain(terms, [None])):
+    def _checked(self, name: str, first, terms, prods: int, outs: int, count: int):
+        """Yield ``count`` terms shaped like ``first``, each once checked and its ``prods`` products and their sums recorded.
+
+        Every term adds ``prods`` sums, except that the first term's products start ``outs`` rows from +0.0.
+        """
+        n, level, records, shape = self.num_slots, first.level, 0, first.values.shape[:-1]
+        for t, term in enumerate(itertools.chain([first], terms, [None])):
             if t == count and term is None:
                 return
-            if t == count or term is None or term.values.size != n:
-                self.counter.discard("pt_mult", level, rows * t)
-                self.counter.discard("add", level - 1, rows * (t - 1))
-                if t < count and term is not None:
-                    raise SlotMismatch(f"operand widths differ: {term.values.size} vs {n}")
-                raise ValueError(f"{name} needs {count} terms, got {'more' if term is not None else t}")
-            self.counter.record("pt_mult", level, rows)
-            if t:
-                self.counter.record("add", level - 1, rows)
-            yield term.values
+            if t == count or term is None or term.slots is None and term.values.shape[-1] != n or term.values.shape[:-1] != shape:
+                self.counter.discard("pt_mult", level, prods * t)
+                self.counter.discard("add", level - 1, records)
+                if t == count or term is None:
+                    raise ValueError(f"{name} needs {count} terms, got {'more' if term is not None else t}")
+                if self._width(term) != n:
+                    raise SlotMismatch(f"operand widths differ: {self._width(term)} vs {n}")
+                raise SlotMismatch(f"operand stacks differ: {term.values.shape[:-1]} vs {first.values.shape[:-1]} rows")
+            self.counter.record("pt_mult", level, prods)
+            adds = prods - outs * (t == 0)
+            if adds:
+                self.counter.record("add", level - 1, adds)
+                records += adds
+            yield term
 
     def sum(self, terms) -> CipherVector:
         """Slot-wise sum of a ciphertext and the terms after it, read once and in order.
 
         Values, level and ledger equal those of ``add(add(t0, t1), t2) ...``:
-        each term's ``add`` is recorded before the next term is pulled.
+        each term's ``add`` is recorded before the next term is pulled.  After
+        a full-width first term each term is added as it is pulled.  After a
+        compact one all are pulled first, and the sum is compact on the union
+        of their live slots unless a term is full-width.  Every slot a term
+        does not hold gets the +0.0 that a full-width term adds there.
         """
         terms = iter(terms)
         first = next(terms, None)
         if first is None:
             raise ValueError("sum needs at least one term")
-        acc = CipherVector(first.values.copy(), first.level)
+        level, pairs, columns = first.level, self._added(first, terms), None
+        if first.slots is None:
+            acc, slots = first.values.copy(), None
+        else:
+            pairs = list(pairs)
+            terms = [first] + [term for term, _ in pairs]
+            columns = [self._live(term) if getattr(term, "slots", None) is not None else None for term in terms]
+            slots = self._union(terms, columns)
+            if slots is not None:  # each term's live slots become its columns of the compact sum
+                lookup = np.zeros(self.num_slots, np.intp)
+                lookup[slots] = np.arange(slots.size)
+                columns = [None if live is None else lookup[live] for live in columns]
+            acc = np.zeros((*first.values.shape[:-1], self.num_slots if slots is None else slots.size))
+            acc.T[columns[0]] = first.values.T
+        signed = None  # whether the first term holds a -0.0, which an uncovered slot's +0.0 would turn to +0.0
+        for i, (term, level) in enumerate(pairs, 1):
+            if isinstance(term, PlainVector):
+                acc += term.values if slots is None else term.values[..., slots]
+            elif term.slots is None:
+                acc += term.values
+            else:
+                cols = self._live(term) if columns is None else columns[i]
+                acc.T[cols] += term.values.T
+                if signed is None:
+                    signed = bool(np.any(np.signbit(first.values) & (first.values == 0)))
+                if signed and cols.size < acc.shape[-1]:
+                    uncovered = np.ones(acc.shape[-1], bool)
+                    uncovered[cols] = False
+                    acc[..., uncovered] += 0.0
+        return CipherVector(acc, level, slots)
+
+    def _added(self, first, terms):
+        """Yield each term after ``first`` with the sum's level so far, once its width is checked and its add recorded."""
+        level, rows = first.level, _rows(first)
         for term in terms:
-            self._check_width(acc, term)
+            self._check_width(first, term)
             if isinstance(term, CipherVector):
-                acc.level = min(acc.level, term.level)
-            self.counter.record("add", acc.level)
-            acc.values += term.values
-        return acc
+                level = min(level, term.level)
+            self.counter.record("add", level, rows)
+            yield term, level
+
+    def _union(self, terms, lives):
+        """The sorted slots that compact stacks with live slots ``lives`` and plaintexts cover, or ``None`` for a full-width term."""
+        covered = np.zeros(self.num_slots, bool)
+        for term, live in zip(terms, lives):
+            if live is not None:
+                covered[live] = True
+            elif isinstance(term, PlainVector):
+                covered |= (term.values != 0).reshape(-1, self.num_slots).any(axis=0)
+            else:
+                return None
+        return np.flatnonzero(covered)
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
-        """Cyclic left shift by ``r`` slots (negative ``r`` shifts right)."""
+        """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row."""
         r = r % self.num_slots
-        self.counter.record("rotation", cipher.level)
+        self.counter.record("rotation", cipher.level, _rows(cipher))
+        if cipher.slots is not None:
+            return CipherVector(cipher.values, cipher.level, cipher.slots, (cipher.shift + r) % self.num_slots)
         return CipherVector(self._rotated(cipher.values, r), cipher.level)
 
     # -- slot values -------------------------------------------------------
+
+    def _compact(self, live: int) -> bool:
+        """Whether a result with ``live`` live slots is stored compact."""
+        return live < _COMPACT_SHARE * self.num_slots
+
+    def _live(self, cipher) -> np.ndarray:
+        """The slot each column of a compact stack holds."""
+        return cipher.slots if not cipher.shift else (cipher.slots - cipher.shift) % self.num_slots
+
+    def _take(self, cipher, slots: np.ndarray, out=None) -> np.ndarray:
+        """Every row's values on ``slots``, written to ``out`` when given."""
+        if out is None:
+            out = np.zeros((*cipher.values.shape[:-1], slots.size))
+        if cipher.slots is None:
+            rows = cipher.values.reshape(-1, cipher.values.shape[-1])
+            for row, dest in zip(rows, out.reshape(len(rows), slots.size)):
+                row.take(slots, out=dest, mode="clip")
+        elif cipher.slots.size:
+            stored = (slots + cipher.shift) % self.num_slots
+            columns = np.minimum(np.searchsorted(cipher.slots, stored), cipher.slots.size - 1)
+            out[...] = np.where(cipher.slots[columns] == stored, cipher.values[..., columns], 0.0)
+        else:
+            out[...] = 0.0
+        return out
+
+    def _dense(self, cipher) -> np.ndarray:
+        """Every slot of a stack: its values, or a read-only spread of a compact stack's columns."""
+        if cipher.slots is None:
+            return cipher.values
+        if self._doubled[0] is not cipher.values or self._doubled[1] is not cipher.slots:
+            spread = np.zeros((*cipher.values.shape[:-1], 2 * self.num_slots))
+            spread[..., cipher.slots] = spread[..., cipher.slots + self.num_slots] = cipher.values
+            spread.flags.writeable = False
+            self._doubled = (cipher.values, cipher.slots, spread)
+        return self._doubled[2][..., cipher.shift : cipher.shift + self.num_slots]
 
     def _quantized(self, arr: np.ndarray) -> np.ndarray:
         """Round an owned array in place to ``scale_bits`` fractional bits when quantization is on."""
@@ -408,43 +591,35 @@ class Backend:
             np.divide(arr, self._scale, out=arr)
         return arr
 
-    def _masked_rows(self, values, coefs, support, bias) -> list:
-        if isinstance(support, tuple):
-            return self._region_rows(values, coefs, support)
-        coefs = self._quantized(np.array(coefs, dtype=np.float64).T.copy())
-        width = len(support)
-        gathered = np.zeros((len(coefs), max(width, 2)))  # a pad column keeps einsum's term axis outermost
-        for term, row in zip(values, gathered):  # values first, so zip pulls the stream's length check
-            term.take(support, out=row[:width])
-        if self.params.quantize:
-            acc = np.zeros((coefs.shape[1], width))
-            for c, row in zip(coefs, gathered):
-                acc += self._quantized(c[:, None] * row[:width])
+    def _region_sum(self, checked, masks, offsets: tuple, first) -> CipherVector:
+        """Every mask row's sum of the terms masked on its grids at each offset, formed on the grids' slots only."""
+        base = np.asarray(offsets)[:, None, None]
+        grids = [[(base + m.start + np.arange(m.shape[0])[:, None] * m.steps[0] + np.arange(m.shape[1]) * m.steps[1]).reshape(-1)
+                  for m in row] for row in masks]  # each mask's slots, offset by offset and row-major on its grid
+        slots = np.concatenate([grid for row in grids for grid in row])
+        ordered = bool((slots[1:] > slots[:-1]).all())
+        if not ordered:
+            slots = np.unique(slots)
+        compact, lead = self._compact(slots.size), first.values.shape[:-1]
+        if not compact:
+            columns = grids
+        elif ordered and slots.size == grids[0][0].size:  # one grid: its slots in order are all the columns
+            columns = [[slice(None)]]
         else:
-            acc = np.einsum("to,ts->os", coefs, gathered, optimize=False)[:, :width]
-        if bias is not None:
-            acc += self._quantized(np.array(bias, dtype=np.float64))[:, None]
-        out = np.zeros((len(acc), self.num_slots))
-        out[:, support] = acc
-        return list(out)
-
-    def _region_rows(self, values, masks, offsets: tuple) -> list:
-        stride = offsets[1] - offsets[0] if len(offsets) > 1 else 0
-        out = [np.zeros(self.num_slots) for _ in masks]
-        for t, term in enumerate(values):
-            term = np.ascontiguousarray(term, dtype=np.float64)
-            for row, mask in zip(out, [row_masks[t] for row_masks in masks]):
-                coef = self._quantized(np.array(mask.values, dtype=np.float64))
-                grid = (len(offsets), *mask.shape), np.float64
-                at = 8 * (offsets[0] + mask.start), (8 * stride, 8 * mask.steps[0], 8 * mask.steps[1])
-                acc = np.ndarray(*grid, row, *at)
-                acc += self._quantized(np.ndarray(*grid, term, *at) * coef)
-        return out
+            columns = [[np.searchsorted(slots, grid) for grid in row] for row in grids]
+        acc = np.zeros((len(masks), *lead, slots.size if compact else self.num_slots))
+        for t, term in enumerate(checked):
+            for out, grid_row, column_row, mask_row in zip(acc, grids, columns, masks):
+                coef = self._quantized(np.array(mask_row[t].values, dtype=np.float64))
+                prod = self._take(term, grid_row[t]).reshape(*lead, -1, *mask_row[t].shape) * coef
+                out[..., column_row[t]] += self._quantized(prod).reshape(*lead, -1)
+        return CipherVector(acc, first.level - 1, slots if compact else None)
 
     def _rotated(self, values: np.ndarray, r: int) -> np.ndarray:
-        if values.size != self.num_slots:
-            return np.concatenate((values[r:], values[:r]))
-        if self._doubled[0] is not values:
-            self._doubled = (values, np.concatenate((values, values)))
-            self._doubled[1].flags.writeable = False
-        return self._doubled[1][r : r + self.num_slots]
+        if values.shape[-1] != self.num_slots:
+            return np.concatenate((values[..., r:], values[..., :r]), axis=-1)
+        if self._doubled[0] is not values or self._doubled[1] is not None:
+            doubled = np.concatenate((values, values), axis=-1)
+            doubled.flags.writeable = False
+            self._doubled = (values, None, doubled)
+        return self._doubled[2][..., r : r + self.num_slots]

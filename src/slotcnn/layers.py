@@ -24,16 +24,21 @@ Masks apply at *all* batch offsets of the plan, whether or not a sample is
 present there, so a batched run performs exactly the same slot arithmetic
 as a solo run and their outputs match bit for bit.
 
-Convolution and flatten hand their masked products and sums to
-:meth:`Backend.masked_sum`, the fully connected layer to
+Every schedule works on the whole channel stack of its :class:`CipherState`:
+each backend operation runs once and records one op per channel, and only
+flatten's final merge, which rotates each channel by its own amount, takes
+the channels one at a time.  Convolution and flatten hand their masked
+products and sums to :meth:`Backend.masked_sum`, the fully connected layer to
 :meth:`Backend.diagonal_sum`.  Both form each product only on its mask's
 slots, given once per sample region, and leave exact zeros elsewhere, so no
 value of one sample reaches another sample's result through a zero mask
 slot, however large it grows.  Their values on the mask slots and their op
 ledger are those of the ``mul_plain`` / ``add`` loop over full-width masks.
-Rotations stream into them, and those of every other rotate-and-add chain
-into :meth:`Backend.sum`, so one rotated ciphertext is alive at a time.
-Only ``ApproxReLU`` still multiplies full-width masks.
+A masked sum over few slots leaves a compact stack, which stores only its
+live slots; the pooling, squaring, flatten and convolution that follow work
+on those slots alone, and its rotations copy nothing.  Rotations stream into
+the masked sums and into :meth:`Backend.sum`.  Only ``ApproxReLU`` still
+multiplies full-width masks.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FootprintOverflow, NonDivisibleDims, NotFlattened, PaddingUnsupported, ShapeMismatch, TargetAboveCurrent
-from .he_backend import Backend, RegionMask
+from .he_backend import Backend, CipherVector, RegionMask
 
 __all__ = [
     "Layer",
@@ -96,14 +101,17 @@ class LayoutState(NamedTuple):
 
 @dataclass
 class CipherState:
-    """One ciphertext per channel plus the shared layout."""
+    """The channels as one ciphertext stack, a row per channel, plus the shared layout.
 
-    cts: list
+    The stack may be compact, storing only its live slots (see :class:`~slotcnn.he_backend.CipherVector`).
+    """
+
+    ct: CipherVector
     layout: LayoutState
 
     @property
     def level(self) -> int:
-        return self.cts[0].level
+        return self.ct.level
 
 
 def valid_positions(layout: LayoutState) -> np.ndarray:
@@ -121,8 +129,8 @@ def _support(layout: LayoutState) -> np.ndarray:
 
 
 def _slide(backend: Backend, ct, masks: list, step: int, layout: LayoutState):
-    """Mask ``ct`` with each of ``masks``, rotate product ``i`` left by ``i * step``, and add them up."""
-    parts = backend.masked_sum([ct], [[mask] for mask in masks], layout.batch_offsets)
+    """Mask ``ct`` with each of ``masks`` in turn, rotate product ``i`` left by ``i * step``, and add them up."""
+    parts = (backend.masked_sum([ct], [[mask]], layout.batch_offsets)[0] for mask in masks)
     return backend.sum(backend.rotate(p, i * step) if i * step else p for i, p in enumerate(parts))
 
 
@@ -138,10 +146,10 @@ def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState
     if target == current:
         return state
     ones = backend.encode(np.ones(backend.num_slots))
-    cts = list(state.cts)
+    ct = state.ct
     for _ in range(current - target):
-        cts = [backend.mul_plain(ct, ones) for ct in cts]
-    return CipherState(cts, state.layout)
+        ct = backend.mul_plain(ct, ones)
+    return CipherState(ct, state.layout)
 
 
 def fc_operation_counts(dat_in: int, dat_out: int) -> dict:
@@ -238,28 +246,23 @@ class _Conv(Layer):
     def schedule(self, backend: Backend, state: CipherState) -> CipherState:
         """Strided convolution without reordering the input slots.
 
-        The input is rotated once per (channel, kernel row, kernel column) so
+        The channel stack is rotated once per (kernel row, kernel column) so
         that each kernel tap aligns with the anchor slot of the window it
         belongs to; each output channel is then a mask-weighted sum of those
-        rotations plus a masked bias.  Output values land on an
+        rotations' rows plus a masked bias.  Output values land on an
         ``interval * stride`` grid and the slots in between are zero.  The
         rotations stream into :meth:`Backend.masked_sum`, which gathers each
         one's grid slots and forms all products and sums in one contraction, in
-        the oracle's term order; the ledger still counts ``ch_out * ch_in * k**2``
-        plaintext products and as many additions, as a full-width schedule would.
+        the oracle's channel-major term order; the ledger still counts
+        ``ch_out * ch_in * k**2`` plaintext products and as many additions, as a
+        full-width schedule would.  A sparse output grid leaves a compact stack.
         """
         lay = state.layout
         out_layout, _ = self.step(lay)
         kh, kw = self.kernel_hw
-        rotations = (
-            backend.rotate(state.cts[i], lay.interval * (k + lay.w_img * j))
-            for i in range(self.ch_in)
-            for j in range(kh)
-            for k in range(kw)
-        )
+        rotations = (backend.rotate(state.ct, lay.interval * (k + lay.w_img * j)) for j in range(kh) for k in range(kw))
         coefs = self.weights.reshape(self.ch_out, -1) * lay.pending_const
-        out_cts = backend.masked_sum(rotations, coefs, _support(out_layout), self.bias)
-        return CipherState(out_cts, out_layout)
+        return CipherState(backend.masked_sum(rotations, coefs, _support(out_layout), self.bias), out_layout)
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """One rotation per tap; per output channel and tap a product, and an addition that sums it or the bias."""
@@ -346,17 +349,17 @@ class AvgPool2d(Layer):
     def schedule(self, backend: Backend, state: CipherState) -> CipherState:
         """Non-overlapping window sums by rotation, division deferred.
 
-        No mask and no multiplication: the rotations that bring each window's
-        elements onto its anchor slot stream into one :meth:`Backend.sum` per
-        channel.  The ``1 / kernel**2`` factor joins the pending constant and is
-        folded into a later layer's masks, and the gaps now hold partial sums.
+        No mask and no multiplication: the rotations of the channel stack that
+        bring each window's elements onto its anchor slot stream into one
+        :meth:`Backend.sum`.  The ``1 / kernel**2`` factor joins the pending
+        constant and is folded into a later layer's masks, and the gaps now hold
+        partial sums.
         """
         lay = state.layout
         out_layout, _ = self.step(lay)
         c = self.kernel
         shifts = [lay.interval * (k + lay.w_img * j) for j in range(c) for k in range(c)]
-        out_cts = [backend.sum(backend.rotate(ct, s) for s in shifts) for ct in state.cts]
-        return CipherState(out_cts, out_layout)
+        return CipherState(backend.sum(backend.rotate(state.ct, s) for s in shifts), out_layout)
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """Per channel, one rotation per window slot and the additions that sum them."""
@@ -392,7 +395,7 @@ class Square(Layer):
 
     def schedule(self, backend: Backend, state: CipherState) -> CipherState:
         out_layout, _ = self.step(state.layout)
-        return CipherState([backend.mul_cipher(ct, ct) for ct in state.cts], out_layout)
+        return CipherState(backend.mul_cipher(state.ct, state.ct), out_layout)
 
     @staticmethod
     def ledger(lay: LayoutState, level: int) -> list:
@@ -432,14 +435,10 @@ class ApproxReLU(Layer):
         quad = backend._plain(pattern * (self.a2 * lay.pending_const * lay.pending_const))
         lin = backend._plain(pattern * (self.a1 * lay.pending_const))
         const = backend._plain(pattern * self.a0)
-        out_cts = []
-        for ct in state.cts:
-            t = backend.mul_plain(ct, quad)
-            t = backend.add(t, lin)
-            t = backend.mul_cipher(t, ct)
-            t = backend.add(t, const)
-            out_cts.append(t)
-        return CipherState(out_cts, out_layout)
+        t = backend.mul_plain(state.ct, quad)
+        t = backend.add(t, lin)
+        t = backend.mul_cipher(t, state.ct)
+        return CipherState(backend.add(t, const), out_layout)
 
     @staticmethod
     def ledger(lay: LayoutState, level: int) -> list:
@@ -484,20 +483,21 @@ class Flatten(Layer):
         accounting uses: masked extraction when gaps hold junk or a constant is
         pending (one level), otherwise in-row gap removal when the interval is
         larger than one (one level); then row concatenation when there are
-        multiple rows (one level).  Finally all channels are rotated onto one
+        multiple rows (one level).  Each step masks the whole channel stack, one
+        mask at a time.  Finally every channel's row is rotated onto one
         ciphertext, which costs only rotations and additions.
         """
         lay = state.layout
         interval, w_in, h_in = lay.interval, lay.w_in, lay.h_in
         row_span = lay.w_img * interval
         masked, row_removal, col_removal = self.dispatch(lay)
-        cts = list(state.cts)
+        ct = state.ct
 
         if masked:
             # Extract column c of every row, scaled by the pending constant, and
             # slide it left so the row becomes contiguous.
             masks = [RegionMask(c * interval, (h_in, 1), lay.pending_const, (row_span, 1)) for c in range(w_in)]
-            cts = [_slide(backend, ct, masks, interval - 1, lay) for ct in cts]
+            ct = _slide(backend, ct, masks, interval - 1, lay)
         elif row_removal:
             # Gaps are zero: summing interval-many shifted copies first makes
             # every block of `interval` consecutive columns contiguous, then one
@@ -505,18 +505,19 @@ class Flatten(Layer):
             blocks = math.ceil(w_in / interval)
             runs = [(b * interval * interval, min(interval, w_in - b * interval)) for b in range(blocks)]
             masks = [RegionMask(start, (h_in, width), 1.0, (row_span, 1)) for start, width in runs]
-            summed = (backend.sum(backend.rotate(ct, s * (interval - 1)) if s else ct for s in range(interval)) for ct in cts)
-            cts = [_slide(backend, ct, masks, interval * (interval - 1), lay) for ct in summed]
+            summed = backend.sum(backend.rotate(ct, s * (interval - 1)) if s else ct for s in range(interval))
+            ct = _slide(backend, summed, masks, interval * (interval - 1), lay)
 
         if col_removal:
             # Rows are now contiguous runs of w_in values, one run per row span;
             # mask each run and slide it next to the previous one.
             masks = [RegionMask(r * row_span, (1, w_in)) for r in range(h_in)]
-            cts = [_slide(backend, ct, masks, row_span - w_in, lay) for ct in cts]
+            ct = _slide(backend, ct, masks, row_span - w_in, lay)
 
         flat_len = w_in * h_in
-        out = backend.sum(backend.rotate(ct, -ch * flat_len) if ch else ct for ch, ct in enumerate(cts))
-        return CipherState([out], self.step(lay)[0])
+        rows = (ct[ch : ch + 1] for ch in range(lay.channels))  # each channel's row, as a stack of one
+        out = backend.sum(backend.rotate(row, -ch * flat_len) if ch else row for ch, row in enumerate(rows))
+        return CipherState(out, self.step(lay)[0])
 
     @staticmethod
     def ledger(lay: LayoutState, level: int) -> list:
@@ -607,7 +608,7 @@ class FC(Layer):
         stacked[:d_out, :d_in] = stacked[d_out:, :d_in] = self.weights * lay.pending_const
         strides = (-8 * window, 8 * d_out, 8 * window + 8)
         diag = np.ndarray((d_out, reps, d_out), np.float64, stacked, 8 * d_out * window, strides).reshape(d_out, window)
-        ct = state.cts[0]
+        ct = state.ct
         rotations = (backend.rotate(ct, o) if o else ct for o in range(d_out))
         acc_front, acc_wrap = backend.diagonal_sum(rotations, diag[:, :d_in], lay.batch_offsets)
         summed = backend.add(acc_front, backend.rotate(acc_wrap, -window))
@@ -615,7 +616,7 @@ class FC(Layer):
         bias = np.zeros(backend.num_slots)
         bias[np.add.outer(lay.batch_offsets, np.arange(d_out))] = self.bias
         out = backend.add(out, backend._plain(bias))
-        return CipherState([out], out_layout)
+        return CipherState(out, out_layout)
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """Diagonal rotations and their two masked products each, then the wrap correction, folds and bias."""

@@ -215,8 +215,9 @@ def layer_forward(layer, x: np.ndarray) -> np.ndarray:
     ``x`` is ``(channels, height, width)`` before flatten and 1-D after.
     Accumulation orders mirror the slot schedules term for term, so layer
     outputs agree bit for bit wherever the schedule's deferred constants are
-    powers of two (fully connected layers reassociate the dot product and
-    agree to rounding error instead).
+    powers of two.  That includes fully connected layers: ``FC.forward`` sums
+    each dot product in the association order of the rotate-mask-fold
+    schedule, not in a plain matrix product's.
     """
     if not isinstance(layer, Layer):
         raise ParseError(f"unknown layer type {type(layer).__name__}")
@@ -258,10 +259,19 @@ def _refuse_non_numbers(value, key: str) -> None:
             _refuse_non_numbers(item, key)
 
 
+def _refuse_unknown_keys(entry: dict, known, where: str) -> None:
+    """A misspelt key would otherwise be ignored, or load as the field's default."""
+    unknown = sorted(map(repr, set(entry) - set(known)))
+    if unknown:
+        raise ParseError(f"{where}unknown key {', '.join(unknown)}")
+
+
 def model_from_dict(data: dict) -> ModelSpec:
     try:
+        _refuse_unknown_keys(data, ("name", "input", "layers"), "")
         name = str(data["name"])
         shape = data["input"]
+        _refuse_unknown_keys(shape, ("channels", "height", "width"), "input: ")
         dims = {key: _as_int(shape[key], key) for key in ("channels", "height", "width")}
         layers = []
         for index, entry in enumerate(data["layers"]):
@@ -269,9 +279,7 @@ def model_from_dict(data: dict) -> ModelSpec:
             if cls is None:
                 raise ParseError(f"unknown layer type {entry['type']!r}")
             keys = {_JSON_NAMES.get(f.name, f.name): f for f in fields(cls)}
-            unknown = sorted(map(repr, set(entry) - set(keys) - {"type"}))
-            if unknown:  # a misspelt key would otherwise load as the field's default
-                raise ParseError(f"layer {index} ({cls.kind}): unknown key {', '.join(unknown)}")
+            _refuse_unknown_keys(entry, [*keys, "type"], f"layer {index} ({cls.kind}): ")
             args = {}
             for key, f in keys.items():
                 if key in entry or f.default is MISSING:

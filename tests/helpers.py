@@ -1,7 +1,9 @@
 """Shared utilities for building and reading synthetic layer states in tests."""
 
 import numpy as np
+import pytest
 
+from slotcnn import engine
 from slotcnn import (
     FC,
     ApproxReLU,
@@ -56,7 +58,7 @@ def build_state(backend, layout, tensor, gap_rng=None):
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     pos = valid_positions(layout)
-    cts = []
+    plains = []
     for ch in range(layout.channels):
         region = np.zeros(layout.footprint)
         if gap_rng is not None:
@@ -65,8 +67,8 @@ def build_state(backend, layout, tensor, gap_rng=None):
         full = np.zeros(backend.params.num_slots)
         for off in layout.batch_offsets:
             full[off : off + layout.footprint] = region
-        cts.append(backend.encrypt(backend.encode(full)))
-    return CipherState(cts, layout)
+        plains.append(backend.encode(full))
+    return CipherState(backend.encrypt(plains), layout)
 
 
 def read_state(backend, state, offset=None):
@@ -74,8 +76,8 @@ def read_state(backend, state, offset=None):
     lay = state.layout
     off = lay.batch_offsets[0] if offset is None else offset
     pos = valid_positions(lay) + off
-    planes = [backend.decrypt(ct)[pos] * lay.pending_const for ct in state.cts]
-    return np.stack(planes).reshape(lay.channels, lay.h_in, lay.w_in)
+    planes = backend.decrypt(state.ct)[:, pos] * lay.pending_const
+    return planes.reshape(lay.channels, lay.h_in, lay.w_in)
 
 
 def gap_slots(backend, state, offset=None):
@@ -84,7 +86,7 @@ def gap_slots(backend, state, offset=None):
     off = lay.batch_offsets[0] if offset is None else offset
     mask = np.ones(lay.footprint, dtype=bool)
     mask[valid_positions(lay)] = False
-    return np.stack([backend.decrypt(ct)[off : off + lay.footprint][mask] for ct in state.cts])
+    return backend.decrypt(state.ct)[:, off : off + lay.footprint][:, mask]
 
 
 def make_backend(params=SMALL_PARAMS):
@@ -141,3 +143,22 @@ def random_stack(rng):
             if rng.random() < 0.3:
                 layers.append(Square() if rng.random() < 0.5 else ApproxReLU())
     return ModelSpec(name="fuzz", channels=ch, height=h, width=w, layers=tuple(layers))
+
+
+def stage_bytes(m, samples, params):
+    """The decrypted ``(channels, num_slots)`` bytes of one ``run_inference``, after the level alignment and after every layer."""
+    stages = []
+
+    def kept(fn):
+        def wrapper(backend, state, arg):
+            state = fn(backend, state, arg)
+            stages.append(backend.decrypt(state.ct).tobytes())
+            return state
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "drop_level", kept(engine.drop_level))
+        patch.setattr(engine, "apply_layer", kept(engine.apply_layer))
+        engine.run_inference(m, samples, params)
+    return stages

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_stack
+from helpers import random_stack, stage_bytes
 from slotcnn import HEParams, builtin, builtin_names, estimate_cost, footprint, model_to_dict, run_inference, validate
 from slotcnn.cli import _load_samples, main
 from slotcnn.errors import ParseError
@@ -405,6 +405,16 @@ class TestBadModelFiles:
         kind = model_to_dict(builtin("M3"))["layers"][layer]["type"]
         assert code == 1 and out == "" and err == f"error: layer {layer} ({kind}): unknown key '{key}'\n"
 
+    @pytest.mark.parametrize("command", ["plan", "run", "bench", "verify"])
+    @pytest.mark.parametrize("where,key", [("top", "nmae"), ("input", "heigth")])
+    def test_unknown_document_or_input_key_exit_1(self, capsys, tmp_path, command, where, key):
+        doc = model_to_dict(builtin("M7"))
+        (doc if where == "top" else doc["input"])[key] = 5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == 1 and out == "" and err == f"error: {'input: ' if where == 'input' else ''}unknown key '{key}'\n"
+
 
 class TestParamsFile:
     """A parameter file whose field has the wrong type is refused, not silently converted or left to crash."""
@@ -495,3 +505,17 @@ class TestPinnedBytes:
         # The output bytes include conv's einsum sums, which depend on the numpy build (see the CI step that
         # prints it); on a new numpy, first check the outputs against reference_infer before re-pinning.
         assert digest.hexdigest() == "a900e5b1712c6b93f1c0912ceed0316bbbd6b90c586b7c8281514f38bf57b42e"
+
+    def test_layer_states_digest(self):
+        """Every slot of every channel after the level alignment and after each layer, full batches, float and fixed point."""
+        digest = hashlib.sha256()
+        runs = [(name, seed, False) for name in builtin_names() for seed in (0, 1)]
+        runs += [(name, seed, True) for name in ("M2", "M3") for seed in (0, 1)]
+        for name, seed, quantize in runs:
+            m, params = builtin(name, seed=seed), HEParams(quantize=quantize)
+            capacity = footprint(m, params).capacity
+            samples = np.random.default_rng(seed).uniform(0.0, 1.0, size=(capacity, m.channels, m.height, m.width))
+            for stage in stage_bytes(m, samples, params):
+                digest.update(stage)
+        # conv's einsum sums make this digest depend on the numpy build too, as the note above says.
+        assert digest.hexdigest() == "451991fbf6c558cab39cbf99172034a6d1723c59075892177c657a5a6cce529b"

@@ -1,5 +1,6 @@
 """End-to-end scheduling, metrics, cost estimation, and oracle verification."""
 
+import dataclasses
 import itertools
 import tracemalloc
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_stack
+from helpers import random_stack, stage_bytes
 from slotcnn import (
     FC,
     ApproxReLU,
@@ -40,6 +41,7 @@ from slotcnn import (
     validate,
     verify_against_oracle,
 )
+from slotcnn import engine, he_backend
 from slotcnn.errors import NonFiniteInput, SlotCnnError
 
 PARAMS = HEParams()
@@ -343,7 +345,7 @@ class Doubler(Layer):
         return lay, 0
 
     def schedule(self, backend, state):
-        return CipherState([backend.add(ct, ct) for ct in state.cts], state.layout)
+        return CipherState(backend.add(state.ct, state.ct), state.layout)
 
     @staticmethod
     def ledger(lay, level):
@@ -449,11 +451,39 @@ class TestRandomStackProperties:
     def test_live_layout_equals_static_trace(self, seed):
         m, params, plan, _ = fuzz_case(seed)
         backend = Backend(params)
-        cts = [backend.encrypt(backend.encode([])) for _ in range(m.channels)]
-        state = CipherState(cts, m.input_layout(plan.offsets, plan.footprint))
+        ct = backend.encrypt([backend.encode([])] * m.channels)
+        state = CipherState(ct, m.input_layout(plan.offsets, plan.footprint))
         for layer, row in zip(m.layers, trace_layout(m)):
             state = apply_layer(backend, state, layer)
             assert state.layout._replace(batch_offsets=(), footprint=0) == row.after
+
+
+class TestCompactStacks:
+    """Stacks that store only their live slots change no decrypted slot of any layer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quantize=st.booleans())
+    def test_layer_bytes_equal_an_all_full_width_run(self, seed, quantize):
+        m, params, _, xs = fuzz_case(seed)
+        params = dataclasses.replace(params, quantize=quantize)
+        compact = stage_bytes(m, xs, params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(he_backend, "_COMPACT_SHARE", 0)  # no masked sum is sparse enough: every stack is full-width
+            full = stage_bytes(m, xs, params)
+        assert compact == full
+
+    def test_sparse_conv_outputs_are_compact(self, monkeypatch):
+        """M1's conv (810 live slots of 8192) and M4's convs after the first pooling leave compact stacks; M3, M6 and M7 do not."""
+        kept = []
+        apply = engine.apply_layer
+        monkeypatch.setattr(engine, "apply_layer", lambda be, state, layer: kept.append(apply(be, state, layer)) or kept[-1])
+        compact = {}
+        for name in ("M1", "M3", "M4", "M6", "M7"):
+            m = builtin(name)
+            kept.clear()
+            run_inference(m, rand_samples(m, 1), PARAMS)
+            compact[name] = [state.ct.slots is not None for layer, state in zip(m.layers, kept) if isinstance(layer, (Conv1d, Conv2d))]
+        assert compact == {"M1": [True], "M3": [False], "M4": [False, True, True], "M6": [False], "M7": [False, False]}
 
 
 def presum_models():

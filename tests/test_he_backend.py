@@ -396,8 +396,8 @@ class TestMaskedSum:
         assert list(got_ledger) == list(want_ledger)
         for g, w in zip(got, want, strict=True):
             assert g.level == w.level
-            assert g.values[support].tobytes() == w.values[support].tobytes()
-            assert np.all(g.values[off_support] == 0) and np.all(w.values[off_support] == 0)
+            assert be.decrypt(g)[support].tobytes() == w.values[support].tobytes()
+            assert np.all(be.decrypt(g)[off_support] == 0) and np.all(w.values[off_support] == 0)
 
     @pytest.mark.parametrize("n_terms", [4, 17, 64])
     @pytest.mark.parametrize("quantize", [False, True])
@@ -412,6 +412,25 @@ class TestMaskedSum:
             terms = [be.encrypt(be.encode(np.full(params.num_slots, v))) for v in values]
             results.append(method(be, terms, np.ones((1, n_terms)), support, np.zeros(1))[0].values[support].tobytes())
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("values,coefs,other", [
+        ([1e16, 1.0, -1e16], [1.0, 1.0, 1.0], 1.0),  # the first and last terms added first
+        ([-(1 + 2.0**-29), 1 + 2.0**-30], [1.0, 1 + 2.0**-30], 2.0**-60),  # the last product fused into its addition
+    ])
+    def test_einsum_adds_rounded_products_in_term_order(self, values, coefs, other):
+        """The flat contraction is exact only where numpy's einsum adds each rounded product in term order from +0.0.
+
+        Both cases sum to 0.0 on their slot that way, and to ``other`` when reassociated or fused, so a numpy build
+        that does either fails here.
+        """
+        want = 0.0
+        for c, v in zip(coefs, values):  # Python floats round every product and every addition
+            want += c * v
+        assert want == 0.0 != other
+        be = Backend(HEParams(poly_degree=16, depth=2))
+        terms = [be.encrypt(be.encode(np.full(8, v))) for v in values]
+        out = be.masked_sum(terms, np.array([coefs]), np.array([5]))
+        assert be.decrypt(out)[0, 5] == want
 
     def test_level_and_width_checks(self):
         be = Backend(HEParams(poly_degree=8, depth=1))
@@ -753,7 +772,7 @@ class TestRegionMasks:
         assert (got_ledger, got_keys) == (want_ledger, want_keys)
         for g, w in zip(got, want, strict=True):
             assert g.level == w.level
-            assert np.array_equal(g.values, w.values)
+            assert np.array_equal(be.decrypt(g), w.values)
 
     def test_uneven_offsets_and_bias_refused(self):
         be = Backend(P8)
@@ -762,3 +781,69 @@ class TestRegionMasks:
             be.masked_sum([ct], [[RegionMask(0, (1, 1))]], (0, 2, 5))
         with pytest.raises(ValueError):
             be.masked_sum([ct], [[RegionMask(0, (1, 1))]], (0, 4), np.ones(1))
+
+
+def compact_ops(be, ct, shifts, plain, coefs, support, mask):
+    """Results of every operation on ``ct`` and its rotations, for comparing a compact stack with its full-width copy."""
+    rotated = be.rotate(ct, shifts[0])
+    return [
+        be.sum(be.rotate(ct, r) for r in shifts),
+        be.add(rotated, plain),
+        be.mul_plain(rotated, plain),
+        be.mul_cipher(rotated, rotated),
+        be.mul_cipher(ct, rotated),
+        be.masked_sum([be.rotate(ct, r) for r in shifts], coefs, support, np.ones(len(coefs))),
+        be.masked_sum([rotated], [[mask]], (0, 16)),
+    ]
+
+
+class TestCompactStacks:
+    """A compact stack decrypts, after every operation, to the bytes its full-width copy gives, signed zeros included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), n_live=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           shifts=st.lists(st.integers(-40, 40), min_size=1, max_size=5), quantize=st.booleans())
+    def test_every_operation_equals_full_width(self, data, rows, n_live, seed, shifts, quantize):
+        params = HEParams(poly_degree=64, depth=3, scale_bits=8, quantize=quantize)
+        rng = np.random.default_rng(seed)
+        slots = np.sort(rng.choice(32, n_live, replace=False))
+        zeros_and_signs = st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.0])
+        values = np.array(data.draw(st.lists(zeros_and_signs, min_size=rows * n_live, max_size=rows * n_live))).reshape(rows, n_live)
+        plain = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, np.inf]), min_size=32, max_size=32)))
+        coefs = rng.uniform(-2, 2, (2, rows * len(shifts)))
+        support = np.sort(rng.choice(32, int(rng.integers(0, 9)), replace=False))
+        mask = RegionMask(int(rng.integers(0, 12)), (2, 2), rng.uniform(-1, 1, 2), (3, 1))
+        results = []
+        for compact in (True, False):
+            be = Backend(params)
+            ct = CipherVector(values, 3, slots)
+            if not compact:
+                ct = CipherVector(be.decrypt(ct), 3)
+            with np.errstate(invalid="ignore"):  # inf times a zero slot is NaN, in both forms
+                out = compact_ops(be, ct, shifts, PlainVector(plain), coefs, support, mask)
+            results.append(([(be.decrypt(x).tobytes(), x.level) for x in out], be.counter.snapshot(), list(be.counter.by_level)))
+        assert results[0] == results[1]
+
+    def test_rotation_moves_the_shift_and_copies_nothing(self):
+        be = Backend(P8)
+        ct = CipherVector(np.array([[1.0, 2.0], [3.0, 4.0]]), 2, np.array([1, 6]))
+        out = be.rotate(ct, 3)
+        assert out.values is ct.values and out.slots is ct.slots and out.shift == 3
+        assert np.array_equal(be.decrypt(out), np.roll(be.decrypt(ct), -3, axis=1))
+        assert be.counter.by_level == {("rotation", 2): 2}
+
+    def test_uncovered_slots_of_a_sum_add_plus_zero(self):
+        """-0.0 on a slot that a later term does not hold becomes +0.0, as a full-width +0.0 there makes it."""
+        be = Backend(P8)
+        a = CipherVector(np.array([-0.0, -0.0]), 2, np.array([0, 1]))
+        b = CipherVector(np.array([-0.0]), 2, np.array([0]))
+        out = be.decrypt(be.sum([a, b]))
+        assert np.signbit(out[0]) and not np.signbit(out[1])
+
+    def test_product_that_signs_a_dead_slot_is_full_width(self):
+        be = Backend(P8)
+        ct = CipherVector(np.array([2.0]), 2, np.array([3]))
+        kept = be.mul_plain(ct, be.encode(np.where(np.arange(8) == 3, -1.0, 0.5)))
+        spread = be.mul_plain(ct, be.encode(np.full(8, -1.0)))
+        assert kept.slots is ct.slots and spread.slots is None
+        assert np.signbit(be.decrypt(spread)).sum() == 8

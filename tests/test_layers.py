@@ -220,7 +220,7 @@ class TestAvgPool:
         be = make_backend()
         lay = single_layout(1, 2, 2)
         out = apply_layer(be, build_state(be, lay, [[[1.0, 2.0], [3.0, 4.0]]]), AvgPool2d(kernel=2))
-        assert be.decrypt(out.cts[0])[0] == 10.0
+        assert be.decrypt(out.ct)[0, 0] == 10.0
         assert out.layout.pending_const == 0.25
         assert not out.layout.gaps_zero
         assert read_state(be, out)[0, 0, 0] == 2.5
@@ -363,7 +363,7 @@ class TestFlatten:
         x = np.arange(8.0).reshape(2, 2, 2)
         out = apply_layer(be, build_state(be, lay, x), Flatten())
         off = out.layout.batch_offsets[0]
-        assert np.array_equal(be.decrypt(out.cts[0])[off : off + 8], np.arange(8.0))
+        assert np.array_equal(be.decrypt(out.ct)[0, off : off + 8], np.arange(8.0))
 
 
 class TestFC:
@@ -386,7 +386,7 @@ class TestFC:
         lay = flat_layout(1, 4)
         layer = FC(dat_in=1, dat_out=1, weights=np.array([[2.5]]), bias=np.array([0.5]))
         out = apply_layer(be, build_state(be, lay, [[[3.0]]]), layer)
-        assert be.decrypt(out.cts[0])[0] == 2.5 * 3.0 + 0.5
+        assert be.decrypt(out.ct)[0, 0] == 2.5 * 3.0 + 0.5
 
     def test_pending_prescales_weights(self):
         rng = np.random.default_rng(51)
@@ -411,7 +411,7 @@ class TestFC:
         lay = flat_layout(13, fp)
         from slotcnn import CipherState
 
-        state = CipherState([be.encrypt(be.encode(full))], lay)
+        state = CipherState(be.encrypt([be.encode(full)]), lay)
         layer = rand_fc(rng, 13, 5)
         out = apply_layer(be, state, layer)
         assert np.array_equal(read_state(be, out).reshape(-1), layer.forward(x))
@@ -473,7 +473,7 @@ def loop_fc(be, state, layer):
     weights = layer.weights * lay.pending_const
     acc = [None, None]
     for o in range(d_out):
-        term = be.rotate(state.cts[0], o) if o else state.cts[0]
+        term = be.rotate(state.ct, o) if o else state.ct
         masks = np.zeros((2, n))  # diagonal o meets input j at slot j - o: the front when j >= o, else the wrap
         for off in lay.batch_offsets:
             for j in range(d_in):
@@ -511,8 +511,8 @@ class TestFCDiagonals:
         results = []
         for method in (loop_fc, apply_layer):
             be = Backend(params)
-            out = method(be, CipherState([be.encrypt(be.encode(x))], lay), layer)
-            out = out.cts[0] if isinstance(out, CipherState) else out
+            out = method(be, CipherState(be.encrypt([be.encode(x)]), lay), layer)
+            out = out.ct if isinstance(out, CipherState) else out
             results.append((out.values.tobytes(), out.level, be.counter.snapshot(), list(be.counter.by_level)))
         assert results[0] == results[1]
 
@@ -529,8 +529,8 @@ class TestFCDiagonals:
         outs = []
         for values in (x, spoiled):
             be = Backend(params)
-            out = apply_layer(be, CipherState([be.encrypt(be.encode(values))], lay), layer)
-            outs.append([be.decrypt(out.cts[0])[off : off + layer.dat_out].tobytes() for off in lay.batch_offsets])
+            out = apply_layer(be, CipherState(be.encrypt([be.encode(values)]), lay), layer)
+            outs.append([be.decrypt(out.ct)[0, off : off + layer.dat_out].tobytes() for off in lay.batch_offsets])
         assert outs[0] == outs[1]
 
 

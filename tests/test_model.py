@@ -471,6 +471,14 @@ class TestSerialization:
         with pytest.raises(ParseError, match=f"layer {layer} \\({doc['layers'][layer]['type']}\\): unknown key '{key}'"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("where,key", [("top", "nmae"), ("top", "layer"), ("input", "heigth"), ("input", "depth")])
+    def test_unknown_document_and_input_keys_refused(self, where, key):
+        doc = model_to_dict(builtin("M7"))
+        (doc if where == "top" else doc["input"])[key] = 5
+        prefix = "" if where == "top" else "input: "
+        with pytest.raises(ParseError, match=f"^{prefix}unknown key '{key}'$"):
+            model_from_dict(doc)
+
     def test_load_model_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(model_to_dict(builtin("M7"))))
