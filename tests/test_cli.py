@@ -519,3 +519,68 @@ class TestPinnedBytes:
                 digest.update(stage)
         # conv's einsum sums make this digest depend on the numpy build too, as the note above says.
         assert digest.hexdigest() == "451991fbf6c558cab39cbf99172034a6d1723c59075892177c657a5a6cce529b"
+
+    def test_random_stacks_digest(self):
+        """Validation, plan, priced ledger and output bytes of 300 random stacks at 1024 slots, invalid ones included."""
+        from slotcnn import ledger_metrics
+
+        digest = hashlib.sha256()
+        valid = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            m = random_stack(rng)
+            params = HEParams(poly_degree=2048, depth=int(rng.integers(8, 12)))
+            report = validate(m, params)
+            digest.update(repr([(v["layer"], v["rule"], v["message"]) for v in report.violations]).encode())
+            if not report.ok:
+                continue
+            valid += 1
+            plan = footprint(m, params)
+            digest.update(json.dumps(plan.to_dict()).encode())
+            for row in ledger_metrics(m, params).per_layer:
+                digest.update(repr((row.name, list(row.hist.items()), row.est_cost)).encode())
+            xs = rng.uniform(0.0, 1.0, size=(min(3, plan.capacity), m.channels, m.height, m.width))
+            for out in run_inference(m, xs, params, plan=plan)[0]:
+                digest.update(out.tobytes())
+        assert valid >= 250
+        # conv's einsum sums make this digest depend on the numpy build too, as the note above says.
+        assert digest.hexdigest() == "b08a3fdf44ff6ad9b6a80132e25abbe927b01e91cdb42c74b1ea976b1d5892db"
+
+
+class TestTracerSpans:
+    """The spans the benchmark's tracer records on each path, so a refactor cannot silently bypass one of its hooks."""
+
+    @pytest.fixture
+    def spans(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        tracer = module.Tracer()
+        undo = module.install(tracer)
+        yield tracer
+        undo()
+
+    PIPELINE = {"engine.run_inference", "engine.validate", "packing.batch_pack", "packing.footprint", "model.trace_layout",
+                "layers.drop_level", "layers.conv", "layers.square", "layers.flatten", "layers.fc"}
+
+    def test_run_inference_with_a_plan(self, spans):
+        from slotcnn import engine, packing
+
+        m, params = builtin("M1"), HEParams()
+        engine.run_inference(m, np.zeros((2, 1, 28, 28)), params, plan=packing.footprint(m, params))
+        assert {span[3] for span in spans.spans} == self.PIPELINE
+
+    @pytest.mark.parametrize("argv,extra", [
+        (("plan",), set()),
+        (("bench",), set()),
+        (("run",), PIPELINE),
+        (("verify", "--trials", "3"), PIPELINE),
+    ], ids=["plan", "bench", "run", "verify"])
+    def test_cli(self, capsys, spans, argv, extra):
+        code, _, _ = run_cli(capsys, *argv, "--builtin", "M1")
+        want = {"cli.validate", "model.builtin", "model.trace_layout", "packing.footprint"} | extra
+        assert code == 0 and {span[3] for span in spans.spans} == want
