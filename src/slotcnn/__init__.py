@@ -33,7 +33,6 @@ from .layers import (
     Square,
     apply_layer,
     drop_level,
-    fc_operation_counts,
     valid_positions,
 )
 from .model import (
@@ -42,17 +41,15 @@ from .model import (
     ValidationReport,
     builtin,
     builtin_names,
-    layer_forward,
     load_model,
     model_from_dict,
     model_to_dict,
-    mult_depth,
     reference_infer,
     slot_sizes,
     trace_layout,
     validate,
 )
-from .packing import PackPlan, batch_pack, batch_unpack, flatten_input, footprint
+from .packing import PackPlan, batch_pack, flatten_input, footprint
 from .engine import (
     CostModel,
     LayerMetrics,

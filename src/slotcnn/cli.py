@@ -8,8 +8,10 @@ Four commands share one option vocabulary:
 * ``bench``   print per-layer operation counts, optionally sweeping the budget;
               priced from each layer's closed-form op ledger, without a run
 
+Every command walks the model's layout once, in validation, and plans on
+that trace; every run, oracle batch, sweep entry and price reads the plan.
 ``plan`` and ``bench`` read the architecture only, so a built-in draws no
-weights for them, and they walk the model's layout once, in validation.
+weights for them.
 
 Exit codes: 0 on success, 1 on input/output or parse problems and on bad
 option values or non-finite samples, 2 on validation failures or a failed
@@ -200,18 +202,17 @@ class _Invalid(Exception):
     """The violations of a model that fails validation; ``main`` prints them and exits 2."""
 
 
-def _prepare(args, plan: bool = True, weights: bool = True):
-    """The model and parameters the options name, their layout trace and, unless ``plan`` is false, their packing plan.
+def _prepare(args, weights: bool = True):
+    """The model and parameters the options name, and their packing plan, made on validation's layout trace.
 
-    The trace is validation's, so the plan reuses it; ``weights`` is false
-    for the commands that read the architecture only.
+    ``weights`` is false for the commands that read the architecture only.
     """
     m = _load_model(args, weights)
     params = _load_params(args)
     report = validate(m, params)
     if not report.ok:
         raise _Invalid(report.violations)
-    return m, params, report.trace, packing.footprint(m, params, args.align, trace=report.trace) if plan else None
+    return m, params, packing.footprint(m, params, args.align, trace=report.trace)
 
 
 def _int_list(text: str, option: str) -> list:
@@ -237,7 +238,7 @@ def _layer_csv(rows, totals=None) -> str:
 
 
 def cmd_plan(args) -> int:
-    _, _, _, plan = _prepare(args, weights=False)
+    _, _, plan = _prepare(args, weights=False)
     if args.format == "csv":
         rows = [(e["layer"], e["slots"]) for e in plan.per_layer_sizes]
         rows.append(("footprint", plan.footprint))
@@ -249,7 +250,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    m, params, _, plan = _prepare(args)
+    m, params, plan = _prepare(args)
     if args.batch is not None and args.batch < 1:
         raise ParseError(f"--batch must be at least 1, got {args.batch}")
     if args.input:
@@ -274,17 +275,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    m, params, _, _ = _prepare(args, plan=False)  # the oracle check plans for itself, after checking --trials
+    m, params, plan = _prepare(args)
     scales = None if args.scale_sweep is None else _int_list(args.scale_sweep, "--scale-sweep")
     # Every sweep entry's parameters are checked before the first oracle run, so a bad bit count costs none.
     sweep_params = [HEParams.from_dict({**params.to_dict(), "quantize": True, "scale_bits": bits}) for bits in scales or ()]
-    result = engine.verify_against_oracle(m, params, n_trials=args.trials, seed=args.seed, tol=args.tol, alignment=args.align)
+    result = engine.verify_against_oracle(m, params, n_trials=args.trials, seed=args.seed, tol=args.tol, plan=plan)
     doc = {"model": m.name, "params": params.to_dict(), **result}
     ok = result["ok"]
     if scales is not None:
         sweep = []
         for bits, q_params in zip(scales, sweep_params):
-            q_result = engine.verify_against_oracle(m, q_params, n_trials=args.trials, seed=args.seed, tol=args.tol, alignment=args.align)
+            q_result = engine.verify_against_oracle(m, q_params, n_trials=args.trials, seed=args.seed, tol=args.tol, plan=plan)
             sweep.append({"scale_bits": bits, "mean_abs_err": q_result["mean_abs_err"], "max_abs_err": q_result["max_abs_err"]})
         errors = [entry["mean_abs_err"] for entry in sweep]
         doc["scale_sweep"] = sweep
@@ -295,8 +296,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    m, params, trace, _ = _prepare(args, weights=False)  # the plan refuses a bad --align, or a footprint it pushes past the slots
-    metrics = engine.ledger_metrics(m, params, trace=trace)
+    m, params, plan = _prepare(args, weights=False)  # the plan refuses a bad --align, or a footprint it pushes past the slots
+    metrics = engine.ledger_metrics(m, params, trace=plan.trace)
     if args.depth_sweep is not None:
         depths = _int_list(args.depth_sweep, "--depth-sweep")
         rows = [(d, engine.estimate_cost(metrics, params, depth_override=d)) for d in depths]

@@ -1,13 +1,14 @@
 """Inference driver, operation metrics, and the cost model.
 
-:func:`infer` validates the model, encrypts packed inputs, aligns the level
-budget, applies every layer's slot construction along the validation's
-layout trace, and decrypts the batch, collecting one metrics row per layer:
+:func:`infer` runs a model along the layout trace of the plan made for it,
+which it re-checks against the parameters, since a plan can outlive them
+(the CLI's scale sweep runs fixed-point parameters on the float plan).  It
+encrypts packed inputs, aligns the level budget, applies every layer's slot
+construction, and decrypts the batch, collecting one metrics row per layer:
 the ``(kind, level)`` histogram the backend's counter recorded for it, and
-its price.  The op ledger does not
-depend on slot values, so :func:`ledger_metrics` builds the same rows
-without a run, from the closed-form ledger of each layer class along one
-:func:`~slotcnn.model.trace_layout` walk, which the caller may hand over.
+its price.  The op ledger does not depend on slot values, so
+:func:`ledger_metrics` builds the same rows without a run, from the
+closed-form ledger of each layer class along a plan's trace.
 Costs are priced from per-level operation histograms, so
 :func:`estimate_cost` can re-price a finished run under a different level
 budget without re-running it.
@@ -138,11 +139,14 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
     """Run one encrypted inference over a packed batch.
 
     ``packed_inputs`` is the per-channel plain vector list produced by
-    :func:`slotcnn.packing.batch_pack`.  Returns ``(outputs, metrics)``
-    where ``outputs`` has one flat vector per sample slot (``n_samples``
-    of them, or one per batch offset when not given).
+    :func:`slotcnn.packing.batch_pack`, and a plan made for another model
+    than ``m`` is refused.  Returns ``(outputs, metrics)`` where ``outputs``
+    has one flat vector per sample slot (``n_samples`` of them, or one per
+    batch offset when not given).
     """
-    report = validate(m, params)
+    if plan.model is not m:
+        raise SlotCnnError(f"the packing plan was made for another model than {m.name!r}")
+    report = validate(m, params, trace=plan.trace)
     if not report.ok:
         lines = "; ".join(v["message"] for v in report.violations)
         raise SlotCnnError(f"model failed validation: {lines}")
@@ -159,10 +163,10 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
         before = backend.counter.snapshot()
         state = drop_level(backend, state, total_mults)
         per_layer.append(_live_row(LevelAlignment, "Drop Level", before, backend, state.level, cost_model, n))
-    for layer, static in zip(m.layers, report.trace):
+    for row in plan.trace:
         before = backend.counter.snapshot()
-        state = apply_layer(backend, state, layer)
-        per_layer.append(_live_row(LayerMetrics, static.name, before, backend, state.level, cost_model, n))
+        state = apply_layer(backend, state, row.layer)
+        per_layer.append(_live_row(LayerMetrics, row.name, before, backend, state.level, cost_model, n))
 
     decrypted = backend.decrypt(state.ct)
     final = state.layout
@@ -225,6 +229,7 @@ def ledger_metrics(m: ModelSpec, params, cost_model=None, trace=None) -> OpMetri
 def run_inference(m: ModelSpec, samples, params, alignment: int = 1, plan=None, cost_model=None, backend=None):
     """Plan, pack, and infer a batch of raw samples.
 
+    ``plan`` is ``m``'s footprint, planned at ``alignment`` when not given.
     Returns ``(outputs, metrics, plan)``.
     """
     if len(samples) == 0:
@@ -261,19 +266,19 @@ def estimate_cost(metrics: OpMetrics, params, depth_override=None, cost_model=No
     return total
 
 
-def verify_against_oracle(m: ModelSpec, params, n_trials: int = 20, seed: int = 0, tol: float = 1e-9, alignment: int = 1) -> dict:
+def verify_against_oracle(m: ModelSpec, params, n_trials: int = 20, seed: int = 0, tol: float = 1e-9, plan=None) -> dict:
     """Compare batched encrypted inference against the plaintext oracle.
 
     Draws ``n_trials`` uniform random samples, runs them through the slot
-    schedule in capacity-sized batches, and reports the worst and mean
-    absolute output error plus the argmax agreement rate.  Raises
-    ``ValueError`` when ``n_trials`` is below one, since a check of zero
-    samples proves nothing.
+    schedule in batches the size of ``plan``, ``m``'s footprint, and reports
+    the worst and mean absolute output error plus the argmax agreement rate.
+    Raises ``ValueError`` when ``n_trials`` is below one, since a check of
+    zero samples proves nothing.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     rng = np.random.default_rng(seed)
-    plan = packing.footprint(m, params, alignment)
+    plan = plan or packing.footprint(m, params)
     errors = []
     agree = 0
     while len(errors) < n_trials:

@@ -67,7 +67,6 @@ __all__ = [
     "valid_positions",
     "drop_level",
     "apply_layer",
-    "fc_operation_counts",
     "RELU_COEFFS",
 ]
 
@@ -152,15 +151,12 @@ def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState
     return CipherState(ct, state.layout)
 
 
-def fc_operation_counts(dat_in: int, dat_out: int) -> dict:
-    """Operation census of the fully connected schedule for given sizes."""
-    reps = math.ceil(dat_in / dat_out)
-    return {
-        "rotation_indices": dat_out,
-        "masked_mults": 2 * dat_out,
-        "fold_rotations": reps,
-        "nontrivial_rotations": dat_out + reps - 1,
-    }
+def _headroom(flattened: bool, after: LayoutState, rows: bool = True):
+    """Stride head-room of a conv or pool before the flatten: its outputs, spread back onto the image grid, fit in it."""
+    fits = after.w_in * after.interval <= after.w_img and (not rows or after.h_in * after.interval <= after.h_img)
+    if not (flattened or fits):
+        yield "stride_headroom", (f"layer output {after.h_in}x{after.w_in} at interval {after.interval} "
+                                  f"exceeds the {after.h_img}x{after.w_img} image grid")
 
 
 def _as_array(data, shape, what: str) -> np.ndarray:
@@ -176,16 +172,21 @@ class Layer:
     ``kind`` is the JSON tag, ``label`` the report name (FCs are numbered),
     ``shapes`` the weight shapes in :func:`~slotcnn.model.builtin`'s draw
     order, ``rules`` the ``(rule, message)`` pairs the layer breaks on its own.
-    ``step(layout)`` returns ``(layout after, levels used)`` or raises a shape
-    error, and ``forward`` is the plaintext oracle.  ``schedule(backend,
-    state)`` runs the layer on a :class:`CipherState` and returns the state
-    it leaves.  ``ledger(layout, level)`` lists the ``(kind, level, count)``
-    op records the schedule makes when it reads ``layout`` at ``level``, each
-    kind and level first in the order the schedule first records it; a count
-    may be 0, for an op it does not make.  ``slot_needs(layout, name)`` lists
-    the ``{"layer", "slots"}`` entries of the slot prefix, counted from a
-    sample's offset, the schedule needs when it reads ``layout``; a layer
-    that stays inside the input image lists none.
+    ``place(flattened)`` takes whether a flatten comes before the layer and
+    returns whether one has come by its end, or raises :class:`NotFlattened`
+    where the layer may not stand; ``layout_rules(flattened, after)`` lists
+    the ``(rule, message)`` pairs the layer breaks where it stands, given
+    that and the layout it leaves.  ``step(layout)`` returns ``(layout
+    after, levels used)`` or raises a shape error, and ``forward`` is the
+    plaintext oracle.  ``schedule(backend, state)`` runs the layer on a
+    :class:`CipherState` and returns the state it leaves.  ``ledger(layout,
+    level)`` lists the ``(kind, level, count)`` op records the schedule
+    makes when it reads ``layout`` at ``level``, each kind and level first
+    in the order the schedule first records it; a count may be 0, for an op
+    it does not make.  ``slot_needs(layout, name)`` lists the ``{"layer",
+    "slots"}`` entries of the slot prefix, counted from a sample's offset,
+    the schedule needs when it reads ``layout``; a layer that stays inside
+    the input image lists none.
     """
 
     @property
@@ -201,6 +202,14 @@ class Layer:
             setattr(self, name, _as_array(getattr(self, name), shape, f"{self.kind} {name}"))
 
     def rules(self):
+        return ()
+
+    @staticmethod
+    def place(flattened: bool) -> bool:
+        return flattened
+
+    @staticmethod
+    def layout_rules(flattened: bool, after: LayoutState):
         return ()
 
     @staticmethod
@@ -224,6 +233,8 @@ class _Conv(Layer):
             yield "kernel_stride", f"stride must be at least 1, got {self.stride}"
         elif self.kernel < self.stride:
             yield "kernel_stride", f"kernel {self.kernel} must be at least the stride {self.stride}"
+
+    layout_rules = staticmethod(_headroom)
 
     def step(self, lay: LayoutState):
         kh, kw = self.kernel_hw
@@ -318,6 +329,11 @@ class Conv1d(_Conv):
     def shapes(args) -> dict:
         return {"weights": (args["ch_out"], args["ch_in"], args["kernel"]), "bias": (args["ch_out"],)}
 
+    @staticmethod
+    def layout_rules(flattened: bool, after: LayoutState):
+        """Only the width bound: a width-only convolution never strides vertically."""
+        return _headroom(flattened, after, rows=False)
+
     def step(self, lay: LayoutState):
         if lay.h_in != 1:
             raise ShapeMismatch(f"conv1d requires height 1, input has height {lay.h_in}")
@@ -335,6 +351,8 @@ class AvgPool2d(Layer):
     def rules(self):
         if self.kernel < 1:
             yield "kernel_stride", f"pool kernel must be at least 1, got {self.kernel}"
+
+    layout_rules = staticmethod(_headroom)
 
     def step(self, lay: LayoutState):
         c = self.kernel
@@ -457,6 +475,15 @@ class Flatten(Layer):
     kind = "flatten"
 
     @staticmethod
+    def place(flattened: bool) -> bool:
+        return True
+
+    @staticmethod
+    def layout_rules(flattened: bool, after: LayoutState):
+        if flattened:
+            yield "flatten_structure", "at most one flatten layer is supported"
+
+    @staticmethod
     def dispatch(lay: LayoutState):
         """Decide which flatten steps the layout flatten reads needs.
 
@@ -571,6 +598,12 @@ class FC(Layer):
     def shapes(args) -> dict:
         return {"weights": (args["dat_out"], args["dat_in"]), "bias": (args["dat_out"],)}
 
+    @staticmethod
+    def place(flattened: bool) -> bool:
+        if not flattened:
+            raise NotFlattened("a fully connected layer requires a preceding flatten")
+        return True
+
     def step(self, lay: LayoutState):
         if not (lay.interval == 1 and lay.h_in == 1 and lay.channels == 1):
             raise NotFlattened("fully connected layer requires a flattened input")
@@ -620,10 +653,9 @@ class FC(Layer):
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """Diagonal rotations and their two masked products each, then the wrap correction, folds and bias."""
-        counts = fc_operation_counts(self.dat_in, self.dat_out)
-        diagonals = counts["rotation_indices"] - 1  # diagonal 0 is the input itself
-        folds = counts["fold_rotations"]  # the wrap correction, then one rotation per fold after the first
-        return [("pt_mult", level, counts["masked_mults"]), ("rotation", level, diagonals), ("add", level - 1, 2 * diagonals),
+        diagonals = self.dat_out - 1  # diagonal 0 is the input itself
+        folds = math.ceil(self.dat_in / self.dat_out)  # the wrap correction, then one rotation per fold after the first
+        return [("pt_mult", level, 2 * self.dat_out), ("rotation", level, diagonals), ("add", level - 1, 2 * diagonals),
                 ("rotation", level - 1, folds), ("add", level - 1, folds + 1)]
 
     def slot_needs(self, lay: LayoutState, name: str) -> list:

@@ -1,14 +1,15 @@
-"""Model descriptions: validation, depth accounting, the plaintext inference
+"""Model descriptions: validation, the layout trace, the plaintext inference
 oracle, JSON (de)serialization and the built-in architectures.
 
 A model is a :class:`ModelSpec`, a plain sequence of the layer classes of
 :mod:`slotcnn.layers` over a ``channels x height x width`` input; each class
-owns its type's layout step, slot schedule, op ledger, slot needs and
-plaintext forward pass.  :func:`trace_layout` walks the steps from the input
-layout, the same steps every slot schedule takes its output layout and its
-shape errors from, so the static depth budget can never drift from what
-actually executes.  :func:`validate` adds the rules that span layers: flatten
-placement, stride head-room, the level budget and the slot footprint, which
+owns its type's layout step, placement and head-room rules, slot schedule,
+op ledger, slot needs and plaintext forward pass.  :func:`trace_layout` walks
+the steps from the input layout, the same steps every slot schedule takes its
+output layout and its shape errors from, so the static depth budget can never
+drift from what actually executes.  :func:`validate` checks each layer's own
+rules and, along that trace, the rules of where it stands, then the two rules
+of the whole model: the level budget and the slot footprint, which
 :func:`slot_sizes` collects from the layers' slot needs.
 """
 
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonDivisibleDims, NotFlattened, ParseError, ShapeMismatch, SlotCnnError, UnknownModel
-from .layers import FC, LAYER_TYPES, AvgPool2d, Conv1d, Conv2d, Flatten, Layer, LayoutState
+from .layers import FC, LAYER_TYPES, Layer, LayoutState
 
 __all__ = [
     "ModelSpec",
@@ -30,10 +31,8 @@ __all__ = [
     "ValidationReport",
     "trace_layout",
     "slot_sizes",
-    "mult_depth",
     "validate",
     "reference_infer",
-    "layer_forward",
     "load_model",
     "model_from_dict",
     "model_to_dict",
@@ -75,7 +74,7 @@ class ModelSpec:
 
 
 class LayerTrace(NamedTuple):
-    """Static facts of one layer, derived by :func:`trace_layout`: its levels and the layouts it reads and leaves."""
+    """Static facts of one layer, derived by :func:`trace_layout`: its levels, the layouts it reads and leaves, and whether a flatten precedes it."""
 
     index: int
     layer: Layer
@@ -83,11 +82,7 @@ class LayerTrace(NamedTuple):
     mults: int
     before: LayoutState
     after: LayoutState
-
-    w_out = property(lambda self: self.after.w_in)
-    h_out = property(lambda self: self.after.h_in)
-    ch_out = property(lambda self: self.after.channels)
-    interval_out = property(lambda self: self.after.interval)
+    flattened: bool
 
 
 def trace_layout(m: ModelSpec) -> list:
@@ -95,8 +90,8 @@ def trace_layout(m: ModelSpec) -> list:
 
     Raises :class:`ShapeMismatch`, :class:`NonDivisibleDims`, or
     :class:`NotFlattened` (each tagged with ``layer_index``) when the layer
-    sequence does not chain.  A fully connected layer also needs a flatten
-    somewhere before it.
+    sequence does not chain, or a layer stands where its class's ``place``
+    refuses it, as a fully connected layer with no flatten before it.
     """
     lay = m.input_layout()
     flattened = False
@@ -104,19 +99,17 @@ def trace_layout(m: ModelSpec) -> list:
     rows = []
     for idx, layer in enumerate(m.layers):
         name = layer.label
+        if isinstance(layer, FC):  # numbered in reports
+            fc_count += 1
+            name += str(fc_count)
         try:
-            if isinstance(layer, FC):  # numbered in reports, and only valid after a flatten
-                if not flattened:
-                    raise NotFlattened("fully connected layer requires a flattened input")
-                fc_count += 1
-                name += str(fc_count)
+            placed = layer.place(flattened)
             after, mults = layer.step(lay)
         except SlotCnnError as err:
             err.layer_index = idx
             raise
-        flattened = flattened or isinstance(layer, Flatten)
-        rows.append(LayerTrace(idx, layer, name, mults, lay, after))
-        lay = after
+        rows.append(LayerTrace(idx, layer, name, mults, lay, after, flattened))
+        flattened, lay = placed, after
     return rows
 
 
@@ -125,16 +118,6 @@ def slot_sizes(m: ModelSpec, rows) -> list:
     return [{"layer": "input", "slots": m.width * m.height}] + [
         need for row in rows for need in row.layer.slot_needs(row.before, row.name)
     ]
-
-
-def mult_depth(m: ModelSpec):
-    """Per-layer and total multiplicative level consumption.
-
-    Returns ``(per_layer, total)`` where ``per_layer`` has one count per
-    model layer.  The model must chain structurally.
-    """
-    per_layer = [row.mults for row in trace_layout(m)]
-    return per_layer, sum(per_layer)
 
 
 @dataclass
@@ -147,11 +130,12 @@ class ValidationReport:
     violations: list = field(default_factory=list)
 
 
-def validate(m: ModelSpec, params) -> ValidationReport:
+def validate(m: ModelSpec, params, trace=None) -> ValidationReport:
     """Check a model against the structural and capacity rules.
 
     Collected violations each carry the layer index (or ``None`` for
     model-wide rules), a short machine-readable rule name, and a message.
+    ``trace`` is ``m``'s :func:`trace_layout` rows, walked here when not given.
     """
     violations = []
 
@@ -161,77 +145,42 @@ def validate(m: ModelSpec, params) -> ValidationReport:
     for idx, layer in enumerate(m.layers):
         for rule, message in layer.rules():
             flag(idx, rule, message)
+    rows = trace
+    if rows is None:
+        try:
+            rows = trace_layout(m)
+        except (ShapeMismatch, NonDivisibleDims, NotFlattened) as err:
+            # A fully connected layer that reads no flattened vector is a flatten placement fault.
+            flag(err.layer_index, "flatten_structure" if isinstance(err, NotFlattened) else "shape", str(err))
+            return ValidationReport(ok=False, total_mults=0, trace=[], violations=violations)
 
-    flat_positions = [i for i, l in enumerate(m.layers) if isinstance(l, Flatten)]
-    fc_positions = [i for i, l in enumerate(m.layers) if isinstance(l, FC)]
-    if len(flat_positions) > 1:
-        flag(flat_positions[1], "flatten_structure", "at most one flatten layer is supported")
-    if fc_positions:
-        if not flat_positions:
-            flag(fc_positions[0], "flatten_structure", "a fully connected layer requires a preceding flatten")
-        elif flat_positions[0] > fc_positions[0]:
-            flag(fc_positions[0], "flatten_structure", "the flatten layer must come before the first fully connected layer")
-
-    rows = None
-    total = 0
-    try:
-        rows = trace_layout(m)
-        total = sum(r.mults for r in rows)
-    except (ShapeMismatch, NonDivisibleDims, NotFlattened) as err:
-        flag(getattr(err, "layer_index", None), "shape", str(err))
-
-    if rows is not None:
-        if total > params.depth:
-            flag(None, "depth_budget", f"depth budget exceeded: model needs {total} levels, parameters provide {params.depth}")
-        # Stride head-room: every strided layer's outputs before the flatten,
-        # spread back onto the original image grid, must still fit inside it.
-        for row in rows:
-            if isinstance(row.layer, Flatten):
-                break
-            if isinstance(row.layer, (Conv2d, Conv1d, AvgPool2d)):
-                # A width-only convolution never strides vertically, so only
-                # the width bound applies on single-row layouts.
-                height_ok = isinstance(row.layer, Conv1d) or row.h_out * row.interval_out <= m.height
-                if not height_ok or row.w_out * row.interval_out > m.width:
-                    flag(
-                        row.index,
-                        "stride_headroom",
-                        f"layer output {row.h_out}x{row.w_out} at interval {row.interval_out} "
-                        f"exceeds the {m.height}x{m.width} image grid",
-                    )
-        need = max(entry["slots"] for entry in slot_sizes(m, rows))
-        if need > params.num_slots:
-            flag(None, "footprint", f"a single sample needs {need} slots, ciphertext has {params.num_slots}")
-
-    return ValidationReport(ok=not violations, total_mults=total, trace=rows or [], violations=violations)
+    total = sum(row.mults for row in rows)
+    if total > params.depth:
+        flag(None, "depth_budget", f"depth budget exceeded: model needs {total} levels, parameters provide {params.depth}")
+    for row in rows:
+        for rule, message in row.layer.layout_rules(row.flattened, row.after):
+            flag(row.index, rule, message)
+    need = max(entry["slots"] for entry in slot_sizes(m, rows))
+    if need > params.num_slots:
+        flag(None, "footprint", f"a single sample needs {need} slots, ciphertext has {params.num_slots}")
+    return ValidationReport(ok=not violations, total_mults=total, trace=rows, violations=violations)
 
 
 # -- plaintext oracle ------------------------------------------------------
 
 
-def layer_forward(layer, x: np.ndarray) -> np.ndarray:
-    """Exact plaintext forward pass of one layer.
-
-    ``x`` is ``(channels, height, width)`` before flatten and 1-D after.
-    Accumulation orders mirror the slot schedules term for term, so layer
-    outputs agree bit for bit wherever the schedule's deferred constants are
-    powers of two.  That includes fully connected layers: ``FC.forward`` sums
-    each dot product in the association order of the rotate-mask-fold
-    schedule, not in a plain matrix product's.
-    """
-    if not isinstance(layer, Layer):
-        raise ParseError(f"unknown layer type {type(layer).__name__}")
-    return layer.forward(x)
-
-
 def reference_infer(m: ModelSpec, sample) -> np.ndarray:
-    """Run the model on one plaintext sample and return the flat output vector."""
+    """Run the model on one plaintext sample and return the flat output vector.
+
+    Each layer's ``forward`` sums in its slot schedule's order, FC's too, so
+    outputs agree bit for bit wherever deferred constants are powers of two.
+    """
     x = np.asarray(sample, dtype=np.float64)
     expected = (m.channels, m.height, m.width)
     if x.shape != expected:
         raise ShapeMismatch(f"sample shape {x.shape} does not match model input {expected}")
     for layer in m.layers:
-        x = layer_forward(layer, x)
+        x = layer.forward(x)
     return x.reshape(-1)
 
 

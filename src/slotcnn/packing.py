@@ -11,12 +11,16 @@ gives the per-sample stride; whatever multiple of it fits into the slot
 count is the batch capacity.  Packing then just lays samples out at those
 offsets, and every layer construction applies its masks at the same offsets
 so all samples ride through one schedule.
+
+The :class:`PackPlan` is the one compiled form of a model under its
+parameters: it also keeps the model and the layout trace it was planned
+from, which inference and pricing read instead of walking the layers again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,19 +28,20 @@ from .errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, Oversiz
 from .he_backend import PlainVector
 from .model import ModelSpec, slot_sizes, trace_layout
 
-__all__ = ["PackPlan", "flatten_input", "footprint", "batch_pack", "batch_unpack"]
+__all__ = ["PackPlan", "flatten_input", "footprint", "batch_pack"]
 
 
 @dataclass(frozen=True)
 class PackPlan:
-    """Result of footprint planning for one model under one parameter set."""
+    """Result of footprint planning for ``model`` under one parameter set, with its layout ``trace``."""
 
     footprint: int
-    alignment: int
     capacity: int
     offsets: tuple
     per_layer_sizes: tuple
     num_slots: int
+    model: ModelSpec = field(repr=False)
+    trace: tuple = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -65,7 +70,8 @@ def footprint(m: ModelSpec, params, alignment: int = 1, trace=None) -> PackPlan:
     """
     if alignment < 1:
         raise ValueError(f"alignment must be at least 1, got {alignment}")
-    sizes = slot_sizes(m, trace_layout(m) if trace is None else trace)
+    trace = tuple(trace_layout(m) if trace is None else trace)
+    sizes = slot_sizes(m, trace)
     raw = max(entry["slots"] for entry in sizes)
     aligned = math.ceil(raw / alignment) * alignment
     n = params.num_slots
@@ -75,11 +81,12 @@ def footprint(m: ModelSpec, params, alignment: int = 1, trace=None) -> PackPlan:
     offsets = tuple(i * aligned for i in range(capacity))
     return PackPlan(
         footprint=aligned,
-        alignment=alignment,
         capacity=capacity,
         offsets=offsets,
         per_layer_sizes=tuple(sizes),
         num_slots=n,
+        model=m,
+        trace=trace,
     )
 
 
@@ -114,9 +121,3 @@ def batch_pack(samples, plan: PackPlan) -> list:
             combined[ch][plan.offsets[i] : plan.offsets[i] + vec.size] += vec
     return [PlainVector(vec) for vec in combined]
 
-
-def batch_unpack(values, plan: PackPlan, out_dim: int, count=None) -> list:
-    """Slice one decrypted slot vector back into per-sample output vectors."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    offsets = plan.offsets if count is None else plan.offsets[:count]
-    return [arr[off : off + out_dim].copy() for off in offsets]

@@ -22,13 +22,12 @@ from slotcnn import (
     builtin,
     builtin_names,
     estimate_cost,
-    mult_depth,
     reference_infer,
     run_inference,
     trace_layout,
     verify_against_oracle,
 )
-from slotcnn.layers import apply_layer, fc_operation_counts
+from slotcnn.layers import apply_layer
 from slotcnn.packing import footprint
 
 DEFAULT = HEParams()
@@ -94,7 +93,7 @@ def test_depth_accounting():
     ok = True
     for name in builtin_names():
         m = builtin(name)
-        _, total = mult_depth(m)
+        total = sum(row.mults for row in trace_layout(m))
         if total != DEPTH_TOTALS[name]:
             ok = False
             break
@@ -145,13 +144,10 @@ def test_operation_counts():
         and conv_rows[1].pt_mults == 4 * 12 * 25
     )
 
-    counts = fc_operation_counts(64, 10)
-    fc_static_ok = counts == {
-        "rotation_indices": 10,
-        "masked_mults": 20,
-        "fold_rotations": 7,
-        "nontrivial_rotations": 16,
-    }
+    # M1's FC2 (64 -> 10): 9 diagonal rotations and 20 masked products, then the wrap correction and 6 more folds.
+    fc_row = trace_layout(builtin("M1"))[-1]
+    fc_static_ok = fc_row.layer.ledger(fc_row.before, 2) == [
+        ("pt_mult", 2, 20), ("rotation", 2, 9), ("add", 1, 18), ("rotation", 1, 7), ("add", 1, 8)]
 
     m1 = builtin("M1")
     _, metrics1, _ = run_inference(m1, random_samples(m1, 1, 3), DEFAULT)
@@ -204,7 +200,7 @@ def test_grid_headroom_fuzz():
             violations += 1
             continue
         for row in rows:
-            if row.h_out * row.interval_out > h or row.w_out * row.interval_out > w:
+            if row.after.h_in * row.after.interval > h or row.after.w_in * row.after.interval > w:
                 violations += 1
                 break
     report(

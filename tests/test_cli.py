@@ -344,6 +344,16 @@ class TestBadModelFiles:
         assert code == 2 and out == ""
         assert "(layer 0, kernel_stride)" in err and "(layer 0, shape): conv1d stride must be at least 1" in err
 
+    @pytest.mark.parametrize("layers", [["fc"], ["fc", "flatten"]], ids=["no-flatten", "flatten-after"])
+    def test_placement_fault_printed_once(self, capsys, tmp_path, layers):
+        entries = {"fc": {"type": "fc", "in": 4, "out": 2, "weights": [0.5] * 8, "bias": [0.0, 0.0]}, "flatten": {"type": "flatten"}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"name": "x", "input": {"channels": 1, "height": 1, "width": 4},
+                                    "layers": [entries[kind] for kind in layers]}))
+        code, out, err = run_cli(capsys, "plan", "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == "invalid (layer 0, flatten_structure): a fully connected layer requires a preceding flatten\n"
+
     @pytest.mark.parametrize("layer,value", [(0, float("nan")), (3, 1e308)])
     def test_non_finite_error_fails_verify(self, capsys, tmp_path, layer, value):
         path = self.model_file(tmp_path, "M1", layer, "weights", value)
@@ -471,17 +481,22 @@ class TestWalkCounts:
     def test_validate_walks_once(self, walks):
         assert validate(builtin("M1"), HEParams()).ok and len(walks) == 1
 
-    def test_run_inference_with_a_plan_walks_once(self, walks):
+    def test_run_inference_with_a_plan_walks_none(self, walks):
         m, params = builtin("M1"), HEParams()
         plan = footprint(m, params)
         walks.clear()
         run_inference(m, np.zeros((2, 1, 28, 28)), params, plan=plan)
+        assert len(walks) == 0
+
+    def test_run_inference_without_a_plan_walks_once(self, walks):
+        run_inference(builtin("M1"), np.zeros((2, 1, 28, 28)), HEParams())
         assert len(walks) == 1
 
-    @pytest.mark.parametrize("command,most", [("plan", 1), ("bench", 1), ("run", 3)])
-    def test_cli_walks(self, capsys, walks, command, most):
-        code, _, _ = run_cli(capsys, command, "--builtin", "M1")
-        assert code == 0 and 1 <= len(walks) <= most
+    @pytest.mark.parametrize("command,count", [("plan", 1), ("bench", 1), ("run", 1), ("verify --trials 20", 1),
+                                              ("verify --trials 20 --scale-sweep 20,24", 1)])
+    def test_cli_walks(self, capsys, walks, command, count):
+        code, _, _ = run_cli(capsys, *command.split(), "--builtin", "M1")
+        assert code == 0 and len(walks) == count
 
 
 class TestPinnedBytes:

@@ -34,7 +34,6 @@ from slotcnn import (
     footprint,
     infer,
     ledger_metrics,
-    mult_depth,
     reference_infer,
     run_inference,
     trace_layout,
@@ -295,7 +294,7 @@ class TestCountingLedger:
     @pytest.mark.parametrize("name", builtin_names())
     def test_builtins(self, name, quantize):
         m = builtin(name)
-        for depth in range(mult_depth(m)[1], MAX_SWEEP_DEPTH + 1):
+        for depth in range(validate(m, PARAMS).total_mults, MAX_SWEEP_DEPTH + 1):
             params = HEParams(depth=depth, quantize=quantize, scale_bits=32)
             assert_static_equals_live(m, params, rand_samples(m, 2, seed=7))
 
@@ -434,7 +433,8 @@ class TestRandomStackProperties:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_static_level_trace_equals_live_trace(self, seed):
         m, params, plan, xs = fuzz_case(seed)
-        per_layer, total = mult_depth(m)
+        per_layer = [row.mults for row in plan.trace]
+        total = sum(per_layer)
         _, metrics, _ = run_inference(m, xs[:1], params, plan=plan)
         static = list(itertools.accumulate(per_layer, lambda level, used: level - used, initial=total))
         assert [row.level_after for row in metrics.per_layer] == (static if m.layers else [])  # no Drop Level row when empty
@@ -517,6 +517,34 @@ class TestFlattenPreSumReach:
             want = reference_infer(m, x)
             assert solo[0].tobytes() == want.tobytes(), f"sample {i}"
             assert batched[i].tobytes() == want.tobytes(), f"sample {i}"
+
+
+class TestPlanBelongsToModel:
+    """A plan carries the model and layout trace it was made from; inference reads them instead of walking the layers."""
+
+    def test_plan_of_another_model_refused_before_any_op(self):
+        m, params = presum_models()[0], HEParams(poly_degree=2048)
+        other = ModelSpec(name="square", channels=1, height=1, width=15, layers=(Square(),))
+        foreign = footprint(other, params)
+        assert foreign.footprint == 15 and footprint(m, params).footprint == 27
+        backend = Backend(params)
+        xs = np.random.default_rng(1).uniform(0.0, 1.0, size=(2, 1, 1, 15))
+        with pytest.raises(SlotCnnError, match="plan was made for another model"):
+            run_inference(m, xs, params, plan=foreign, backend=backend)
+        assert backend.counter.by_level == {}
+
+    def test_plan_made_under_a_larger_budget_is_rechecked(self):
+        m = builtin("M1")
+        plan = footprint(m, PARAMS)
+        with pytest.raises(SlotCnnError, match="model failed validation: depth budget exceeded"):
+            run_inference(m, rand_samples(m, 1), HEParams(depth=6), plan=plan)
+
+    def test_infer_runs_the_plans_trace(self):
+        m = builtin("M1")
+        plan = footprint(m, PARAMS)
+        assert plan.model is m and [row.layer for row in plan.trace] == list(m.layers)
+        _, metrics, _ = run_inference(m, rand_samples(m, 1), PARAMS, plan=plan)
+        assert [row.name for row in metrics.per_layer[1:]] == [row.name for row in plan.trace]
 
 
 class TestMemory:

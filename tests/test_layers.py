@@ -21,8 +21,6 @@ from slotcnn import (
     Square,
     apply_layer,
     drop_level,
-    fc_operation_counts,
-    layer_forward,
     valid_positions,
 )
 from slotcnn.errors import (
@@ -123,7 +121,7 @@ class TestConv2d:
         state = build_state(be, lay, x, gap_rng=gap_rng)
         layer = rand_conv2d(rng, ch_in, ch_out, kernel, stride)
         out = apply_layer(be, state, layer)
-        want = layer_forward(layer, x)
+        want = layer.forward(x)
         assert np.array_equal(read_state(be, out), want)
         assert out.layout.interval == interval * stride
         assert out.layout.pending_const == 1.0 and out.layout.gaps_zero
@@ -187,7 +185,7 @@ class TestConv1d:
         x = rng.uniform(-1, 1, (2, 1, 16))
         layer = rand_conv1d(rng, 2, 3, 2, 2)
         out = apply_layer(be, build_state(be, lay, x), layer)
-        assert np.array_equal(read_state(be, out), layer_forward(layer, x))
+        assert np.array_equal(read_state(be, out), layer.forward(x))
         assert (out.layout.h_in, out.layout.w_in, out.layout.interval) == (1, 8, 2)
 
     def test_strided_layout_with_pending(self):
@@ -197,7 +195,7 @@ class TestConv1d:
         x = rng.uniform(-1, 1, (1, 1, 8))
         layer = rand_conv1d(rng, 1, 2, 2, 2)
         out = apply_layer(be, build_state(be, lay, x, gap_rng=np.random.default_rng(1)), layer)
-        assert np.array_equal(read_state(be, out), layer_forward(layer, x))
+        assert np.array_equal(read_state(be, out), layer.forward(x))
         assert out.layout.interval == 4
 
     def test_rejects_two_dim_layout(self):
@@ -232,7 +230,7 @@ class TestAvgPool:
         lay = single_layout(channels, 6, 6)
         x = rng.uniform(-1, 1, (channels, 6, 6))
         out = apply_layer(be, build_state(be, lay, x), AvgPool2d(kernel=c))
-        assert np.array_equal(read_state(be, out), layer_forward(AvgPool2d(kernel=c), x))
+        assert np.array_equal(read_state(be, out), AvgPool2d(kernel=c).forward(x))
 
     def test_zero_multiplications(self):
         be = make_backend()
@@ -286,7 +284,7 @@ class TestApproxReLU:
         x = rng.uniform(-1, 1, (2, 3, 3))
         layer = ApproxReLU()
         out = apply_layer(be, build_state(be, lay, x, gap_rng=np.random.default_rng(2)), layer)
-        assert np.array_equal(read_state(be, out), layer_forward(layer, x))
+        assert np.array_equal(read_state(be, out), layer.forward(x))
         assert out.layout.pending_const == 1.0 and out.layout.gaps_zero
         assert np.all(gap_slots(be, out) == 0.0)
 
@@ -417,26 +415,28 @@ class TestFC:
         assert np.array_equal(read_state(be, out).reshape(-1), layer.forward(x))
 
     def test_operation_counts_64_10(self):
-        counts = fc_operation_counts(64, 10)
-        assert counts == {
-            "rotation_indices": 10,
-            "masked_mults": 20,
-            "fold_rotations": 7,
-            "nontrivial_rotations": 16,
-        }
         rng = np.random.default_rng(55)
         be = make_backend()
         lay = flat_layout(64, 128)
         state = build_state(be, lay, rng.uniform(-1, 1, (1, 1, 64)))
-        out = apply_layer(be, state, rand_fc(rng, 64, 10))
+        layer = rand_fc(rng, 64, 10)
+        level = SMALL_PARAMS.depth
+        # 9 diagonal rotations with 2 masked products each, then the wrap correction and 6 more folds.
+        assert layer.ledger(lay, level) == [("pt_mult", level, 20), ("rotation", level, 9), ("add", level - 1, 18),
+                                            ("rotation", level - 1, 7), ("add", level - 1, 8)]
+        out = apply_layer(be, state, layer)
         assert be.counter.rotations == 16
         assert be.counter.pt_mults == 20
         assert out.level == SMALL_PARAMS.depth - 1
 
     def test_rotation_indices_follow_output_size(self):
-        assert fc_operation_counts(648, 64)["rotation_indices"] == 64
-        assert fc_operation_counts(648, 64)["fold_rotations"] == 11
-        assert fc_operation_counts(192, 10)["nontrivial_rotations"] == 29
+        """One rotation per diagonal but the 0th, then ``ceil(dat_in / dat_out)`` folds, the wrap correction included."""
+        def rotations(d_in, d_out):
+            ledger = rand_fc(np.random.default_rng(0), d_in, d_out).ledger(flat_layout(d_in, d_in), 3)
+            return [count for kind, _, count in ledger if kind == "rotation"]
+
+        assert rotations(648, 64) == [63, 11]
+        assert rotations(192, 10) == [9, 20]
 
     def test_requires_flat_layout(self):
         rng = np.random.default_rng(57)
@@ -570,5 +570,5 @@ class TestLayerChain:
         state = apply_layer(be, state, fc_layer)
         want = x
         for layer in (conv_layer, pool_layer, Square(), Flatten(), fc_layer):
-            want = layer_forward(layer, want)
+            want = layer.forward(want)
         assert np.array_equal(read_state(be, state).reshape(-1), want)

@@ -20,11 +20,9 @@ from slotcnn import (
     Square,
     builtin,
     builtin_names,
-    layer_forward,
     load_model,
     model_from_dict,
     model_to_dict,
-    mult_depth,
     reference_infer,
     run_inference,
     trace_layout,
@@ -159,14 +157,14 @@ class TestBuiltins:
 class TestDepthAccounting:
     @pytest.mark.parametrize("name", sorted(DEPTH_TOTALS))
     def test_totals(self, name):
-        per_layer, total = mult_depth(builtin(name))
-        assert total == DEPTH_TOTALS[name]
-        assert per_layer == DEPTH_VECTORS[name]
+        report = validate(builtin(name), HEParams())
+        assert report.total_mults == DEPTH_TOTALS[name]
+        assert [row.mults for row in report.trace] == DEPTH_VECTORS[name]
 
     @pytest.mark.parametrize("name", sorted(FLATTEN_MULTS))
     def test_flatten_contribution(self, name):
         m = builtin(name)
-        per_layer, _ = mult_depth(m)
+        per_layer = [row.mults for row in trace_layout(m)]
         idx = next(i for i, l in enumerate(m.layers) if isinstance(l, Flatten))
         assert per_layer[idx] == FLATTEN_MULTS[name]
 
@@ -198,9 +196,9 @@ class TestTraceLayout:
     def test_m1_conv_dims(self):
         rows = trace_layout(builtin("M1"))
         conv = rows[0]
-        assert (conv.h_out, conv.w_out, conv.ch_out, conv.interval_out) == (9, 9, 8, 3)
+        assert (conv.after.h_in, conv.after.w_in, conv.after.channels, conv.after.interval) == (9, 9, 8, 3)
         flat = rows[2]
-        assert flat.w_out == 648
+        assert flat.after.w_in == 648
 
     def test_fc_names_numbered(self):
         rows = trace_layout(builtin("M1"))
@@ -316,6 +314,12 @@ class TestValidate:
         report = validate(m, HEParams())
         assert any(v["rule"] == "flatten_structure" for v in report.violations)
 
+    @pytest.mark.parametrize("layers", [(tiny_fc(4, 2),), (tiny_fc(4, 2), Flatten())], ids=["no-flatten", "flatten-after"])
+    def test_placement_fault_reported_once(self, layers):
+        report = validate(ModelSpec("x", 1, 1, 4, layers), HEParams())
+        assert [(v["layer"], v["rule"]) for v in report.violations] == [(0, "flatten_structure")]
+        assert report.violations[0]["message"] == "a fully connected layer requires a preceding flatten"
+
     def test_stride_headroom_violation(self):
         m = ModelSpec("x", 1, 4, 4, (tiny_conv(kernel=1, stride=3),))
         report = validate(m, HEParams())
@@ -330,17 +334,17 @@ class TestValidate:
 class TestOracleBasics:
     def test_square_scalar(self):
         x = np.array([[[1.5]]])
-        assert layer_forward(Square(), x)[0, 0, 0] == 2.25
+        assert Square().forward(x)[0, 0, 0] == 2.25
 
     def test_avgpool_mean(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert layer_forward(AvgPool2d(kernel=2), x)[0, 0, 0] == 2.5
+        assert AvgPool2d(kernel=2).forward(x)[0, 0, 0] == 2.5
 
     def test_avgpool_matches_window_means(self):
         rng = np.random.default_rng(0)
         for c in (2, 3):
             x = rng.uniform(-1, 1, (3, 6, 6))
-            got = layer_forward(AvgPool2d(kernel=c), x)
+            got = AvgPool2d(kernel=c).forward(x)
             h, w = 6 // c, 6 // c
             want = np.zeros((3, h, w))
             for ch in range(3):
@@ -352,14 +356,14 @@ class TestOracleBasics:
     def test_relu_polynomial(self):
         a0, a1, a2 = RELU_COEFFS
         layer = ApproxReLU()
-        assert layer_forward(layer, np.zeros((1, 1, 1)))[0, 0, 0] == a0
-        got = layer_forward(layer, np.ones((1, 1, 1)))[0, 0, 0]
+        assert layer.forward(np.zeros((1, 1, 1)))[0, 0, 0] == a0
+        got = layer.forward(np.ones((1, 1, 1)))[0, 0, 0]
         assert got == pytest.approx(0.992444, abs=1e-9)
         assert got == (a2 * 1.0 + a1) * 1.0 + a0
 
     def test_flatten_row_major(self):
         x = np.arange(12.0).reshape(2, 2, 3)
-        assert np.array_equal(layer_forward(Flatten(), x), np.arange(12.0))
+        assert np.array_equal(Flatten().forward(x), np.arange(12.0))
 
     def test_padding_rejected(self):
         with pytest.raises(PaddingUnsupported):
@@ -388,14 +392,14 @@ class TestOracleConv:
                            weights=rng.uniform(-1, 1, (ch_out, ch_in, kernel, kernel)),
                            bias=rng.uniform(-1, 1, ch_out))
             x = rng.uniform(-1, 1, (ch_in, dim, dim))
-            assert np.allclose(layer_forward(layer, x), self.brute_conv2d(layer, x), atol=1e-12)
+            assert np.allclose(layer.forward(x), self.brute_conv2d(layer, x), atol=1e-12)
 
     def test_conv1d_matches_brute_force(self):
         rng = np.random.default_rng(2)
         layer = Conv1d(ch_in=2, ch_out=3, kernel=3, stride=2,
                        weights=rng.uniform(-1, 1, (3, 2, 3)), bias=rng.uniform(-1, 1, 3))
         x = rng.uniform(-1, 1, (2, 1, 11))
-        got = layer_forward(layer, x)
+        got = layer.forward(x)
         w_out = (11 - 3) // 2 + 1
         want = np.zeros((3, 1, w_out))
         for o in range(3):
@@ -424,9 +428,9 @@ class TestOracleFC:
     def test_fc_requires_flat_input(self):
         layer = tiny_fc(4, 2)
         with pytest.raises(NotFlattened):
-            layer_forward(layer, np.zeros((1, 2, 2)))
+            layer.forward(np.zeros((1, 2, 2)))
         with pytest.raises(ShapeMismatch):
-            layer_forward(layer, np.zeros(5))
+            layer.forward(np.zeros(5))
 
 
 class TestReferenceInfer:
@@ -438,13 +442,18 @@ class TestReferenceInfer:
         out = reference_infer(builtin("M1"), np.zeros((1, 28, 28)))
         assert out.shape == (10,)
 
+    def test_only_layers_reach_the_oracle(self):
+        """``reference_infer`` calls each layer's ``forward``; a model holds nothing else."""
+        with pytest.raises(ParseError, match="unknown layer type object"):
+            ModelSpec("x", 1, 2, 2, (Square(), object()))
+
     def test_matches_layerwise_composition(self):
         m = builtin("M6")
         rng = np.random.default_rng(9)
         x = rng.uniform(0, 1, (1, 16, 16))
         step = x
         for layer in m.layers:
-            step = layer_forward(layer, step)
+            step = layer.forward(step)
         assert np.array_equal(reference_infer(m, x), step.reshape(-1))
 
 
@@ -590,7 +599,7 @@ class TestGridHeadroomFuzz:
                 layers.append(tiny_conv(kernel=1, stride=1))
             m = ModelSpec("fuzz", 1, h, w, tuple(layers))
             for row in trace_layout(m):
-                assert row.h_out * row.interval_out <= h
-                assert row.w_out * row.interval_out <= w
+                assert row.after.h_in * row.after.interval <= h
+                assert row.after.w_in * row.after.interval <= w
                 checked += 1
         assert checked > 300

@@ -8,11 +8,12 @@ from slotcnn import (
     ModelSpec,
     PackPlan,
     batch_pack,
-    batch_unpack,
     builtin,
     builtin_names,
     flatten_input,
     footprint,
+    infer,
+    run_inference,
 )
 from slotcnn.errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch
 
@@ -26,11 +27,12 @@ def toy_plan(fp, num_slots, capacity=None):
     cap = num_slots // fp if capacity is None else capacity
     return PackPlan(
         footprint=fp,
-        alignment=1,
         capacity=cap,
         offsets=tuple(i * fp for i in range(cap)),
         per_layer_sizes=({"layer": "input", "slots": fp},),
         num_slots=num_slots,
+        model=None,
+        trace=(),
     )
 
 
@@ -159,26 +161,28 @@ class TestBatchPack:
 
 
 class TestBatchUnpack:
+    """Inference reads each sample's outputs back at its offset; a model with no layers returns its inputs."""
+
     def test_slices_at_offsets(self):
-        plan = toy_plan(800, 8192, capacity=2)
-        values = np.zeros(8192)
-        values[0:10] = np.arange(10)
-        values[800:810] = np.arange(10, 20)
-        outs = batch_unpack(values, plan, out_dim=10)
+        m = ModelSpec("identity", 1, 1, 10, ())
+        plan = footprint(m, PARAMS, alignment=800)
+        assert plan.offsets[:2] == (0, 800)
+        outs, _, _ = run_inference(m, np.arange(20.0).reshape(2, 1, 1, 10), PARAMS, plan=plan)
         assert np.array_equal(outs[0], np.arange(10))
         assert np.array_equal(outs[1], np.arange(10, 20))
 
     def test_count_limits_samples(self):
-        plan = toy_plan(4, 16)
-        outs = batch_unpack(np.arange(16.0), plan, out_dim=2, count=3)
-        assert len(outs) == 3
-        assert np.array_equal(outs[2], [8, 9])
+        m, params = ModelSpec("identity", 1, 1, 4, ()), HEParams(poly_degree=32)
+        plan = footprint(m, params)
+        packed = batch_pack([[np.arange(4.0) + 4 * i] for i in range(3)], plan)
+        outs, _ = infer(m, packed, params, plan, n_samples=3)
+        assert len(outs) == 3 and np.array_equal(outs[2], [8, 9, 10, 11])
+        assert len(infer(m, packed, params, plan)[0]) == plan.capacity == 4
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
-        plan = toy_plan(16, 64)
-        samples = [[rng.uniform(-1, 1, 16)] for _ in range(4)]
-        packed = batch_pack(samples, plan)
-        outs = batch_unpack(packed[0].values, plan, out_dim=16)
+        m = ModelSpec("identity", 1, 1, 16, ())
+        samples = rng.uniform(-1, 1, (4, 1, 1, 16))
+        outs, _, _ = run_inference(m, samples, HEParams(poly_degree=128))
         for sample, out in zip(samples, outs):
-            assert np.array_equal(sample[0], out)
+            assert np.array_equal(sample.reshape(-1), out)
