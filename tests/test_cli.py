@@ -561,6 +561,32 @@ class TestPinnedBytes:
         # conv's einsum sums make this digest depend on the numpy build too, as the note above says.
         assert digest.hexdigest() == "b08a3fdf44ff6ad9b6a80132e25abbe927b01e91cdb42c74b1ea976b1d5892db"
 
+    def test_random_stack_states_digest(self):
+        """Every slot after every layer of 200 random stacks at 2048 slots and full batches, signed inputs included.
+
+        Sample 0 overflows (1e200) and the last one's negatives are -0.0.  A stage is read as ``decrypt + 0.0``, so
+        the sign of a zero may change and nothing else may.
+        """
+        digest = hashlib.sha256()
+        valid = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            m = random_stack(rng)
+            params = HEParams(poly_degree=4096, depth=int(rng.integers(8, 12)))
+            if not validate(m, params).ok:
+                continue
+            valid += 1
+            plan = footprint(m, params)
+            xs = rng.uniform(-1.0, 1.0, size=(plan.capacity, m.channels, m.height, m.width))
+            xs[0] *= 1e200
+            xs[-1][xs[-1] < 0] = -0.0
+            with np.errstate(all="ignore"):
+                for stage in stage_bytes(m, xs, params):
+                    digest.update((np.frombuffer(stage) + 0.0).tobytes())
+        assert valid >= 100
+        # conv's einsum sums make this digest depend on the numpy build too, as the note above says.
+        assert digest.hexdigest() == "d2172bdf717968589df34ba93b8d50899a03942db97c7fababa2f6c56ecc0ab1"
+
 
 class TestTracerSpans:
     """The spans the benchmark's tracer records on each path, so a refactor cannot silently bypass one of its hooks."""
