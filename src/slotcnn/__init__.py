@@ -18,7 +18,7 @@ from .errors import (
     TargetAboveCurrent,
     UnknownModel,
 )
-from .he_backend import DEFAULT_PARAMS, Backend, CipherVector, HEParams, OpCounter, PlainVector, RegionMask
+from .he_backend import DEFAULT_PARAMS, Backend, CipherVector, HEParams, OpCounter, PlainVector
 from .layers import (
     FC,
     RELU_COEFFS,

@@ -40,16 +40,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class CostModel:
     """Abstract per-operation prices as a function of ring size and level.
 
     Rotations dominate (quasi-linear in the ring size and quadratic in the
-    level), ciphertext products cost ``kappa`` plaintext products, and
+    level), ciphertext products cost ``KAPPA`` plaintext products, and
     additions are level-independent.
     """
 
-    kappa: float = 3.0
+    KAPPA = 3.0
 
     def price(self, kind: str, poly_degree: int, level: int) -> float:
         n = float(poly_degree)
@@ -58,7 +57,7 @@ class CostModel:
         if kind == "pt_mult":
             return n * level
         if kind == "ct_mult":
-            return self.kappa * n * level
+            return self.KAPPA * n * level
         if kind == "add":
             return n
         raise ValueError(f"unknown operation kind {kind!r}")
@@ -120,22 +119,25 @@ class OpMetrics:
         return {"per_layer": [r.to_dict() for r in self.per_layer], "totals": self.totals()}
 
 
-def _price(hist, cost_model, poly_degree) -> float:
+_PRICES = CostModel()
+
+
+def _price(hist, poly_degree) -> float:
     """The cost of the ops in ``hist``, summed in its key order."""
-    return sum(count * cost_model.price(kind, poly_degree, lvl) for (kind, lvl), count in hist.items())
+    return sum(count * _PRICES.price(kind, poly_degree, lvl) for (kind, lvl), count in hist.items())
 
 
-def _metrics_row(cls, name, hist, level_after, cost_model, poly_degree) -> LayerMetrics:
+def _metrics_row(cls, name, hist, level_after, poly_degree) -> LayerMetrics:
     """A row of ``cls`` for the ops in ``hist``, priced in its key order."""
-    return cls(name=name, level_after=level_after, est_cost=_price(hist, cost_model, poly_degree), hist=hist)
+    return cls(name=name, level_after=level_after, est_cost=_price(hist, poly_degree), hist=hist)
 
 
-def _live_row(cls, name, before, backend, level_after, cost_model, poly_degree) -> LayerMetrics:
+def _live_row(cls, name, before, backend, level_after, poly_degree) -> LayerMetrics:
     """The row of the ops ``backend`` recorded since the counter snapshot ``before``."""
-    return _metrics_row(cls, name, diff_snapshots(before, backend.counter.snapshot()), level_after, cost_model, poly_degree)
+    return _metrics_row(cls, name, diff_snapshots(before, backend.counter.snapshot()), level_after, poly_degree)
 
 
-def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=None, backend=None):
+def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, backend=None):
     """Run one encrypted inference over a packed batch.
 
     ``packed_inputs`` is the per-channel plain vector list produced by
@@ -151,7 +153,6 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
         lines = "; ".join(v["message"] for v in report.violations)
         raise SlotCnnError(f"model failed validation: {lines}")
     backend = backend or Backend(params)
-    cost_model = cost_model or CostModel()
     n = params.poly_degree
 
     ct = backend.encrypt([backend.encode(pv.values) for pv in packed_inputs])
@@ -162,11 +163,11 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
     if m.layers:
         before = backend.counter.snapshot()
         state = drop_level(backend, state, total_mults)
-        per_layer.append(_live_row(LevelAlignment, "Drop Level", before, backend, state.level, cost_model, n))
+        per_layer.append(_live_row(LevelAlignment, "Drop Level", before, backend, state.level, n))
     for row in plan.trace:
         before = backend.counter.snapshot()
         state = apply_layer(backend, state, row.layer)
-        per_layer.append(_live_row(LayerMetrics, row.name, before, backend, state.level, cost_model, n))
+        per_layer.append(_live_row(LayerMetrics, row.name, before, backend, state.level, n))
 
     decrypted = backend.decrypt(state.ct)
     final = state.layout
@@ -189,7 +190,7 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, cost_model=
     return outputs, metrics
 
 
-def ledger_metrics(m: ModelSpec, params, cost_model=None, trace=None) -> OpMetrics:
+def ledger_metrics(m: ModelSpec, params, trace=None) -> OpMetrics:
     """The metrics :func:`infer` reports for ``m``, built from closed-form ledgers instead of a run.
 
     The level-alignment row holds one product per input channel at each
@@ -201,7 +202,6 @@ def ledger_metrics(m: ModelSpec, params, cost_model=None, trace=None) -> OpMetri
     ``trace`` is ``m``'s :func:`~slotcnn.model.trace_layout` rows, walked
     here when not given.
     """
-    cost_model = cost_model or CostModel()
     n = params.poly_degree
     rows = trace_layout(m) if trace is None else trace
     total_mults = sum(r.mults for r in rows)
@@ -213,7 +213,7 @@ def ledger_metrics(m: ModelSpec, params, cost_model=None, trace=None) -> OpMetri
             if count:
                 order.setdefault((kind, level))
                 counts[kind, level] = counts.get((kind, level), 0) + count
-        return _metrics_row(cls, name, {key: counts[key] for key in order if key in counts}, level_after, cost_model, n)
+        return _metrics_row(cls, name, {key: counts[key] for key in order if key in counts}, level_after, n)
 
     per_layer = []
     if rows:
@@ -226,32 +226,29 @@ def ledger_metrics(m: ModelSpec, params, cost_model=None, trace=None) -> OpMetri
     return OpMetrics(per_layer=per_layer, poly_degree=n, depth=params.depth, total_mults=total_mults, input_channels=m.channels)
 
 
-def run_inference(m: ModelSpec, samples, params, alignment: int = 1, plan=None, cost_model=None, backend=None):
+def run_inference(m: ModelSpec, samples, params, plan=None, backend=None):
     """Plan, pack, and infer a batch of raw samples.
 
-    ``plan`` is ``m``'s footprint, planned at ``alignment`` when not given.
+    ``plan`` is ``m``'s footprint, planned here when not given.
     Returns ``(outputs, metrics, plan)``.
     """
     if len(samples) == 0:
         raise ValueError("run_inference needs at least one sample")
     if plan is None:
-        plan = packing.footprint(m, params, alignment)
+        plan = packing.footprint(m, params)
     flat = [packing.flatten_input(s) for s in samples]
     plains = packing.batch_pack(flat, plan)
-    outputs, metrics = infer(
-        m, plains, params, plan, n_samples=len(samples), cost_model=cost_model, backend=backend
-    )
+    outputs, metrics = infer(m, plains, params, plan, n_samples=len(samples), backend=backend)
     return outputs, metrics, plan
 
 
-def estimate_cost(metrics: OpMetrics, params, depth_override=None, cost_model=None) -> float:
+def estimate_cost(metrics: OpMetrics, params, depth_override=None) -> float:
     """Re-price a finished run, optionally under a different level budget.
 
     Only the level-alignment row depends on the budget: a deeper budget
     means more alignment products, each at a higher level.  Every other
     layer's per-level histogram is priced as recorded.
     """
-    cost_model = cost_model or CostModel()
     n = params.poly_degree
     depth = metrics.depth if depth_override is None else depth_override
     if depth < metrics.total_mults:
@@ -260,9 +257,9 @@ def estimate_cost(metrics: OpMetrics, params, depth_override=None, cost_model=No
     for row in metrics.per_layer:
         if isinstance(row, LevelAlignment):
             for lvl in range(metrics.total_mults + 1, depth + 1):
-                total += metrics.input_channels * cost_model.price("pt_mult", n, lvl)
+                total += metrics.input_channels * _PRICES.price("pt_mult", n, lvl)
         else:
-            total += _price(row.hist, cost_model, n)
+            total += _price(row.hist, n)
     return total
 
 

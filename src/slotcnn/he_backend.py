@@ -12,12 +12,19 @@ quantization (round to ``scale_bits`` fractional bits, ties to even) applied
 at encode time and after every multiplication.  There is no noise model
 beyond that and no actual encryption.
 
+Every plaintext product follows one masking rule, in :meth:`Backend.mul_plain`,
+:meth:`Backend.masked_sum` and :meth:`Backend.diagonal_sum` alike: a product is
+formed only on a slot where its mask is nonzero and added to +0.0, and every
+other slot is an exact +0.0, whatever the ciphertext holds there.  So no value
+of one sample reaches another sample's slots through a zero mask slot, however
+large it grows.
+
 A :class:`CipherVector` is a stack of ciphertexts, one row of slots each, at
 one level; a model's channels travel as one stack.  A full-width stack stores
 every slot, and its rotation is a read-only view of one doubled copy of it,
 shared by consecutive rotations of that stack (the simulator's hoisted
 rotations).  A compact stack stores only its live slots, every other slot
-being +0.0: a masked sum returns one when its support covers fewer than
+being +0.0: a plaintext product returns one when it is formed on fewer than
 ``_COMPACT_SHARE`` of the slots, a sum of compact stacks stays one, and its
 rotations only move the slot indices.  An operation whose full-width result
 could hold anything but +0.0 outside the live slots returns a full-width
@@ -47,7 +54,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +63,6 @@ __all__ = [
     "HEParams",
     "PlainVector",
     "CipherVector",
-    "RegionMask",
     "KindTotals",
     "OpCounter",
     "Backend",
@@ -121,7 +126,7 @@ class HEParams:
 
 DEFAULT_PARAMS = HEParams()
 _GATHER_BYTES = 1 << 18  # about the most bytes of term slots diagonal_sum gathers for one contraction
-# A masked sum whose support covers fewer than this share of the slots returns a compact stack.  At 8192 slots
+# A plaintext product formed on fewer than this share of the slots returns a compact stack.  At 8192 slots
 # that takes M1's conv (810 slots) and the convs after M2's, M4's and M5's first pooling (7-1008 slots), and
 # leaves the first convs of M2-M5 (4732-6300 slots), M6's conv (1225) and M7's (2048-4096) full-width.  In
 # per-layer timings M6 ran no faster with its conv compact, and denser supports pay more for index work than
@@ -165,19 +170,6 @@ def _rows(cipher) -> int:
     """The number of ciphertexts in a stack."""
     shape = cipher.values.shape
     return shape[0] if len(shape) == 2 else math.prod(shape[:-1])
-
-
-class RegionMask(NamedTuple):
-    """Plaintext ``values`` (broadcast to ``shape``) on one grid of slots in every sample region.
-
-    The grid holds the positions ``start + i * steps[0] + j * steps[1]``, ``i < shape[0]``
-    and ``j < shape[1]``, counted from each batch offset; it lies inside the vector.
-    """
-
-    start: int
-    shape: tuple
-    values: object = 1.0
-    steps: tuple = (0, 1)
 
 
 _KINDS = {"rotation": "rotations", "pt_mult": "pt_mults", "ct_mult": "ct_mults", "add": "adds"}
@@ -264,14 +256,6 @@ class Backend:
         out[: arr.size] = arr
         return PlainVector(self._quantized(out))
 
-    def _plain(self, arr: np.ndarray) -> PlainVector:
-        """Wrap an owned full-width float64 array with encode semantics.
-
-        Internal fast path for mask construction: the caller guarantees the
-        array has exactly ``num_slots`` entries and is not aliased elsewhere.
-        """
-        return PlainVector(self._quantized(arr))
-
     def encrypt(self, plain) -> CipherVector:
         """Turn a plaintext, or a list of plaintexts (the rows of a stack), into a fresh ciphertext at the full level budget."""
         values = np.stack([p.values for p in plain]) if isinstance(plain, (list, tuple)) else plain.values.copy()
@@ -303,21 +287,24 @@ class Backend:
     def mul_plain(self, cipher: CipherVector, plain: PlainVector) -> CipherVector:
         """Slot-wise ciphertext-plaintext product; consumes one level.
 
-        A compact stack stays compact when every product outside its live slots is +0.0, that is when the
-        plaintext is finite and sign-free there; otherwise the product is full-width.
+        The product is formed only on the plaintext's nonzero slots and added to +0.0; every other slot is an exact
+        +0.0, whatever the ciphertext holds there.  The result is compact when those slots are few.
         """
         if cipher.level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
         self._check_width(cipher, plain)
         self.counter.record("pt_mult", cipher.level, _rows(cipher))
-        if cipher.slots is not None:
-            live = self._live(cipher)
-            spoils = np.signbit(plain.values) | ~np.isfinite(plain.values)
-            spoils[..., live] = False
-            if not spoils.any():
-                values = self._quantized(cipher.values * plain.values[..., live])
-                return CipherVector(values, cipher.level - 1, cipher.slots, cipher.shift)
-        return CipherVector(self._quantized(self._dense(cipher) * plain.values), cipher.level - 1)
+        nonzero = plain.values != 0
+        count = np.count_nonzero(nonzero)
+        if self._compact(count):
+            slots = nonzero.nonzero()[0]
+            values = self._quantized(self._take(cipher, slots) * plain.values[slots])
+        else:  # whole rows: where the plaintext is zero, a finite slot's product is a zero that the +0.0 below makes +0.0
+            slots, values = None, self._quantized(self._dense(cipher) * plain.values)
+            if count < self.num_slots and np.isnan(values).any():  # and a slot that is not finite gives NaN there
+                values[..., ~nonzero] = 0.0
+        values += 0.0
+        return CipherVector(values, cipher.level - 1, slots)
 
     def mul_cipher(self, a: CipherVector, b: CipherVector) -> CipherVector:
         """Slot-wise ciphertext-ciphertext product; consumes one level.  Compact only for two stacks on the same slots."""
@@ -334,39 +321,28 @@ class Backend:
         """Masked linear combinations of a stream of ciphertext stacks, one result row per mask row.
 
         ``terms`` is an iterable of stacks of equal shape at one level, read
-        once and in order.  Either ``support`` is a flat array of slot indices
-        shared by all masks and ``coefs[o]`` holds a scalar per term row, in
-        row-major order over (row of the term, term): result row ``o`` is
-        ``sum_r,t terms[t][r] * coefs[o, r * len(terms) + t]``, plus ``bias[o]``
-        when ``bias`` is given.  Or ``support`` is the tuple of evenly spaced
-        batch offsets, ``coefs[o][t]`` a :class:`RegionMask` applied at each of
-        them (and no ``bias``), and result ``o`` is the stack ``sum_t terms[t]
-        * coefs[o][t]``: the values are ``(len(coefs), *term rows, width)``.
-        Results are formed only on the masks' slots, every other slot an exact
-        zero whatever the terms hold there, and are compact when those slots
-        are few.
+        once and in order.  ``support`` is a flat array of slot indices shared
+        by all masks and ``coefs[o]`` holds a scalar per term row, in row-major
+        order over (row of the term, term): result row ``o`` is ``sum_r,t
+        terms[t][r] * coefs[o, r * len(terms) + t]``, plus ``bias[o]`` when
+        ``bias`` is given.  As in :meth:`mul_plain`, products are formed only
+        on the mask slots, every other slot is an exact +0.0 whatever the
+        terms hold there, and the result is compact when those slots are few.
 
-        Values on the mask slots and the ledger are those of the ``mul_plain``
-        / ``add`` loop over full-width masks, summed in the order above from
-        +0.0 with the bias last; flat masks in one contraction.  The ledger is
-        recorded as the stream is read: per term, a product per result row and
-        term row at the terms' level and, after the first product of each
-        result row, as many additions one level below; then a bias addition
-        per row.  Rows of unequal length raise before anything is read or
-        recorded; a term of the wrong width, or a stream of the wrong length,
-        raises and takes back the earlier records.
+        Values and ledger are those of the ``mul_plain`` / ``add`` loop over
+        full-width masks, summed in the order above from +0.0 with the bias
+        last, in one contraction.  The ledger is recorded as the stream is
+        read: per term, a product per result row and term row at the terms'
+        level and, after the first product of each result row, as many
+        additions one level below; then a bias addition per row.  Rows of
+        unequal length raise before anything is read or recorded; a term of
+        the wrong width, or a stream of the wrong length, raises and takes back
+        the earlier records.
         """
-        region = isinstance(support, tuple)
-        stride = support[1] - support[0] if region and len(support) > 1 else 1
-        if region and (bias is not None or stride < 1 or support != tuple(range(support[0], support[-1] + 1, stride))):
-            raise ValueError(f"region masks need evenly spaced batch offsets and no bias, got offsets {support}")
         if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
             raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
         first, rest = self._first("masked_sum", terms)
         rows, outs = _rows(first), len(coefs)
-        if region:
-            checked = self._checked("masked_sum", first, rest, outs * rows, outs * rows, len(coefs[0]))
-            return self._region_sum(checked, coefs, support, first)
         coefs = np.asarray(coefs, dtype=np.float64)
         if coefs.shape[1] % rows:
             raise ValueError(f"masked_sum needs a coefficient per term row, got {coefs.shape[1]} for stacks of {rows}")
@@ -533,10 +509,10 @@ class Backend:
             if live is not None:
                 covered[live] = True
             elif isinstance(term, PlainVector):
-                covered |= (term.values != 0).reshape(-1, self.num_slots).any(axis=0)
+                covered |= term.values != 0
             else:
                 return None
-        return np.flatnonzero(covered)
+        return covered.nonzero()[0]
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
         """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row."""
@@ -590,30 +566,6 @@ class Backend:
             np.rint(arr, out=arr)
             np.divide(arr, self._scale, out=arr)
         return arr
-
-    def _region_sum(self, checked, masks, offsets: tuple, first) -> CipherVector:
-        """Every mask row's sum of the terms masked on its grids at each offset, formed on the grids' slots only."""
-        base = np.asarray(offsets)[:, None, None]
-        grids = [[(base + m.start + np.arange(m.shape[0])[:, None] * m.steps[0] + np.arange(m.shape[1]) * m.steps[1]).reshape(-1)
-                  for m in row] for row in masks]  # each mask's slots, offset by offset and row-major on its grid
-        slots = np.concatenate([grid for row in grids for grid in row])
-        ordered = bool((slots[1:] > slots[:-1]).all())
-        if not ordered:
-            slots = np.unique(slots)
-        compact, lead = self._compact(slots.size), first.values.shape[:-1]
-        if not compact:
-            columns = grids
-        elif ordered and slots.size == grids[0][0].size:  # one grid: its slots in order are all the columns
-            columns = [[slice(None)]]
-        else:
-            columns = [[np.searchsorted(slots, grid) for grid in row] for row in grids]
-        acc = np.zeros((len(masks), *lead, slots.size if compact else self.num_slots))
-        for t, term in enumerate(checked):
-            for out, grid_row, column_row, mask_row in zip(acc, grids, columns, masks):
-                coef = self._quantized(np.array(mask_row[t].values, dtype=np.float64))
-                prod = self._take(term, grid_row[t]).reshape(*lead, -1, *mask_row[t].shape) * coef
-                out[..., column_row[t]] += self._quantized(prod).reshape(*lead, -1)
-        return CipherVector(acc, first.level - 1, slots if compact else None)
 
     def _rotated(self, values: np.ndarray, r: int) -> np.ndarray:
         if values.shape[-1] != self.num_slots:

@@ -27,18 +27,20 @@ as a solo run and their outputs match bit for bit.
 Every schedule works on the whole channel stack of its :class:`CipherState`:
 each backend operation runs once and records one op per channel, and only
 flatten's final merge, which rotates each channel by its own amount, takes
-the channels one at a time.  Convolution and flatten hand their masked
-products and sums to :meth:`Backend.masked_sum`, the fully connected layer to
-:meth:`Backend.diagonal_sum`.  Both form each product only on its mask's
-slots, given once per sample region, and leave exact zeros elsewhere, so no
-value of one sample reaches another sample's result through a zero mask
-slot, however large it grows.  Their values on the mask slots and their op
-ledger are those of the ``mul_plain`` / ``add`` loop over full-width masks.
-A masked sum over few slots leaves a compact stack, which stores only its
-live slots; the pooling, squaring, flatten and convolution that follow work
-on those slots alone, and its rotations copy nothing.  Rotations stream into
-the masked sums and into :meth:`Backend.sum`.  Only ``ApproxReLU`` still
-multiplies full-width masks.
+the channels one at a time.  Convolution hands its masked products and sums
+to :meth:`Backend.masked_sum`, the fully connected layer to
+:meth:`Backend.diagonal_sum`; flatten and ``ApproxReLU`` multiply by masks
+with :meth:`Backend.mul_plain`, and every plaintext a layer uses is made by
+one helper, ``_plain``, through :meth:`Backend.encode`.  All three follow the
+backend's one masking rule: each product is formed only on its mask's
+nonzero slots, and every other slot is an exact +0.0, so no value of one
+sample reaches another sample's result through a zero mask slot, however
+large it grows.  The two sums' values and op ledger are those of the
+``mul_plain`` / ``add`` loop over full-width masks.  A product over few
+slots leaves a compact stack, which stores only its live slots; the
+pooling, squaring, flatten and convolution that follow work on those slots
+alone, and its rotations copy nothing.  Rotations stream into the masked
+sums and into :meth:`Backend.sum`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FootprintOverflow, NonDivisibleDims, NotFlattened, PaddingUnsupported, ShapeMismatch, TargetAboveCurrent
-from .he_backend import Backend, CipherVector, RegionMask
+from .he_backend import Backend, CipherVector, PlainVector
 
 __all__ = [
     "Layer",
@@ -127,9 +129,22 @@ def _support(layout: LayoutState) -> np.ndarray:
     return (np.asarray(layout.batch_offsets)[:, None] + positions[None, :]).reshape(-1)
 
 
-def _slide(backend: Backend, ct, masks: list, step: int, layout: LayoutState):
+def _plain(backend: Backend, slots, values) -> PlainVector:
+    """The plaintext holding ``values`` on ``slots`` and +0.0 on every other slot, encoded by ``backend``."""
+    data = np.zeros(backend.num_slots)
+    data[slots] = values
+    return backend.encode(data)
+
+
+def _runs(backend: Backend, lay: LayoutState, start: int, shape: tuple, value=1.0) -> PlainVector:
+    """The plaintext ``value`` on ``shape[0]`` runs of ``shape[1]`` slots from ``start``, one image row apart, in each sample region."""
+    rows = np.arange(shape[0])[:, None] * (lay.w_img * lay.interval)
+    return _plain(backend, np.asarray(lay.batch_offsets)[:, None, None] + (start + rows + np.arange(shape[1])), value)
+
+
+def _slide(backend: Backend, ct, masks, step: int):
     """Mask ``ct`` with each of ``masks`` in turn, rotate product ``i`` left by ``i * step``, and add them up."""
-    parts = (backend.masked_sum([ct], [[mask]], layout.batch_offsets)[0] for mask in masks)
+    parts = (backend.mul_plain(ct, mask) for mask in masks)
     return backend.sum(backend.rotate(p, i * step) if i * step else p for i, p in enumerate(parts))
 
 
@@ -229,9 +244,7 @@ class _Conv(Layer):
     bias: np.ndarray
 
     def rules(self):
-        if self.stride < 1:
-            yield "kernel_stride", f"stride must be at least 1, got {self.stride}"
-        elif self.kernel < self.stride:
+        if 1 <= self.kernel < self.stride:  # a kernel or stride below 1 is the step's shape fault
             yield "kernel_stride", f"kernel {self.kernel} must be at least the stride {self.stride}"
 
     layout_rules = staticmethod(_headroom)
@@ -348,10 +361,6 @@ class AvgPool2d(Layer):
 
     kernel: int
 
-    def rules(self):
-        if self.kernel < 1:
-            yield "kernel_stride", f"pool kernel must be at least 1, got {self.kernel}"
-
     layout_rules = staticmethod(_headroom)
 
     def step(self, lay: LayoutState):
@@ -448,11 +457,10 @@ class ApproxReLU(Layer):
         """
         lay = state.layout
         out_layout, _ = self.step(lay)
-        pattern = np.zeros(backend.num_slots)
-        pattern[_support(lay)] = 1.0
-        quad = backend._plain(pattern * (self.a2 * lay.pending_const * lay.pending_const))
-        lin = backend._plain(pattern * (self.a1 * lay.pending_const))
-        const = backend._plain(pattern * self.a0)
+        support = _support(lay)
+        quad = _plain(backend, support, self.a2 * lay.pending_const * lay.pending_const)
+        lin = _plain(backend, support, self.a1 * lay.pending_const)
+        const = _plain(backend, support, self.a0)
         t = backend.mul_plain(state.ct, quad)
         t = backend.add(t, lin)
         t = backend.mul_cipher(t, state.ct)
@@ -523,23 +531,23 @@ class Flatten(Layer):
         if masked:
             # Extract column c of every row, scaled by the pending constant, and
             # slide it left so the row becomes contiguous.
-            masks = [RegionMask(c * interval, (h_in, 1), lay.pending_const, (row_span, 1)) for c in range(w_in)]
-            ct = _slide(backend, ct, masks, interval - 1, lay)
+            masks = (_runs(backend, lay, c * interval, (h_in, 1), lay.pending_const) for c in range(w_in))
+            ct = _slide(backend, ct, masks, interval - 1)
         elif row_removal:
             # Gaps are zero: summing interval-many shifted copies first makes
             # every block of `interval` consecutive columns contiguous, then one
             # masked product per block slides the blocks together.
             blocks = math.ceil(w_in / interval)
             runs = [(b * interval * interval, min(interval, w_in - b * interval)) for b in range(blocks)]
-            masks = [RegionMask(start, (h_in, width), 1.0, (row_span, 1)) for start, width in runs]
+            masks = (_runs(backend, lay, start, (h_in, width)) for start, width in runs)
             summed = backend.sum(backend.rotate(ct, s * (interval - 1)) if s else ct for s in range(interval))
-            ct = _slide(backend, summed, masks, interval * (interval - 1), lay)
+            ct = _slide(backend, summed, masks, interval * (interval - 1))
 
         if col_removal:
             # Rows are now contiguous runs of w_in values, one run per row span;
             # mask each run and slide it next to the previous one.
-            masks = [RegionMask(r * row_span, (1, w_in)) for r in range(h_in)]
-            ct = _slide(backend, ct, masks, row_span - w_in, lay)
+            masks = (_runs(backend, lay, r * row_span, (1, w_in)) for r in range(h_in))
+            ct = _slide(backend, ct, masks, row_span - w_in)
 
         flat_len = w_in * h_in
         rows = (ct[ch : ch + 1] for ch in range(lay.channels))  # each channel's row, as a stack of one
@@ -646,9 +654,7 @@ class FC(Layer):
         acc_front, acc_wrap = backend.diagonal_sum(rotations, diag[:, :d_in], lay.batch_offsets)
         summed = backend.add(acc_front, backend.rotate(acc_wrap, -window))
         out = backend.sum(backend.rotate(summed, i * d_out) if i else summed for i in range(reps))
-        bias = np.zeros(backend.num_slots)
-        bias[np.add.outer(lay.batch_offsets, np.arange(d_out))] = self.bias
-        out = backend.add(out, backend._plain(bias))
+        out = backend.add(out, _plain(backend, np.add.outer(lay.batch_offsets, np.arange(d_out)), self.bias))
         return CipherState(out, out_layout)
 
     def ledger(self, lay: LayoutState, level: int) -> list:

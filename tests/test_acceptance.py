@@ -114,9 +114,9 @@ def test_batch_equivalence():
     m = builtin("M1")
     plan = footprint(m, DEFAULT, alignment=800)
     samples = random_samples(m, 10, 11)
-    batched = np.asarray(run_inference(m, samples, DEFAULT, alignment=800)[0])
+    batched = np.asarray(run_inference(m, samples, DEFAULT, plan=plan)[0])
     solo = np.asarray(
-        [run_inference(m, samples[i : i + 1], DEFAULT, alignment=800)[0][0] for i in range(10)]
+        [run_inference(m, samples[i : i + 1], DEFAULT, plan=plan)[0][0] for i in range(10)]
     )
     ok = (
         plan.footprint == 800

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotcnn import Backend, CipherVector, DEFAULT_PARAMS, HEParams, OpCounter, PlainVector
-from slotcnn import RegionMask
 from slotcnn.errors import LevelExhausted, OversizedInput, SlotMismatch
 from slotcnn import he_backend
 from slotcnn.he_backend import diff_snapshots
@@ -186,6 +185,32 @@ class TestMulPlain:
         with pytest.raises(LevelExhausted):
             be.mul_plain(c, ones)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), n_nonzero=st.integers(0, 32), n_live=st.integers(0, 32),
+           seed=st.integers(0, 2**32 - 1), quantize=st.booleans())
+    def test_products_only_on_nonzero_plaintext_slots(self, data, rows, n_nonzero, n_live, seed, quantize):
+        """A product is formed on each nonzero plaintext slot and added to +0.0; every other slot is +0.0, whatever the ciphertext holds."""
+        params = HEParams(poly_degree=64, depth=3, scale_bits=8, quantize=quantize)
+        rng = np.random.default_rng(seed)
+        specials = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-200, -1e200, np.inf, -np.inf, np.nan])
+        live = np.sort(rng.choice(32, n_live, replace=False))
+        values = np.array(data.draw(st.lists(specials, min_size=rows * n_live, max_size=rows * n_live))).reshape(rows, n_live)
+        plain = np.full(32, data.draw(st.sampled_from([0.0, -0.0])))
+        nonzero_values = st.lists(specials.filter(bool), min_size=n_nonzero, max_size=n_nonzero)
+        plain[rng.choice(32, n_nonzero, replace=False)] = data.draw(nonzero_values)
+        be = Backend(params)
+        ct = CipherVector(values, 3, live)
+        if data.draw(st.booleans()):
+            ct = CipherVector(be.decrypt(ct), 3)
+        plain = be.encode(plain)
+        with np.errstate(all="ignore"):
+            out = be.mul_plain(ct, plain)
+            nonzero = plain.values != 0
+            want = np.zeros((rows, 32))
+            want[:, nonzero] = be._quantized(be.decrypt(ct)[:, nonzero] * plain.values[nonzero]) + 0.0
+        assert be.decrypt(out).tobytes() == want.tobytes() and out.level == 2
+        assert (out.slots is not None) == (nonzero.sum() < 4) and be.counter.by_level == {("pt_mult", 3): rows}
+
 
 class TestMulCipher:
     def test_square(self):
@@ -350,16 +375,16 @@ class TestCounter:
 
 
 def loop_masked_sum(be, terms, coefs, support, bias):
-    """The mul_plain / add loop that Backend.masked_sum replaces; each row starts from +0.0, with no ``add`` recorded for it."""
+    """The mul_plain / add loop that Backend.masked_sum replaces; each row starts with its first product, with no ``add`` recorded for it."""
     pattern = np.zeros(be.params.num_slots)
     pattern[support] = 1.0
     out = []
     for o in range(coefs.shape[0]):
         acc = None
         for t, term in enumerate(terms):
-            prod = be.mul_plain(term, be._plain(pattern * coefs[o, t]))
-            acc = CipherVector(0.0 + prod.values, prod.level) if acc is None else be.add(acc, prod)
-        out.append(be.add(acc, be._plain(pattern * bias[o])))
+            prod = be.mul_plain(term, be.encode(pattern * coefs[o, t]))
+            acc = prod if acc is None else be.add(acc, prod)
+        out.append(be.add(acc, be.encode(pattern * bias[o])))
     return out
 
 
@@ -378,7 +403,6 @@ class TestMaskedSum:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-4, 4, params.num_slots)
         support = rng.choice(params.num_slots, size=n_support, replace=False)
-        off_support = np.setdiff1d(np.arange(params.num_slots), support)
         coefs = rng.uniform(-2, 2, (rows, n_terms))
         bias = rng.uniform(-2, 2, rows)
         shifts = rng.integers(-40, 40, n_terms)
@@ -396,8 +420,8 @@ class TestMaskedSum:
         assert list(got_ledger) == list(want_ledger)
         for g, w in zip(got, want, strict=True):
             assert g.level == w.level
-            assert be.decrypt(g)[support].tobytes() == w.values[support].tobytes()
-            assert np.all(be.decrypt(g)[off_support] == 0) and np.all(w.values[off_support] == 0)
+            assert np.array_equal(be.decrypt(g), be.decrypt(w))  # every slot, zeros compared by value
+            assert be.decrypt(g)[support].tobytes() == be.decrypt(w)[support].tobytes()
 
     @pytest.mark.parametrize("n_terms", [4, 17, 64])
     @pytest.mark.parametrize("quantize", [False, True])
@@ -410,7 +434,7 @@ class TestMaskedSum:
         for method in (loop_masked_sum, Backend.masked_sum):
             be = Backend(params)
             terms = [be.encrypt(be.encode(np.full(params.num_slots, v))) for v in values]
-            results.append(method(be, terms, np.ones((1, n_terms)), support, np.zeros(1))[0].values[support].tobytes())
+            results.append(be.decrypt(method(be, terms, np.ones((1, n_terms)), support, np.zeros(1))[0])[support].tobytes())
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("values,coefs,other", [
@@ -521,30 +545,25 @@ class TestMaskedSumStream:
         assert OpCounter(results[1][2]).totals() == {"rotations": len(shifts), "pt_mults": 3 * len(shifts), "ct_mults": 0, "adds": adds}
 
     @pytest.mark.parametrize("n_terms", [1, 3])
-    @pytest.mark.parametrize("region", [False, True])
-    def test_stream_of_the_wrong_length_is_refused(self, n_terms, region):
-        coefs = [[RegionMask(0, (1, 1))] * 2] if region else np.ones((1, 2))
-        support = (0, 4) if region else np.arange(8)
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_stream_of_the_wrong_length_is_refused(self, n_terms, with_bias):
         be = Backend(P8)
         ct = be.encrypt(be.encode(np.arange(8.0)))
         terms = [be.rotate(ct, r) for r in range(n_terms)]
         before = be.counter.snapshot()
         with pytest.raises(ValueError, match=f"needs 2 terms, got {'more' if n_terms > 2 else n_terms}"):
-            be.masked_sum(iter(terms), coefs, support)
+            be.masked_sum(iter(terms), np.ones((1, 2)), np.arange(8), np.ones(1) if with_bias else None)
         assert be.counter.snapshot() == before
 
-    @pytest.mark.parametrize("region", [False, True])
-    def test_ragged_rows_are_refused_before_anything_is_recorded(self, region):
-        mask = RegionMask(0, (1, 1))
-        coefs = [[mask, mask], [mask]] if region else [[1.0, 1.0], [1.0]]
-        support = (0, 4) if region else np.arange(8)
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_ragged_rows_are_refused_before_anything_is_recorded(self, with_bias):
         be = Backend(P8)
         ct = be.encrypt(be.encode(np.arange(8.0)))
         pulled = []
         terms = (pulled.append(r) or be.rotate(ct, r) for r in range(2))
         before = be.counter.snapshot()
         with pytest.raises(ValueError, match="one mask per term"):
-            be.masked_sum(terms, coefs, support)
+            be.masked_sum(terms, [[1.0, 1.0], [1.0]], np.arange(8), np.ones(2) if with_bias else None)
         assert be.counter.snapshot() == before and pulled == []
 
     def test_failed_term_takes_back_earlier_records(self):
@@ -560,7 +579,7 @@ def loop_diagonal_sum(be, terms, diag, offsets):
     """The mul_plain / add loop over full-width front and wrap masks that Backend.diagonal_sum stands for.
 
     Term ``t`` meets ``diag[t, j]`` at slot ``off + j - t`` of every offset: in the front mask when
-    ``j >= t``, else in the wrap mask.  Each row starts from +0.0, with no ``add`` recorded for it.
+    ``j >= t``, else in the wrap mask.  Each row starts with its first product, with no ``add`` recorded for it.
     """
     n = be.params.num_slots
     acc = [None, None]
@@ -569,8 +588,8 @@ def loop_diagonal_sum(be, terms, diag, offsets):
         for off in offsets:
             for j, c in enumerate(diag[t]):
                 masks[int(j < t), (off + j - t) % n] = c
-        prods = [be.mul_plain(term, be._plain(mask)) for mask in masks]
-        acc = [CipherVector(0.0 + p.values, p.level) if a is None else be.add(a, p) for a, p in zip(acc, prods)]
+        prods = [be.mul_plain(term, be.encode(mask)) for mask in masks]
+        acc = [p if a is None else be.add(a, p) for a, p in zip(acc, prods)]
     return acc
 
 
@@ -590,8 +609,9 @@ class TestDiagonalSum:
             be = Backend(params)
             ct = be.encrypt(be.encode(x))
             out = method(be, (be.rotate(ct, t) if t else ct for t in range(count)), diag, offsets)
-            results.append(([v.values.tobytes() for v in out], [v.level for v in out], be.counter.snapshot(), list(be.counter.by_level)))
-        assert results[0] == results[1]
+            results.append(([be.decrypt(v) for v in out], [v.level for v in out], be.counter.snapshot(), list(be.counter.by_level)))
+        (want, *want_rest), (got, *got_rest) = results
+        assert all(map(np.array_equal, got, want)) and got_rest == want_rest  # every slot, zeros compared by value
 
     @pytest.mark.parametrize("gather_bytes", [8, 1 << 18])
     def test_blocks_of_terms_sum_in_term_order(self, gather_bytes, monkeypatch):
@@ -603,7 +623,7 @@ class TestDiagonalSum:
             diag = np.diag(np.tile([1e16, 1.0, -1e16, 1.0], 5))  # term t meets diag[t, t] on slot 0
             front, _ = be.diagonal_sum((be.rotate(ct, t) for t in range(20)), diag, (0,))
             want = loop_diagonal_sum(Backend(be.params), [ct] * 20, diag, (0,))[0]
-            assert front.values.tobytes() == want.values.tobytes() and front.values[0] == 1.0
+            assert np.array_equal(be.decrypt(front), be.decrypt(want)) and front.values[0] == 1.0
 
     def test_reads_each_term_only_on_its_runs(self):
         be = Backend(P8)
@@ -714,75 +734,6 @@ class TestSum:
             be.sum(iter([]))
 
 
-def loop_region_sum(be, terms, masks, offsets):
-    """The mul_plain / add loop over full-width masks that region masks stand for; each row starts from +0.0."""
-    n = be.params.num_slots
-    out = []
-    for row in masks:
-        acc = None
-        for term, mask in zip(terms, row):
-            full = np.zeros(n)
-            if mask is not None:
-                i, j = np.indices(mask.shape)
-                positions = mask.start + i * mask.steps[0] + j * mask.steps[1]
-                for off in offsets:
-                    full[(off + positions) % n] = np.broadcast_to(mask.values, mask.shape)
-            prod = be.mul_plain(term, be._plain(full))
-            acc = CipherVector(0.0 + prod.values, prod.level) if acc is None else be.add(acc, prod)
-        out.append(acc)
-    return out
-
-
-@st.composite
-def region_masks(draw, rows, n_terms, footprint):
-    """Random grids inside one region of ``footprint`` slots."""
-    masks = []
-    for _ in range(rows):
-        row = []
-        for _ in range(n_terms):
-            a, b, q = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
-            run = (b - 1) * q + 1
-            p = run + draw(st.integers(0, 2))
-            extent = (a - 1) * p + run
-            start = draw(st.integers(0, footprint - extent))
-            values = draw(st.one_of(st.floats(-2, 2), st.lists(st.floats(-2, 2), min_size=b, max_size=b)))
-            row.append(RegionMask(start, (a, b), np.asarray(values), (p, q)))
-        masks.append(row)
-    return masks
-
-
-class TestRegionMasks:
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), n_terms=st.integers(1, 4), rows=st.integers(1, 3), count=st.integers(1, 3),
-           footprint=st.integers(19, 21), seed=st.integers(0, 2**32 - 1), quantize=st.booleans())
-    def test_equals_full_width_loop(self, data, n_terms, rows, count, footprint, seed, quantize):
-        params = HEParams(poly_degree=128, depth=3, scale_bits=8, quantize=quantize)
-        offsets = tuple(i * footprint for i in range(count))
-        masks = data.draw(region_masks(rows, n_terms, footprint))
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-4, 4, params.num_slots)
-        shifts = rng.integers(-70, 70, n_terms)
-        results = []
-        for method in (loop_region_sum, Backend.masked_sum):
-            be = Backend(params)
-            ct = be.encrypt(be.encode(x))
-            terms = [be.rotate(ct, int(s)) for s in shifts]
-            results.append((method(be, terms, masks, offsets), be.counter.snapshot(), list(be.counter.by_level)))
-        (want, want_ledger, want_keys), (got, got_ledger, got_keys) = results
-        assert (got_ledger, got_keys) == (want_ledger, want_keys)
-        for g, w in zip(got, want, strict=True):
-            assert g.level == w.level
-            assert np.array_equal(be.decrypt(g), w.values)
-
-    def test_uneven_offsets_and_bias_refused(self):
-        be = Backend(P8)
-        ct = be.encrypt(be.encode(np.arange(8.0)))
-        with pytest.raises(ValueError):
-            be.masked_sum([ct], [[RegionMask(0, (1, 1))]], (0, 2, 5))
-        with pytest.raises(ValueError):
-            be.masked_sum([ct], [[RegionMask(0, (1, 1))]], (0, 4), np.ones(1))
-
-
 def compact_ops(be, ct, shifts, plain, coefs, support, mask):
     """Results of every operation on ``ct`` and its rotations, for comparing a compact stack with its full-width copy."""
     rotated = be.rotate(ct, shifts[0])
@@ -793,7 +744,7 @@ def compact_ops(be, ct, shifts, plain, coefs, support, mask):
         be.mul_cipher(rotated, rotated),
         be.mul_cipher(ct, rotated),
         be.masked_sum([be.rotate(ct, r) for r in shifts], coefs, support, np.ones(len(coefs))),
-        be.masked_sum([rotated], [[mask]], (0, 16)),
+        be.mul_plain(rotated, mask),
     ]
 
 
@@ -812,7 +763,8 @@ class TestCompactStacks:
         plain = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, np.inf]), min_size=32, max_size=32)))
         coefs = rng.uniform(-2, 2, (2, rows * len(shifts)))
         support = np.sort(rng.choice(32, int(rng.integers(0, 9)), replace=False))
-        mask = RegionMask(int(rng.integers(0, 12)), (2, 2), rng.uniform(-1, 1, 2), (3, 1))
+        mask = np.zeros(32)
+        mask[rng.choice(32, 3, replace=False)] = rng.uniform(-1, 1, 3)  # a product on fewer than 1/8 of the slots is compact
         results = []
         for compact in (True, False):
             be = Backend(params)
@@ -820,7 +772,7 @@ class TestCompactStacks:
             if not compact:
                 ct = CipherVector(be.decrypt(ct), 3)
             with np.errstate(invalid="ignore"):  # inf times a zero slot is NaN, in both forms
-                out = compact_ops(be, ct, shifts, PlainVector(plain), coefs, support, mask)
+                out = compact_ops(be, ct, shifts, PlainVector(plain), coefs, support, be.encode(mask))
             results.append(([(be.decrypt(x).tobytes(), x.level) for x in out], be.counter.snapshot(), list(be.counter.by_level)))
         assert results[0] == results[1]
 
@@ -840,10 +792,12 @@ class TestCompactStacks:
         out = be.decrypt(be.sum([a, b]))
         assert np.signbit(out[0]) and not np.signbit(out[1])
 
-    def test_product_that_signs_a_dead_slot_is_full_width(self):
-        be = Backend(P8)
-        ct = CipherVector(np.array([2.0]), 2, np.array([3]))
-        kept = be.mul_plain(ct, be.encode(np.where(np.arange(8) == 3, -1.0, 0.5)))
-        spread = be.mul_plain(ct, be.encode(np.full(8, -1.0)))
-        assert kept.slots is ct.slots and spread.slots is None
-        assert np.signbit(be.decrypt(spread)).sum() == 8
+    def test_product_on_few_slots_is_compact_and_signs_no_other_slot(self):
+        be = Backend(HEParams(poly_degree=64, depth=3))  # 32 slots: a product on fewer than 4 is compact
+        ct = CipherVector(np.array([2.0, -3.0]), 2, np.array([3, 9]))
+        plain = np.full(32, -0.0)
+        plain[[3, 5]] = [-1.0, 4.0]
+        kept = be.mul_plain(ct, be.encode(plain))
+        assert np.array_equal(kept.slots, [3, 5]) and kept.values.tobytes() == np.array([-2.0, 0.0]).tobytes()
+        spread = be.mul_plain(ct, be.encode(np.full(32, -1.0)))  # -1 times a +0.0 slot is -0.0, and +0.0 once added to +0.0
+        assert spread.slots is None and np.flatnonzero(np.signbit(be.decrypt(spread))).tolist() == [3]

@@ -1,6 +1,8 @@
 """Model descriptions, validation, depth accounting, and the plaintext oracle."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -278,8 +280,8 @@ class TestValidate:
         conv1d = Conv1d(ch_in=1, ch_out=1, kernel=2, stride=stride, weights=np.ones((1, 1, 2)), bias=np.zeros(1))
         for m in (ModelSpec("x", 1, 9, 9, (tiny_conv(stride=stride),)), ModelSpec("x", 1, 1, 9, (conv1d,))):
             report = validate(m, HEParams())
-            assert [v["rule"] for v in report.violations] == ["kernel_stride", "shape"]
-            assert "stride must be at least 1" in report.violations[1]["message"]
+            assert [v["rule"] for v in report.violations] == ["shape"]
+            assert "stride must be at least 1" in report.violations[0]["message"]
 
     def test_zero_kernel_refused_by_the_conv_step(self):
         doc = model_to_dict(builtin("M7"))
@@ -289,7 +291,7 @@ class TestValidate:
             trace_layout(m)
         assert err.value.layer_index == 0
         report = validate(m, HEParams())
-        assert [(v["layer"], v["rule"]) for v in report.violations] == [(0, "kernel_stride"), (0, "shape")]
+        assert [(v["layer"], v["rule"]) for v in report.violations] == [(0, "shape")]
         conv2d = ModelSpec("x", 1, 9, 9, (Conv2d(ch_in=1, ch_out=1, kernel=0, stride=1, weights=[], bias=[0.0]),))
         with pytest.raises(ShapeMismatch, match="conv2d kernel must be at least 1"):
             trace_layout(conv2d)
@@ -603,3 +605,82 @@ class TestGridHeadroomFuzz:
                 assert row.after.w_in * row.after.interval <= w
                 checked += 1
         assert checked > 300
+
+
+def broken_stack(rng, fault):
+    """A valid ``random_stack`` model changed to break one rule, and the ``(layer, rule)`` pairs it should report.
+
+    Returns ``None`` when the model drawn is invalid or has no place for ``fault``.  Every rule but the depth
+    budget is checked at a budget of 40 levels; a stride past the image grid is reported with ``kernel_stride``
+    too, since a kernel at least as wide as its stride keeps every output on the grid.
+    """
+    m = random_stack(rng)
+    report = validate(m, HEParams(depth=40))
+    if not report.ok:
+        return None
+    layers = list(m.layers)
+    flat = next((i for i, layer in enumerate(layers) if isinstance(layer, Flatten)), None)
+    depth = 40
+    if fault in ("stride", "kernel"):
+        kinds = (Conv1d, Conv2d, AvgPool2d) if fault == "kernel" else (Conv1d, Conv2d)
+        sized = [i for i, layer in enumerate(layers) if isinstance(layer, kinds)]
+        if not sized:
+            return None
+        i = int(rng.choice(sized))
+        if fault == "stride":
+            layers[i] = dataclasses.replace(layers[i], stride=int(rng.integers(-1, 1)))
+        else:
+            weights = {} if isinstance(layers[i], AvgPool2d) else {"weights": []}
+            layers[i] = dataclasses.replace(layers[i], kernel=0, **weights)
+        want = [(i, "shape")]
+    elif fault == "pool_kernel":
+        i = int(rng.integers(0, len(layers) + 1))
+        lay = report.trace[i].before if i < len(layers) else report.trace[-1].after if layers else m.input_layout()
+        c = next(c for c in itertools.count(2) if lay.h_in % c or lay.w_in % c)
+        layers.insert(i, AvgPool2d(kernel=c))
+        want = [(i, "shape")]
+    elif fault == "fc_before_flatten":
+        i = int(rng.integers(0, len(layers) + 1 if flat is None else flat + 1))
+        layers.insert(i, FC(dat_in=2, dat_out=1, weights=np.ones((1, 2)), bias=np.zeros(1)))
+        want = [(i, "flatten_structure")]
+    elif fault == "second_flatten":
+        if flat is None:
+            return None
+        layers.insert(flat + 1, Flatten())
+        want = [(flat + 1, "flatten_structure")]
+    elif fault == "stride_past_grid":
+        layers = layers[:flat]  # the image part of the model: no flatten or FC reads what the conv leaves
+        ch = report.trace[len(layers) - 1].after.channels if layers else m.channels
+        layers.append(Conv2d(ch_in=ch, ch_out=1, kernel=1, stride=m.width + 1, weights=np.ones(ch), bias=np.zeros(1)))
+        want = [(len(layers) - 1, "kernel_stride"), (len(layers) - 1, "stride_headroom")]
+    else:  # a depth budget one level short
+        depth = report.total_mults - 1
+        if depth < 1:
+            return None
+        want = [(None, "depth_budget")]
+    return ModelSpec(m.name, m.channels, m.height, m.width, tuple(layers)), depth, want
+
+
+class TestBrokenRandomStacks:
+    """Random stacks, each changed to break one structural rule, report that rule once, at the layer that breaks it."""
+
+    @pytest.mark.parametrize("fault", ["stride", "kernel", "pool_kernel", "fc_before_flatten", "second_flatten",
+                                       "stride_past_grid", "depth"])
+    def test_one_fault_one_report(self, tmp_path, capsys, fault):
+        cases = 0
+        for seed in range(60):
+            case = broken_stack(np.random.default_rng(seed), fault)
+            if case is None:
+                continue
+            m, depth, want = case
+            report = validate(m, HEParams(depth=depth))
+            assert [(v["layer"], v["rule"]) for v in report.violations] == want, f"seed {seed}"
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(model_to_dict(m)))
+            code = main(["plan", "--model", str(path), "--depth", str(depth)])
+            out, err = capsys.readouterr()
+            where = ["model" if v["layer"] is None else f"layer {v['layer']}" for v in report.violations]
+            lines = "".join(f"invalid ({w}, {v['rule']}): {v['message']}\n" for w, v in zip(where, report.violations))
+            assert (code, out, err) == (2, "", lines), f"seed {seed}"
+            cases += 1
+        assert cases >= 20
