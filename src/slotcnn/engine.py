@@ -171,14 +171,12 @@ def infer(m: ModelSpec, packed_inputs, params, plan, n_samples=None, backend=Non
 
     decrypted = backend.decrypt(state.ct)
     final = state.layout
-    positions = valid_positions(final)
     count = plan.capacity if n_samples is None else n_samples
-    outputs = []
-    for off in plan.offsets[:count]:
-        vec = decrypted[:, off + positions].reshape(-1)
-        if final.pending_const != 1.0:
-            vec = vec * final.pending_const
-        outputs.append(vec)
+    slots = np.add.outer(plan.offsets[:count], valid_positions(final))
+    outputs = decrypted[:, slots].transpose(1, 0, 2).reshape(len(slots), -1)  # sample by channel by position
+    if final.pending_const != 1.0:
+        outputs *= final.pending_const
+    outputs = list(outputs)
 
     metrics = OpMetrics(
         per_layer=per_layer,
@@ -236,8 +234,10 @@ def run_inference(m: ModelSpec, samples, params, plan=None, backend=None):
         raise ValueError("run_inference needs at least one sample")
     if plan is None:
         plan = packing.footprint(m, params)
-    flat = [packing.flatten_input(s) for s in samples]
-    plains = packing.batch_pack(flat, plan)
+    plan.check_capacity(len(samples))  # before any sample is read
+    if not (isinstance(samples, np.ndarray) and samples.ndim == 4):  # an array of 3-D samples is packed whole
+        samples = [packing.flatten_input(s) for s in samples]
+    plains = packing.batch_pack(samples, plan)
     outputs, metrics = infer(m, plains, params, plan, n_samples=len(samples), backend=backend)
     return outputs, metrics, plan
 

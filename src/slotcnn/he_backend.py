@@ -24,20 +24,23 @@ one level; a model's channels travel as one stack.  A full-width stack stores
 every slot, and its rotation is a read-only view of one doubled copy of it,
 shared by consecutive rotations of that stack (the simulator's hoisted
 rotations).  A compact stack stores only its live slots, every other slot
-being +0.0: a plaintext product returns one when it is formed on fewer than
-``_COMPACT_SHARE`` of the slots, a sum of compact stacks stays one, and its
-rotations only move the slot indices.  An operation whose full-width result
-could hold anything but +0.0 outside the live slots returns a full-width
-stack, so compact storage never changes a decrypted byte.  Slot values are
-never written after they are made.
+being +0.0: a plaintext product of more than one row returns one when it is
+formed on fewer than ``_COMPACT_SHARE`` of the slots, a sum of compact stacks
+stays one, and its rotations only move the slot indices.  A lone row stays
+full-width, where adding a plaintext costs less than the compact sum's index
+work.  An operation whose full-width result could hold anything but +0.0
+outside the live slots returns a full-width stack, so compact storage never
+changes a decrypted byte.  Slot values are never written after they are made.
 
 :meth:`Backend.masked_sum` sums convolution's products in one ``np.einsum``
-call over the terms' gathered support slots, and :meth:`Backend.diagonal_sum`
-the fully connected layer's in one call per block of terms over their runs.
-That is exact where einsum without ``optimize`` adds the terms in order from
-+0.0 with no fused multiply-add, as numpy's x86-64 wheels do; a numpy build
-that does not fails ``test_einsum_adds_rounded_products_in_term_order``, the
-pinned tests and ``slotcnn verify``.
+call over the terms' gathered support slots.  :meth:`Backend.diagonal_sum`
+takes the fully connected layer's input ciphertext, makes its rotations, and
+sums the products in one call per block of terms over their runs, reading the
+input's slots once, since every rotation only moves those same slots onto its
+run.  That is exact where einsum without ``optimize`` adds the terms in order
+from +0.0 with no fused multiply-add, as numpy's x86-64 wheels do.
+:func:`exact_einsum` checks that once per process; where it fails, both sums
+take their per-term loop, the one fixed-point runs take, to the same bytes.
 
 Every operation of :class:`Backend` runs once per stack: it checks widths and
 levels, records one op per row in the :class:`OpCounter`'s ``(kind, level)``
@@ -50,6 +53,7 @@ and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -125,13 +129,42 @@ class HEParams:
 
 
 DEFAULT_PARAMS = HEParams()
-_GATHER_BYTES = 1 << 18  # about the most bytes of term slots diagonal_sum gathers for one contraction
-# A plaintext product formed on fewer than this share of the slots returns a compact stack.  At 8192 slots
-# that takes M1's conv (810 slots) and the convs after M2's, M4's and M5's first pooling (7-1008 slots), and
-# leaves the first convs of M2-M5 (4732-6300 slots), M6's conv (1225) and M7's (2048-4096) full-width.  In
-# per-layer timings M6 ran no faster with its conv compact, and denser supports pay more for index work than
-# they save.
+_GATHER_BYTES = 1 << 19  # about the most bytes of term slots diagonal_sum gathers for one contraction, kept in cache
+# diagonal_sum asks the allocator for at least this many bytes for that buffer on every call, whichever layer calls it.
+# The same large request each time lets glibc reuse one heap block and keeps its dynamic mmap threshold above the
+# other per-call arrays of a dense pass.  With the buffer sized to its contents (a 512 KiB or 1 MiB bound instead), a
+# dense-wide benchmark process took 7 to 12 times the minor page faults.
+_SCRATCH_BYTES = 1 << 21
+# A plaintext product of two or more rows formed on fewer than this share of the slots returns a compact stack.
+# At 8192 slots that takes M1's conv (810 slots) and the convs after M2's, M4's and M5's first pooling (7-1008
+# slots), and leaves the first convs of M2-M5 (4732-6300 slots), M6's conv (1225) and M7's (2048-4096)
+# full-width.  In per-layer timings M6 ran no faster with its conv compact, and denser supports pay more for
+# index work than they save.  A lone row, as in the activation after a fully connected layer, is cheaper
+# full-width: on a 2-core Xeon VM, M3's second ApproxReLU took about 145 microseconds with its product compact
+# and 70 without, because adding a plaintext to a compact stack does index work over every slot.
 _COMPACT_SHARE = 1 / 8
+# Products that sum to +0.0 when each is rounded and added in term order from +0.0, and to something else when the
+# terms are reassociated, a product is fused into its addition, or a sum starts from its first product.
+_PROBES = (([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]), ([-(1 + 2.0**-29), 1 + 2.0**-30], [1.0, 1 + 2.0**-30]), ([-0.0], [1.0]))
+
+
+@functools.cache
+def exact_einsum() -> bool:
+    """Whether ``np.einsum`` without ``optimize`` sums as :meth:`Backend.masked_sum` and :meth:`Backend.diagonal_sum` need.
+
+    Checked once per process, on both contractions in the layouts they use: every product rounded and added in term
+    order from +0.0, with no fused multiply-add.  Where it does not, both sums take their per-term loop instead.
+    """
+    for values, coefs in _PROBES:
+        terms = np.repeat(np.array(values)[:, None], 37, axis=1)  # enough slots for numpy's vector loops and their tails
+        coefs = np.array(coefs)[:, None]
+        flat = np.einsum("to,ts->os", coefs, terms, optimize=False)
+        part = np.zeros((3, 40))[:, 2:39]  # rows of a wider accumulator, carried in through row 0 as diagonal_sum does
+        rows = np.concatenate((np.ones((1, 37)), np.repeat(coefs, 37, axis=1)))
+        np.einsum("ts,tks->ks", rows, np.concatenate((part[None], np.repeat(terms[:, None], 3, axis=1))), out=part, optimize=False)
+        if any(sums.any() or np.signbit(sums).any() for sums in (flat, part)):
+            return False
+    return True
 
 
 @dataclass(eq=False)
@@ -296,7 +329,7 @@ class Backend:
         self.counter.record("pt_mult", cipher.level, _rows(cipher))
         nonzero = plain.values != 0
         count = np.count_nonzero(nonzero)
-        if self._compact(count):
+        if self._compact(count, _rows(cipher)):
             slots = nonzero.nonzero()[0]
             values = self._quantized(self._take(cipher, slots) * plain.values[slots])
         else:  # whole rows: where the plaintext is zero, a finite slot's product is a zero that the +0.0 below makes +0.0
@@ -341,13 +374,18 @@ class Backend:
         """
         if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
             raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
-        first, rest = self._first("masked_sum", terms)
+        terms = iter(terms)
+        first = next(terms, None)
+        if first is None:
+            raise ValueError("masked_sum needs at least one term")
+        if first.level < 1:
+            raise LevelExhausted("ciphertext has no multiplication budget left")
         rows, outs = _rows(first), len(coefs)
         coefs = np.asarray(coefs, dtype=np.float64)
         if coefs.shape[1] % rows:
             raise ValueError(f"masked_sum needs a coefficient per term row, got {coefs.shape[1]} for stacks of {rows}")
         count = coefs.shape[1] // rows
-        checked = self._checked("masked_sum", first, rest, outs * rows, outs, count)
+        checked = self._checked(first, terms, outs * rows, outs, count)
         slots = np.asarray(support)
         if np.any(slots[1:] <= slots[:-1]):
             slots = np.unique(slots)
@@ -355,7 +393,7 @@ class Backend:
         for t, term in enumerate(checked):
             self._take(term, slots, gathered[t::count, : slots.size])
         coefs = self._quantized(coefs.T.copy())
-        if self.params.quantize:
+        if self.params.quantize or not exact_einsum():  # one rounded product at a time
             acc = np.zeros((outs, slots.size))
             for c, row in zip(coefs, gathered):
                 acc += self._quantized(c[:, None] * row[: slots.size])
@@ -364,67 +402,75 @@ class Backend:
         if bias is not None:
             acc += self._quantized(np.array(bias, dtype=np.float64))[:, None]
             self.counter.record("add", first.level - 1, outs)
-        if self._compact(slots.size):
+        if self._compact(slots.size, outs):
             return CipherVector(acc, first.level - 1, slots)
         out = np.zeros((outs, self.num_slots))
         out[:, slots] = acc
         return CipherVector(out, first.level - 1)
 
-    def diagonal_sum(self, terms, diag: np.ndarray, offsets: tuple) -> CipherVector:
-        """The front and wrap rows of the diagonal method's masked products over a stream of ciphertexts.
+    def diagonal_sum(self, cipher: CipherVector, diag: np.ndarray, offsets: tuple) -> CipherVector:
+        """The front and wrap rows of the diagonal method's masked products on the rotations of one ciphertext.
 
-        Term ``t`` is read only on its run of ``d = diag.shape[1]`` slots from ``t`` slots before each batch offset,
-        times ``diag[t]``; slots at or after an offset form the front row, those before it the wrap row.  Values,
-        ledger and stream are ``masked_sum``'s with those runs as full-width masks, every other slot an exact zero.
-        Offsets are evenly spaced, ``max(d, len(diag) - 1)`` or more apart and from the end of the vector.  Terms
-        hold one ciphertext each, and the two full-width rows are shaped like them.
+        Rotation ``t`` of ``cipher``, for ``t`` below ``count = len(diag)``, is read only on its run of ``d =
+        diag.shape[1]`` slots from ``t`` slots before each batch offset, times ``diag[t]``; slots at or after an offset
+        form the front row, those before it the wrap row.  Values and ledger are those of the ``rotate`` /
+        ``mul_plain`` / ``add`` loop with those runs as full-width masks, every other slot an exact zero: the ``count -
+        1`` rotations go through :meth:`rotate`, and the records keep the loop's key order.  Rotation ``t`` only moves
+        ``cipher``'s slots ``[off, off + d)`` onto its run, so those slots are read once per call, not once per
+        rotation.  ``diag`` is quantized a block of rows at a time, so a caller may keep one unquantized copy.
+        Offsets are evenly spaced, ``max(d, count - 1)`` or more apart and from the end of the vector; ``cipher``
+        holds one ciphertext, and the two full-width rows are shaped like it.  Every refusal comes before any record.
         """
         (count, width), n, wide = diag.shape, self.num_slots, len(offsets)
         reach, stride = max(width, count - 1), (offsets[1:2] or (n,))[0] - offsets[0]  # a lone offset: room to the end
         if stride < reach or offsets != tuple(range(offsets[0], offsets[-1] + 1, stride)) or offsets[0] < 0 or offsets[-1] + reach > n:
             raise ValueError(f"diagonal_sum needs offsets evenly spaced at least {reach} apart, got {offsets}")
-        first, rest = self._first("diagonal_sum", terms)
-        if _rows(first) != 1:
-            raise ValueError(f"diagonal_sum needs terms of one ciphertext, got stacks of {_rows(first)}")
-        checked = self._checked("diagonal_sum", first, rest, 2, 2, count)
+        if cipher.level < 1:
+            raise LevelExhausted("ciphertext has no multiplication budget left")
+        if _rows(cipher) != 1:
+            raise ValueError(f"diagonal_sum needs one ciphertext, got a stack of {_rows(cipher)}")
+        if self._width(cipher) != n:
+            raise SlotMismatch(f"operand widths differ: {self._width(cipher)} vs {n}")
+        self.counter.record("pt_mult", cipher.level, 2 * count)
+        for t in range(1, count):
+            self.rotate(cipher, t)
+        if count > 1:
+            self.counter.record("add", cipher.level - 1, 2 * (count - 1))
+
         block = max(2, min(count, _GATHER_BYTES // (8 * wide * width)))  # terms per contraction
         span, origin = width + block - 1, -(-count // block) * block - 1  # acc column origin + s: slot s after each offset
-        acc, coefs, gathered = np.zeros((wide, origin + width)), np.zeros((block + 1, span)), np.zeros((block + 1, wide, span))
+        acc, coefs, size = np.zeros((wide, origin + width)), np.zeros((block + 1, span)), (block + 1) * wide * span
+        gathered = np.empty(max(size, _SCRATCH_BYTES // 8))[:size].reshape(block + 1, wide, span)
+        gathered.fill(0.0)
         coefs[0] = 1.0  # row 0 carries the sums so far through each contraction
-        for t, term in enumerate(checked):
-            term, b, start = np.ascontiguousarray(self._dense(term)).reshape(n), t % block, offsets[0] - t
-            # The block's term i goes to row 1 + i, i columns left of its first term, so one slot's products share a column.
-            coefs[1 + b, block - 1 - b :][:width] = diag[t]
-            run = gathered[1 + b, :, block - 1 - b :][:, :width]
-            cut = min(max(-start, 0), width)  # the first run's slots before slot 0 are the last ones
-            run[0, :cut], run[0, cut:] = term[n + start : n + start + cut], term[start + cut : start + width]
-            run[1:] = np.ndarray((wide - 1, width), np.float64, term, 8 * (start + stride), (8 * stride, 8))
-            if b == block - 1 or t == count - 1:
-                self._quantized(coefs[1 : b + 2])
-                part = acc[:, origin - t + b - block + 1 :][:, :span]
-                if self.params.quantize:  # every product is rounded, so one term at a time
-                    for c, g in zip(coefs[1 : b + 2], gathered[1 : b + 2]):
-                        part += self._quantized(c * g)
-                else:
-                    gathered[0] = part
-                    np.einsum("ts,tks->ks", coefs[: b + 2], gathered[: b + 2], out=part, optimize=False)
-        out = np.zeros((2, n))
-        out[0, np.add.outer(offsets, np.arange(width))] = acc[:, origin:]
-        out[1, np.add.outer(offsets, np.arange(1 - count, 0))] = acc[:, origin - count + 1 : origin]
-        return CipherVector(out.reshape(2, *first.values.shape[:-1], n), first.level - 1)
 
-    def _first(self, name: str, terms):
-        """The first of a stream of terms, checked to have a level to spend, and the rest of the stream; errors name ``name``."""
-        terms = iter(terms)
-        first = next(terms, None)
-        if first is None:
-            raise ValueError(f"{name} needs at least one term")
-        if first.level < 1:
-            raise LevelExhausted("ciphertext has no multiplication budget left")
-        return first, terms
+        def per_offset(a, d):  # ``d`` slots from each offset of the flat buffer ``a``, a row per offset
+            return np.ndarray((wide, d), np.float64, a, 8 * offsets[0], (8 * stride, 8))
 
-    def _checked(self, name: str, first, terms, prods: int, outs: int, count: int):
-        """Yield ``count`` terms shaped like ``first``, each once checked and its ``prods`` products and their sums recorded.
+        def skewed(a):  # row 1 + i of ``a`` from column block - 1 - i on: term i of a block, so one slot's products share a column
+            return np.ndarray((block, *a.shape[1:-1], width), np.float64, a, a.strides[0] + 8 * (block - 1), (a.strides[0] - 8, *a.strides[1:]))
+
+        skewed(gathered)[...] = per_offset(np.ascontiguousarray(self._dense(cipher)).reshape(n), width)
+        rows, exact = skewed(coefs), not self.params.quantize and exact_einsum()
+        for first in range(0, count, block):
+            terms = min(block, count - first)
+            rows[:terms] = diag[first : first + terms]
+            self._quantized(coefs[1 : terms + 1])
+            part = acc[:, origin - first - block + 1 :][:, :span]
+            if exact:
+                gathered[0] = part
+                np.einsum("ts,tks->ks", coefs[: terms + 1], gathered[: terms + 1], out=part, optimize=False)
+            else:  # one rounded product at a time
+                for c, g in zip(coefs[1 : terms + 1], gathered[1 : terms + 1]):
+                    part += self._quantized(c * g)
+        out, wrap = np.zeros((2, n)), np.zeros(n)  # the wrap row with slot s at s + count - 1, so no run crosses the end
+        per_offset(out, width)[...] = acc[:, origin:]
+        per_offset(wrap, count - 1)[...] = acc[:, origin - count + 1 : origin]
+        out[1, : n - count + 1], out[1, n - count + 1 :] = wrap[count - 1 :], wrap[: count - 1]
+        return CipherVector(out.reshape(2, *cipher.values.shape[:-1], n), cipher.level - 1)
+
+    def _checked(self, first, terms, prods: int, outs: int, count: int):
+        """Yield ``first`` and the terms after it, ``count`` in all, each once checked and its ``prods`` products and their sums recorded.
 
         Every term adds ``prods`` sums, except that the first term's products start ``outs`` rows from +0.0.
         """
@@ -436,7 +482,7 @@ class Backend:
                 self.counter.discard("pt_mult", level, prods * t)
                 self.counter.discard("add", level - 1, records)
                 if t == count or term is None:
-                    raise ValueError(f"{name} needs {count} terms, got {'more' if term is not None else t}")
+                    raise ValueError(f"masked_sum needs {count} terms, got {'more' if term is not None else t}")
                 if self._width(term) != n:
                     raise SlotMismatch(f"operand widths differ: {self._width(term)} vs {n}")
                 raise SlotMismatch(f"operand stacks differ: {term.values.shape[:-1]} vs {first.values.shape[:-1]} rows")
@@ -524,9 +570,9 @@ class Backend:
 
     # -- slot values -------------------------------------------------------
 
-    def _compact(self, live: int) -> bool:
-        """Whether a result with ``live`` live slots is stored compact."""
-        return live < _COMPACT_SHARE * self.num_slots
+    def _compact(self, live: int, rows: int) -> bool:
+        """Whether a product of ``rows`` rows with ``live`` live slots is stored compact: a lone row never is."""
+        return rows > 1 and live < _COMPACT_SHARE * self.num_slots
 
     def _live(self, cipher) -> np.ndarray:
         """The slot each column of a compact stack holds."""

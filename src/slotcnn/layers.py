@@ -28,19 +28,22 @@ Every schedule works on the whole channel stack of its :class:`CipherState`:
 each backend operation runs once and records one op per channel, and only
 flatten's final merge, which rotates each channel by its own amount, takes
 the channels one at a time.  Convolution hands its masked products and sums
-to :meth:`Backend.masked_sum`, the fully connected layer to
-:meth:`Backend.diagonal_sum`; flatten and ``ApproxReLU`` multiply by masks
+to :meth:`Backend.masked_sum`.  The fully connected layer hands its input
+ciphertext and its plaintext diagonals to :meth:`Backend.diagonal_sum`,
+which makes the rotations; it forms those diagonals on its first run and
+keeps them, one ``dat_out x dat_in`` copy, which cannot go stale because a
+layer's weight tensors are read-only.  Flatten and ``ApproxReLU`` multiply by masks
 with :meth:`Backend.mul_plain`, and every plaintext a layer uses is made by
 one helper, ``_plain``, through :meth:`Backend.encode`.  All three follow the
 backend's one masking rule: each product is formed only on its mask's
 nonzero slots, and every other slot is an exact +0.0, so no value of one
 sample reaches another sample's result through a zero mask slot, however
 large it grows.  The two sums' values and op ledger are those of the
-``mul_plain`` / ``add`` loop over full-width masks.  A product over few
-slots leaves a compact stack, which stores only its live slots; the
-pooling, squaring, flatten and convolution that follow work on those slots
-alone, and its rotations copy nothing.  Rotations stream into the masked
-sums and into :meth:`Backend.sum`.
+``mul_plain`` / ``add`` loop over full-width masks.  A product of several
+rows over few slots leaves a compact stack, which stores only its live
+slots; the pooling, squaring, flatten and convolution that follow work on
+those slots alone, and its rotations copy nothing.  Rotations stream into
+:meth:`Backend.masked_sum` and :meth:`Backend.sum`.
 """
 
 from __future__ import annotations
@@ -175,10 +178,16 @@ def _headroom(flattened: bool, after: LayoutState, rows: bool = True):
 
 
 def _as_array(data, shape, what: str) -> np.ndarray:
+    """``data`` as a read-only float array of ``shape``; a writeable array of the caller's is copied first."""
     arr = np.asarray(data, dtype=np.float64)
-    if arr.size != int(np.prod(shape)):
-        raise ShapeMismatch(f"{what} expects {int(np.prod(shape))} values, got {arr.size}")
-    return arr.reshape(shape)
+    if arr.size != math.prod(shape):
+        raise ShapeMismatch(f"{what} expects {math.prod(shape)} values, got {arr.size}")
+    if arr is data and arr.flags.writeable:
+        arr = arr.copy()
+    if arr.shape != shape:
+        arr = arr.reshape(shape)
+    arr.flags.writeable = False
+    return arr
 
 
 class Layer:
@@ -602,6 +611,8 @@ class FC(Layer):
     weights: np.ndarray
     bias: np.ndarray
 
+    _diagonals = None  # (weights, scale, diagonals) of the last call to diagonals(), not a field
+
     @staticmethod
     def shapes(args) -> dict:
         return {"weights": (args["dat_out"], args["dat_in"]), "bias": (args["dat_out"],)}
@@ -628,34 +639,46 @@ class FC(Layer):
         the input meets two masks (the part of diagonal ``o`` that does not wrap
         past the working window, and the wrapped remainder, pre-rotated so a
         single corrective rotation fixes all wrapped parts at once).
-        :meth:`Backend.diagonal_sum` forms both masked sums at every batch offset
-        in a few einsum calls, reading each rotation only on the samples' inputs.
-        Summing ``ceil(dat_in / dat_out)``-many ``dat_out``-strided rotations of
-        the masked sum then folds the window down to one dot product per output
-        slot.  Slots past ``dat_out`` are left holding fold junk.
+        :meth:`Backend.diagonal_sum` makes the rotations and forms both masked
+        sums at every batch offset in a few einsum calls, reading the input once
+        on the samples' slots.  The diagonals are :meth:`diagonals`, formed on
+        the first run and kept.  Summing ``ceil(dat_in / dat_out)``-many
+        ``dat_out``-strided rotations of the masked sum then folds the window
+        down to one dot product per output slot.  Slots past ``dat_out`` are
+        left holding fold junk.
         """
         lay = state.layout
         out_layout, _ = self.step(lay)
-        d_in, d_out = self.dat_in, self.dat_out
-        reps = math.ceil(d_in / d_out)
+        d_out = self.dat_out
+        reps = math.ceil(self.dat_in / d_out)
         window = reps * d_out
         if window > lay.footprint:
             raise FootprintOverflow(f"fc working window {window} exceeds the footprint {lay.footprint}")
-
-        # Rotation o meets diagonal o of the scaled weights, diag[o, j] = W[(j - o) mod d_out, j], at slot j - o:
-        # in the front part, or in the wrap part before slot 0 that one rotation by `window` moves behind the front.
-        # On W stacked on itself, (o, j) is row d_out - o + (j mod d_out), column j: one strided view for all o.
-        stacked = np.zeros((2 * d_out, window))
-        stacked[:d_out, :d_in] = stacked[d_out:, :d_in] = self.weights * lay.pending_const
-        strides = (-8 * window, 8 * d_out, 8 * window + 8)
-        diag = np.ndarray((d_out, reps, d_out), np.float64, stacked, 8 * d_out * window, strides).reshape(d_out, window)
-        ct = state.ct
-        rotations = (backend.rotate(ct, o) if o else ct for o in range(d_out))
-        acc_front, acc_wrap = backend.diagonal_sum(rotations, diag[:, :d_in], lay.batch_offsets)
+        acc_front, acc_wrap = backend.diagonal_sum(state.ct, self.diagonals(lay.pending_const), lay.batch_offsets)
         summed = backend.add(acc_front, backend.rotate(acc_wrap, -window))
         out = backend.sum(backend.rotate(summed, i * d_out) if i else summed for i in range(reps))
         out = backend.add(out, _plain(backend, np.add.outer(lay.batch_offsets, np.arange(d_out)), self.bias))
         return CipherState(out, out_layout)
+
+    def diagonals(self, scale: float) -> np.ndarray:
+        """The scaled weight diagonals, ``diag[o, j] = W[(j - o) mod dat_out, j] * scale``, kept for the next call.
+
+        Rotation ``o`` meets diagonal ``o`` at slot ``j - o``: in the front part, or in the wrap part before slot 0
+        that one rotation by the window moves behind the front.  One read-only ``dat_out x dat_in`` copy is kept,
+        for the weights and scale it was formed from, and only while those weights are read-only, so it cannot go
+        stale: weights rebound to a writeable array are read afresh on every call.
+        """
+        kept = self._diagonals
+        if kept is None or kept[0] is not self.weights or kept[1] != scale or self.weights.flags.writeable:
+            d_in, d_out = self.dat_in, self.dat_out
+            rows = (np.arange(d_out) - np.arange(d_out)[:, None]) % d_out  # within a block of d_out columns
+            diag = np.empty((d_out, d_in))
+            for start in range(0, d_in, d_out):  # a block at a time, so no temporary is larger than d_out x d_out
+                cols = np.arange(start, min(start + d_out, d_in))
+                np.multiply(self.weights[rows[:, : cols.size], cols], scale, out=diag[:, start : start + cols.size])
+            diag.flags.writeable = False
+            self._diagonals = kept = (self.weights, scale, diag)
+        return kept[2]
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """Diagonal rotations and their two masked products each, then the wrap correction, folds and bias."""

@@ -44,8 +44,11 @@ __all__ = [
 class ModelSpec:
     """A named layer sequence over a fixed input shape.
 
-    Treated as immutable after construction; nothing in the package mutates
-    a model, so instances are safe to share across threads.
+    Treated as immutable after construction: every layer tensor is
+    read-only, and the only state a run adds is each fully connected layer's
+    kept diagonals, formed from those tensors on its first run; two threads
+    that form them at once form the same values.  Instances are safe to share
+    across threads.
     """
 
     name: str
@@ -352,6 +355,16 @@ _BUILTINS = {
 }
 
 
+_NAN = np.full(1, np.nan)
+_NAN.flags.writeable = False  # so every zero-stride view of it is read-only
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A freshly drawn tensor, made read-only so the layer keeps it without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
 def builtin_names() -> list:
     return sorted(_BUILTINS)
 
@@ -368,12 +381,12 @@ def builtin(name: str, seed: int = 0, weights: bool = True) -> ModelSpec:
     if key not in _BUILTINS:
         raise UnknownModel(f"unknown built-in model {name!r}; available: {', '.join(builtin_names())}")
     (channels, height, width), stubs = _BUILTINS[key]
-    rng = np.random.default_rng(seed) if weights else None
+    draw = np.random.default_rng(seed).uniform if weights else None
     layers = []
     for kind, *args in stubs:
         cls = LAYER_TYPES[kind]
         args = args[0] if args else {}
-        tensors = {attr: rng.uniform(-0.5, 0.5, size=shape) if weights else np.broadcast_to(np.nan, shape)
+        tensors = {attr: _frozen(draw(-0.5, 0.5, size=shape)) if weights else np.ndarray(shape, np.float64, _NAN, 0, (0,) * len(shape))
                    for attr, shape in cls.shapes(args).items()}
         layers.append(cls(**args, **tensors))
     return ModelSpec(name=key, channels=channels, height=height, width=width, layers=tuple(layers))

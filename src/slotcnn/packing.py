@@ -43,6 +43,11 @@ class PackPlan:
     model: ModelSpec = field(repr=False)
     trace: tuple = field(repr=False)
 
+    def check_capacity(self, count: int) -> None:
+        """Refuse a request of ``count`` samples that does not fit into one batch."""
+        if count > self.capacity:
+            raise CapacityExceeded(f"{count} samples exceed the batch capacity {self.capacity}")
+
     def to_dict(self) -> dict:
         return {
             "footprint": self.footprint,
@@ -94,30 +99,50 @@ def batch_pack(samples, plan: PackPlan) -> list:
     """Combine up to ``plan.capacity`` samples into per-channel plain vectors.
 
     Each sample is a list of per-channel row-major vectors (the output of
-    :func:`flatten_input`).  Sample ``i`` is added into the zeroed shared
-    vector at ``plan.offsets[i]``.  The returned plaintexts are layout-only;
-    encode them through a backend to apply quantization before encryption.
+    :func:`flatten_input`), or ``samples`` is one array of them, sample by
+    channel by slot.  Sample ``i`` is added into the zeroed shared vector at
+    ``plan.offsets[i]``.  The returned plaintexts are layout-only; encode them
+    through a backend to apply quantization before encryption.
 
-    Every value must be finite; NaN and infinity raise
-    :class:`NonFiniteInput`.  A huge finite value that overflows later does
-    not reach other samples through the masked products of the convolution,
-    ``Flatten`` and ``FC`` schedules, which are formed only on their masks' slots.
+    Refusals come in this order: :class:`CapacityExceeded` before any sample
+    is read, then :class:`ShapeMismatch` for the first sample whose channel
+    count differs from the first one's, :class:`OversizedInput` when a vector
+    is longer than the footprint, and :class:`NonFiniteInput` for the first
+    sample and channel holding a NaN or infinity.  A huge finite value
+    that overflows later does not reach other samples through the masked
+    products of the convolution, ``Flatten`` and ``FC`` schedules, which are
+    formed only on their masks' slots.
     """
-    if len(samples) > plan.capacity:
-        raise CapacityExceeded(f"{len(samples)} samples exceed the batch capacity {plan.capacity}")
-    if not samples:
+    plan.check_capacity(len(samples))
+    if not len(samples):
         return []
+    try:
+        batch = np.asarray(samples, dtype=np.float64)
+    except ValueError:  # channels or vectors of unequal length
+        batch = None
+    batch = _stacked(samples) if batch is None or batch.ndim < 2 else batch.reshape(*batch.shape[:2], -1)
+    size = batch.shape[2]
+    if size > plan.footprint:
+        raise OversizedInput(f"sample vector of length {size} exceeds the footprint {plan.footprint}")
+    finite = np.isfinite(batch).all(axis=2)
+    if not finite.all():
+        i, ch = np.argwhere(~finite)[0]
+        raise NonFiniteInput(f"sample {i} channel {ch} holds a non-finite value")
+    combined = np.zeros((batch.shape[1], plan.num_slots))
+    combined[:, np.add.outer(plan.offsets[: len(batch)], np.arange(size))] += batch.transpose(1, 0, 2)
+    return [PlainVector(vec) for vec in combined]
+
+
+def _stacked(samples) -> np.ndarray:
+    """Lists of channel vectors as one zero-padded ``(samples, channels, longest vector)`` array; a sample with another channel count than the first is refused."""
     n_channels = len(samples[0])
-    combined = [np.zeros(plan.num_slots) for _ in range(n_channels)]
+    vectors = []
     for i, sample in enumerate(samples):
         if len(sample) != n_channels:
             raise ShapeMismatch(f"sample {i} has {len(sample)} channels, expected {n_channels}")
-        for ch, vec in enumerate(sample):
-            vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-            if vec.size > plan.footprint:
-                raise OversizedInput(f"sample vector of length {vec.size} exceeds the footprint {plan.footprint}")
-            if not np.isfinite(vec).all():
-                raise NonFiniteInput(f"sample {i} channel {ch} holds a non-finite value")
-            combined[ch][plan.offsets[i] : plan.offsets[i] + vec.size] += vec
-    return [PlainVector(vec) for vec in combined]
-
+        vectors.append([np.asarray(vec, dtype=np.float64).reshape(-1) for vec in sample])
+    batch = np.zeros((len(samples), n_channels, max((vec.size for sample in vectors for vec in sample), default=0)))
+    for row, sample in zip(batch, vectors):
+        for dest, vec in zip(row, sample):
+            dest[: vec.size] = vec
+    return batch

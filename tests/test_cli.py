@@ -462,6 +462,21 @@ class TestPricingReadsNoWeights:
         assert all(code == 0 for code, _, _ in expected)
 
 
+    def test_no_diagonals_formed(self, capsys, monkeypatch):
+        """Pricing reads the architecture only, so no fully connected layer forms its plaintext diagonals."""
+        from slotcnn import FC, ledger_metrics
+
+        def no_diagonals(*args):
+            raise AssertionError("plan, bench and ledger_metrics must form no FC diagonals")
+
+        monkeypatch.setattr(FC, "diagonals", no_diagonals)
+        for name in builtin_names():
+            for command in ("plan", "bench"):
+                assert run_cli(capsys, command, "--builtin", name)[0] == 0
+            m = builtin(name)
+            ledger_metrics(m, HEParams(), footprint(m, HEParams()).trace)
+
+
 class TestWalkCounts:
     """Validation, planning and inference reuse one layout trace instead of walking the model again."""
 
@@ -560,6 +575,15 @@ class TestPinnedBytes:
         assert valid >= 250
         # conv's einsum sums make this digest depend on the numpy build too, as the note above says.
         assert digest.hexdigest() == "b08a3fdf44ff6ad9b6a80132e25abbe927b01e91cdb42c74b1ea976b1d5892db"
+
+    @pytest.mark.parametrize("digest", ["test_builtins_digest", "test_layer_states_digest", "test_random_stacks_digest"])
+    def test_digest_without_einsum(self, digest, capsys, monkeypatch):
+        """Where numpy's einsum fails the exactness probe, the sums take their per-term loops, to the same bytes."""
+        from slotcnn import he_backend
+
+        monkeypatch.setattr(he_backend, "exact_einsum", lambda: False)
+        test = getattr(self, digest)
+        test(capsys) if digest == "test_builtins_digest" else test()
 
     def test_random_stack_states_digest(self):
         """Every slot after every layer of 200 random stacks at 2048 slots and full batches, signed inputs included.

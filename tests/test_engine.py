@@ -246,7 +246,11 @@ class TestVerify:
     @pytest.mark.parametrize("layer,value", [(0, np.nan), (3, 1e308)])
     def test_non_finite_error_fails(self, layer, value):
         m = builtin("M1")
-        m.layers[layer].weights.flat[0] = value
+        weights = m.layers[layer].weights.copy()  # layer tensors are read-only, so the poisoned model is built anew
+        weights.flat[0] = value
+        layers = list(m.layers)
+        layers[layer] = dataclasses.replace(layers[layer], weights=weights)
+        m = dataclasses.replace(m, layers=tuple(layers))
         with np.errstate(all="ignore"):
             result = verify_against_oracle(m, PARAMS, n_trials=2)
         assert not result["ok"]
@@ -385,6 +389,43 @@ class TestSampleIsolation:
         for i in range(plan.capacity):
             if i != 1:
                 assert dirty[i].tobytes() == clean[i].tobytes(), f"sample {i}"
+
+
+class TestKeptDiagonals:
+    """Each FC forms its plaintext diagonals on the first inference that needs them and keeps them."""
+
+    def test_formed_once_across_inferences(self):
+        m = builtin("M1")
+        plan = footprint(m, PARAMS)
+        fcs = [layer for layer in m.layers if isinstance(layer, FC)]
+        samples = rand_samples(m, 3, seed=1)
+        assert all(fc._diagonals is None for fc in fcs)
+        first, _, _ = run_inference(m, samples, PARAMS, plan=plan)
+        kept = [fc._diagonals[2] for fc in fcs]
+        again, _, _ = run_inference(m, samples, PARAMS, plan=plan)
+        assert all(fc._diagonals[2] is diag for fc, diag in zip(fcs, kept))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
+    def test_kept_diagonals_cannot_go_stale(self):
+        """Layer tensors are read-only, a caller's array is copied, and weights rebound to a writeable array are never kept."""
+        rng = np.random.default_rng(2)
+        weights = rng.uniform(-1, 1, (3, 8))
+        fc = FC(dat_in=8, dat_out=3, weights=weights, bias=np.zeros(3))
+        weights[0, 0] = 5.0
+        assert fc.weights[0, 0] != 5.0
+        m = ModelSpec("fc", 1, 1, 8, (Flatten(), fc))
+        samples = rand_samples(m, 2, seed=3)
+        run_inference(m, samples, PARAMS)
+        with pytest.raises(ValueError):
+            fc.weights[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            fc.bias[0] = 5.0
+        fc.weights = weights  # writeable, so read afresh on every run, in-place changes included
+        for value in (5.0, -2.0):
+            weights[0, 0] = value
+            outputs, _, _ = run_inference(m, samples, PARAMS)
+            fresh = ModelSpec("fc", 1, 1, 8, (Flatten(), FC(dat_in=8, dat_out=3, weights=weights, bias=np.zeros(3))))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(outputs, run_inference(fresh, samples, PARAMS)[0]))
 
 
 def fuzz_case(seed):

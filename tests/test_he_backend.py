@@ -209,7 +209,7 @@ class TestMulPlain:
             want = np.zeros((rows, 32))
             want[:, nonzero] = be._quantized(be.decrypt(ct)[:, nonzero] * plain.values[nonzero]) + 0.0
         assert be.decrypt(out).tobytes() == want.tobytes() and out.level == 2
-        assert (out.slots is not None) == (nonzero.sum() < 4) and be.counter.by_level == {("pt_mult", 3): rows}
+        assert (out.slots is not None) == (nonzero.sum() < 4 and rows > 1) and be.counter.by_level == {("pt_mult", 3): rows}
 
 
 class TestMulCipher:
@@ -456,6 +456,16 @@ class TestMaskedSum:
         out = be.masked_sum(terms, np.array([coefs]), np.array([5]))
         assert be.decrypt(out)[0, 5] == want
 
+    def test_probe_refuses_an_einsum_that_reorders_its_terms(self, monkeypatch):
+        einsum = np.einsum
+
+        def last_term_first(subscripts, *operands, **kwargs):
+            return einsum(subscripts, *(np.roll(op, 1, axis=0) for op in operands), **kwargs)
+
+        assert isinstance(he_backend.exact_einsum(), bool)
+        monkeypatch.setattr(he_backend.np, "einsum", last_term_first)
+        assert he_backend.exact_einsum.__wrapped__() is False
+
     def test_level_and_width_checks(self):
         be = Backend(HEParams(poly_degree=8, depth=1))
         ct = be.mul_plain(be.encrypt(be.encode([1])), be.encode(np.ones(4)))
@@ -596,19 +606,23 @@ def loop_diagonal_sum(be, terms, diag, offsets):
 class TestDiagonalSum:
     @settings(max_examples=120, deadline=None)
     @given(width=st.integers(1, 9), count=st.integers(1, 9), n_offsets=st.integers(1, 4), extra=st.integers(0, 3),
-           first=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), quantize=st.booleans())
-    def test_equals_full_width_loop(self, width, count, n_offsets, extra, first, seed, quantize):
+           first=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), quantize=st.booleans(), n_live=st.sampled_from([None, 0, 5, 40]))
+    def test_equals_full_width_loop(self, width, count, n_offsets, extra, first, seed, quantize, n_live):
         params = HEParams(poly_degree=128, depth=3, scale_bits=8, quantize=quantize)
         stride = max(width, count - 1) + extra
         offsets = tuple(first + i * stride for i in range(n_offsets))
         rng = np.random.default_rng(seed)
         x = rng.uniform(-4, 4, params.num_slots)
         diag = rng.uniform(-2, 2, (count, width))
+        live = None if n_live is None else np.sort(rng.choice(params.num_slots, n_live, replace=False))
         results = []
         for method in (loop_diagonal_sum, Backend.diagonal_sum):
             be = Backend(params)
-            ct = be.encrypt(be.encode(x))
-            out = method(be, (be.rotate(ct, t) if t else ct for t in range(count)), diag, offsets)
+            ct = be.encrypt(be.encode(x)) if live is None else CipherVector(x[live], 3, live)  # full-width or compact
+            if method is loop_diagonal_sum:
+                out = method(be, (be.rotate(ct, t) if t else ct for t in range(count)), diag, offsets)
+            else:
+                out = method(be, ct, diag, offsets)
             results.append(([be.decrypt(v) for v in out], [v.level for v in out], be.counter.snapshot(), list(be.counter.by_level)))
         (want, *want_rest), (got, *got_rest) = results
         assert all(map(np.array_equal, got, want)) and got_rest == want_rest  # every slot, zeros compared by value
@@ -621,7 +635,7 @@ class TestDiagonalSum:
             be = Backend(HEParams(poly_degree=64, depth=3, scale_bits=8, quantize=quantize))
             ct = be.encrypt(be.encode(np.ones(32)))
             diag = np.diag(np.tile([1e16, 1.0, -1e16, 1.0], 5))  # term t meets diag[t, t] on slot 0
-            front, _ = be.diagonal_sum((be.rotate(ct, t) for t in range(20)), diag, (0,))
+            front, _ = be.diagonal_sum(ct, diag, (0,))
             want = loop_diagonal_sum(Backend(be.params), [ct] * 20, diag, (0,))[0]
             assert np.array_equal(be.decrypt(front), be.decrypt(want)) and front.values[0] == 1.0
 
@@ -629,37 +643,46 @@ class TestDiagonalSum:
         be = Backend(P8)
         junk = np.full(8, np.inf)
         junk[[0, 1, 4, 5]] = [1.0, 2.0, 3.0, 4.0]
-        terms = [CipherVector(np.roll(junk, -t), 3) for t in range(3)]
-        front, wrap = be.diagonal_sum(terms, np.ones((3, 2)), (0, 4))
+        front, wrap = be.diagonal_sum(CipherVector(junk, 3), np.ones((3, 2)), (0, 4))
         assert np.array_equal(front.values, [3, 2, 0, 0, 7, 4, 0, 0]) and np.array_equal(wrap.values, [0, 0, 3, 7, 0, 0, 1, 3])
 
-    @pytest.mark.parametrize("n_terms", [1, 3])
-    def test_stream_of_the_wrong_length_is_refused(self, n_terms):
-        be = Backend(P8)
-        ct = be.encrypt(be.encode(np.arange(8.0)))
-        terms = [be.rotate(ct, r) for r in range(n_terms)]
-        before = be.counter.snapshot()
-        with pytest.raises(ValueError, match=f"needs 2 terms, got {'more' if n_terms > 2 else n_terms}"):
-            be.diagonal_sum(iter(terms), np.ones((2, 2)), (0, 4))
-        assert be.counter.snapshot() == before
+    def test_overflowing_input_reaches_only_its_own_runs(self):
+        """A 1e200 input at one offset changes no slot outside the front and wrap runs of that offset."""
+        be = Backend(HEParams(poly_degree=64, depth=3))
+        rng = np.random.default_rng(4)
+        x, diag = rng.uniform(-1, 1, 32), rng.uniform(-1, 1, (4, 5))
+        rows = []
+        for values in (x, np.where(np.arange(32) == 10, 1e200, x)):  # input 2 of the sample at offset 8
+            rows.append(be.decrypt(be.diagonal_sum(be.encrypt(be.encode(values)), diag, (0, 8, 16, 24))))
+        changed = rows[0] != rows[1]
+        own = np.zeros((2, 32), bool)
+        own[0, 8:13] = own[1, 5:8] = True  # the front run from offset 8 and the wrap run before it
+        assert changed.any() and not (changed & ~own).any()
 
-    def test_wrong_width_term_takes_back_earlier_records(self):
+    @pytest.mark.parametrize("case", ["wrong width", "two rows", "level 0", "bad offsets"])
+    def test_refused_before_any_record(self, case):
         be = Backend(P8)
         ct = be.encrypt(be.encode(np.arange(8.0)))
-        before = be.counter.snapshot()
-        with pytest.raises(SlotMismatch):
-            be.diagonal_sum(iter([ct, ct, CipherVector(np.zeros(4), ct.level)]), np.ones((3, 2)), (0, 4))
-        assert be.counter.snapshot() == before
+        cipher, offsets = ct, (0, 4)
+        if case == "wrong width":
+            cipher, error = CipherVector(np.zeros(4), 3), SlotMismatch
+        elif case == "two rows":
+            cipher, error = be.encrypt([be.encode(np.arange(8.0))] * 2), ValueError
+        elif case == "level 0":
+            cipher, error = CipherVector(ct.values, 0), LevelExhausted
+        else:
+            offsets, error = (0, 1), ValueError
+        with pytest.raises(error):
+            be.diagonal_sum(cipher, np.ones((3, 2)), offsets)
+        assert be.counter.snapshot() == {}
 
     @pytest.mark.parametrize("offsets", [(0, 2, 5), (0, 1), (0, 4, 8), (7,), (-1, 3)])
     def test_offsets_that_let_rows_overlap_are_refused(self, offsets):
         be = Backend(P8)
         ct = be.encrypt(be.encode(np.arange(8.0)))
-        pulled = []
-        terms = (pulled.append(r) or be.rotate(ct, r) for r in range(3))
         with pytest.raises(ValueError, match="evenly spaced"):
-            be.diagonal_sum(terms, np.ones((3, 2)), offsets)
-        assert pulled == [] and be.counter.totals() == {"rotations": 0, "pt_mults": 0, "ct_mults": 0, "adds": 0}
+            be.diagonal_sum(ct, np.ones((3, 2)), offsets)
+        assert be.counter.totals() == {"rotations": 0, "pt_mults": 0, "ct_mults": 0, "adds": 0}
 
 
 def add_chain(be, terms):
@@ -793,11 +816,13 @@ class TestCompactStacks:
         assert np.signbit(out[0]) and not np.signbit(out[1])
 
     def test_product_on_few_slots_is_compact_and_signs_no_other_slot(self):
-        be = Backend(HEParams(poly_degree=64, depth=3))  # 32 slots: a product on fewer than 4 is compact
-        ct = CipherVector(np.array([2.0, -3.0]), 2, np.array([3, 9]))
+        be = Backend(HEParams(poly_degree=64, depth=3))  # 32 slots: a product of two or more rows on fewer than 4 is compact
+        ct = CipherVector(np.array([[2.0, -3.0], [1.0, 5.0]]), 2, np.array([3, 9]))
         plain = np.full(32, -0.0)
         plain[[3, 5]] = [-1.0, 4.0]
         kept = be.mul_plain(ct, be.encode(plain))
-        assert np.array_equal(kept.slots, [3, 5]) and kept.values.tobytes() == np.array([-2.0, 0.0]).tobytes()
-        spread = be.mul_plain(ct, be.encode(np.full(32, -1.0)))  # -1 times a +0.0 slot is -0.0, and +0.0 once added to +0.0
+        assert np.array_equal(kept.slots, [3, 5]) and kept.values.tobytes() == np.array([[-2.0, 0.0], [-1.0, 0.0]]).tobytes()
+        lone = be.mul_plain(ct[0], be.encode(plain))  # a lone row is kept full-width, with the same slots
+        assert lone.slots is None and be.decrypt(lone).tobytes() == be.decrypt(kept[0]).tobytes()
+        spread = be.mul_plain(ct[0], be.encode(np.full(32, -1.0)))  # -1 times a +0.0 slot is -0.0, and +0.0 once added to +0.0
         assert spread.slots is None and np.flatnonzero(np.signbit(be.decrypt(spread))).tolist() == [3]

@@ -534,6 +534,25 @@ class TestFCDiagonals:
         assert outs[0] == outs[1]
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=fc_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_overflowing_sample_leaves_neighbours_bit_identical(self, case, seed):
+        lay, params, layer = case
+        assume(len(lay.batch_offsets) > 1)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-4, 4, params.num_slots)
+        hit = int(rng.integers(len(lay.batch_offsets)))
+        spoiled = x.copy()
+        spoiled[lay.batch_offsets[hit] + int(rng.integers(lay.w_in))] = 1e200
+        outs = []
+        for values in (x, spoiled):
+            be = Backend(params)
+            with np.errstate(all="ignore"):
+                out = apply_layer(be, CipherState(be.encrypt([be.encode(values)]), lay), layer)
+            outs.append([be.decrypt(out.ct)[0, off : off + layer.dat_out].tobytes() for off in lay.batch_offsets])
+        assert outs[0][:hit] + outs[0][hit + 1 :] == outs[1][:hit] + outs[1][hit + 1 :]
+
+
 class TestApplyLayer:
     def test_matches_direct_constructions(self):
         rng = np.random.default_rng(61)

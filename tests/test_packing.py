@@ -160,6 +160,42 @@ class TestBatchPack:
         assert np.array_equal(out[1].values, [2, 0, 0, 0, 4, 0, 0, 0])
 
 
+    def test_refusals_in_order(self):
+        """Capacity, then a channel count, then a vector's length, then a non-finite value, whichever sample holds it."""
+        plan = toy_plan(4, 8)
+        nan = np.array([np.nan])
+        with pytest.raises(CapacityExceeded):
+            batch_pack([[nan], [np.zeros(9)], [np.zeros(1), np.zeros(1)]], plan)
+        with pytest.raises(ShapeMismatch, match="sample 1 has 2 channels"):
+            batch_pack([[nan], [np.zeros(9), np.zeros(1)]], plan)
+        with pytest.raises(OversizedInput, match="length 9"):
+            batch_pack([[nan], [np.zeros(9)]], plan)
+        with pytest.raises(NonFiniteInput, match="sample 0 channel 0"):
+            batch_pack([[nan], [np.array([np.inf, 0.0])]], plan)
+
+    def test_array_of_samples_packs_like_lists_of_vectors(self):
+        plan = toy_plan(5, 16)
+        samples = np.random.default_rng(3).uniform(-1, 1, (3, 2, 1, 4))
+        samples[1, 0, 0, 2] = -0.0
+        whole = batch_pack(samples, plan)
+        listed = batch_pack([flatten_input(s) for s in samples], plan)
+        ragged = batch_pack([[vec[:3] if i == 2 else vec for vec in flatten_input(s)] for i, s in enumerate(samples)], plan)
+        assert [p.values.tobytes() for p in whole] == [p.values.tobytes() for p in listed]
+        assert whole[0].values[7] == 0.0 and not np.signbit(whole[0].values[7])  # added to +0.0, as the slots around it
+        assert all(p.values[13] == 0.0 for p in ragged) and all(p.values[10] == q.values[10] for p, q in zip(ragged, whole))
+
+    def test_over_capacity_request_refused_before_any_sample_is_read(self, monkeypatch):
+        from slotcnn import packing
+
+        def no_flatten(sample):
+            raise AssertionError("no sample is read before the capacity check")
+
+        monkeypatch.setattr(packing, "flatten_input", no_flatten)
+        m = builtin("M7")
+        with pytest.raises(CapacityExceeded, match="65 samples exceed the batch capacity 64"):
+            run_inference(m, [np.zeros((2, 2))] * 65, PARAMS)
+
+
 class TestBatchUnpack:
     """Inference reads each sample's outputs back at its offset; a model with no layers returns its inputs."""
 
