@@ -23,38 +23,40 @@ A :class:`CipherVector` is a stack of ciphertexts, one row of slots each, at
 one level; a model's channels travel as one stack.  A full-width stack stores
 every slot, and its rotation is a read-only view of one doubled copy of it,
 shared by consecutive rotations of that stack (the simulator's hoisted
-rotations).  A compact stack stores only its live slots, every other slot
-being +0.0: a plaintext product of more than one row returns one when it is
-formed on fewer than ``_COMPACT_SHARE`` of the slots, a sum of compact stacks
-stays one, and its rotations only move the slot indices.  A lone row stays
+rotations).  A compact stack stores only its live slots, every other slot being
++0.0: a plaintext product of more than one row returns one when it is formed on
+fewer than ``_COMPACT_SHARE`` of the slots, a sum of compact stacks stays one,
+and its rotations only move the slot indices.  A lone row's product or sum is
 full-width, where adding a plaintext costs less than the compact sum's index
 work.  An operation whose full-width result could hold anything but +0.0
 outside the live slots returns a full-width stack, so compact storage never
 changes a decrypted byte.  Slot values are never written after they are made.
 
-:meth:`Backend.masked_sum` sums convolution's products in one ``np.einsum``
-call over the terms' gathered support slots.  :meth:`Backend.diagonal_sum`
-takes the fully connected layer's input ciphertext, makes its rotations, and
-sums the products in one call per block of terms over their runs, reading the
-input's slots once, since every rotation only moves those same slots onto its
-run.  That is exact where einsum without ``optimize`` adds the terms in order
-from +0.0 with no fused multiply-add, as numpy's x86-64 wheels do.
-:func:`exact_einsum` checks that once per process; where it fails, both sums
-take their per-term loop, the one fixed-point runs take, to the same bytes.
+Both sums take their input stack and make its rotations themselves, through
+:meth:`Backend.rotate` on a stack with no columns, so the ledger sees every
+rotation and no rotated copy is made.  :meth:`Backend.masked_sum` reads each of
+convolution's taps straight from the input on the support slots and sums the
+products in one ``np.einsum`` call.  :meth:`Backend.diagonal_sum` sums the
+fully connected layer's products in one call per block of terms over their
+runs, reading the input's slots once, since every rotation only moves those
+same slots onto its run.  That is exact where einsum without ``optimize`` adds
+the terms in order from +0.0 with no fused multiply-add, as numpy's x86-64
+wheels do.  :func:`exact_einsum` checks that once per process; where it fails,
+both sums take their per-term loop, the one fixed-point runs take, to the same
+bytes.
 
 Every operation of :class:`Backend` runs once per stack: it checks widths and
 levels, records one op per row in the :class:`OpCounter`'s ``(kind, level)``
 histogram, the op ledger's one stored form, and then computes the result's
-slots.  The op
-ledger does not depend on slot values, so pricing a schedule needs no run:
-each layer class in :mod:`slotcnn.layers` states its ledger in closed form,
-and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``) reads those.
+slots.  The op ledger does not depend on slot values, so pricing a schedule
+needs no run: each layer class in :mod:`slotcnn.layers` states its ledger in
+closed form, and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``)
+reads those.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -242,13 +244,6 @@ class OpCounter(KindTotals):
             raise KeyError(kind)
         self.by_level[kind, level] = self.by_level.get((kind, level), 0) + count
 
-    def discard(self, kind: str, level: int, count: int) -> None:
-        """Take back ``count`` earlier records of an operation that raised part way."""
-        if count > 0:
-            self.record(kind, level, -count)
-            if not self.by_level[kind, level]:
-                del self.by_level[kind, level]
-
     def snapshot(self) -> dict:
         return dict(self.by_level)
 
@@ -262,8 +257,8 @@ class Backend:
     """Executes slot operations on ciphertext stacks for one inference and counts them.
 
     Every operation acts on a whole stack at once and records one op per row.  All value semantics are pure
-    functions of the operands; the counter and the cached doubled copy of the last vector rotated or spread
-    out are the only mutable state, so one backend must not be shared between concurrent inferences.
+    functions of the operands; the counter and the cached doubled copy of the last vector rotated, masked-summed
+    or spread out are the only mutable state, so one backend must not be shared between concurrent inferences.
     """
 
     def __init__(self, params: HEParams):
@@ -350,48 +345,55 @@ class Backend:
             return CipherVector(self._quantized(a.values * b.values), level - 1, a.slots, a.shift)
         return CipherVector(self._quantized(self._dense(a) * self._dense(b)), level - 1)
 
-    def masked_sum(self, terms, coefs, support, bias=None) -> CipherVector:
-        """Masked linear combinations of a stream of ciphertext stacks, one result row per mask row.
+    def masked_sum(self, cipher: CipherVector, shifts, coefs, support, bias=None) -> CipherVector:
+        """Masked linear combinations of the rotations of one stack, one result row per mask row.
 
-        ``terms`` is an iterable of stacks of equal shape at one level, read
-        once and in order.  ``support`` is a flat array of slot indices shared
-        by all masks and ``coefs[o]`` holds a scalar per term row, in row-major
-        order over (row of the term, term): result row ``o`` is ``sum_r,t
-        terms[t][r] * coefs[o, r * len(terms) + t]``, plus ``bias[o]`` when
-        ``bias`` is given.  As in :meth:`mul_plain`, products are formed only
-        on the mask slots, every other slot is an exact +0.0 whatever the
-        terms hold there, and the result is compact when those slots are few.
+        Term ``t`` is ``cipher`` rotated left by ``shifts[t]``.  ``support`` is
+        a flat array of slot indices shared by all masks and ``coefs[o]`` holds
+        a scalar per term row, in row-major order over (row of the stack,
+        term): result row ``o`` is ``sum_r,t term[t][r] * coefs[o, r *
+        len(shifts) + t]``, plus ``bias[o]`` when ``bias`` is given.  As in
+        :meth:`mul_plain`, products are formed only on the mask slots, every
+        other slot is an exact +0.0 whatever the stack holds there, and the
+        result is compact when those slots are few.
 
-        Values and ledger are those of the ``mul_plain`` / ``add`` loop over
-        full-width masks, summed in the order above from +0.0 with the bias
-        last, in one contraction.  The ledger is recorded as the stream is
-        read: per term, a product per result row and term row at the terms'
-        level and, after the first product of each result row, as many
-        additions one level below; then a bias addition per row.  Rows of
-        unequal length raise before anything is read or recorded; a term of
-        the wrong width, or a stream of the wrong length, raises and takes back
-        the earlier records.
+        Values and ledger are those of the ``rotate`` / ``mul_plain`` / ``add``
+        loop over full-width masks, summed in the order above from +0.0 with
+        the bias last, in one contraction, and the records keep that loop's
+        key order.  The rotations go through :meth:`rotate` and copy nothing;
+        each term is read straight from ``cipher`` on the mask slots.  Every
+        refusal comes before any record.
         """
         if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
             raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
-        terms = iter(terms)
-        first = next(terms, None)
-        if first is None:
-            raise ValueError("masked_sum needs at least one term")
-        if first.level < 1:
-            raise LevelExhausted("ciphertext has no multiplication budget left")
-        rows, outs = _rows(first), len(coefs)
+        rows, outs, count, n = _rows(cipher), len(coefs), len(shifts), self.num_slots
         coefs = np.asarray(coefs, dtype=np.float64)
-        if coefs.shape[1] % rows:
-            raise ValueError(f"masked_sum needs a coefficient per term row, got {coefs.shape[1]} for stacks of {rows}")
-        count = coefs.shape[1] // rows
-        checked = self._checked(first, terms, outs * rows, outs, count)
+        if coefs.ndim != 2 or not coefs.size or coefs.shape[1] != rows * count:
+            raise ValueError(f"masked_sum needs one or more rows of a coefficient per term row, got {coefs.shape} for {count} terms of {rows} rows")
+        if cipher.level < 1:
+            raise LevelExhausted("ciphertext has no multiplication budget left")
+        if self._width(cipher) != n:
+            raise SlotMismatch(f"operand widths differ: {self._width(cipher)} vs {n}")
+        shifts = self._rotations(cipher, shifts)
+        level = cipher.level
+        self.counter.record("pt_mult", level, outs * rows * count)
+        adds = outs * (rows * count - (bias is None))
+        if adds:
+            self.counter.record("add", level - 1, adds)
         slots = np.asarray(support)
         if np.any(slots[1:] <= slots[:-1]):
             slots = np.unique(slots)
+        # Term t's slot j is the input's slot j + shifts[t] of one doubled copy, made first so that the copy it
+        # replaces is freed before the terms are gathered: in the other order an M5 pass peaked 2 MB higher.
+        doubled = self._twice(cipher.values).reshape(rows, 2 * n) if cipher.slots is None else None
         gathered = np.zeros((rows * count, max(slots.size, 2)))  # a pad column keeps einsum's term axis outermost
-        for t, term in enumerate(checked):
-            self._take(term, slots, gathered[t::count, : slots.size])
+        if doubled is not None:
+            at = np.add.outer(shifts, slots)
+            for row, dest in zip(doubled, gathered.reshape(rows, count, -1)):
+                row.take(at, out=dest[:, : slots.size], mode="clip")
+        else:
+            for t, s in enumerate(shifts):
+                self._take(CipherVector(cipher.values, level, cipher.slots, cipher.shift + s), slots, gathered[t::count, : slots.size])
         coefs = self._quantized(coefs.T.copy())
         if self.params.quantize or not exact_einsum():  # one rounded product at a time
             acc = np.zeros((outs, slots.size))
@@ -401,12 +403,11 @@ class Backend:
             acc = np.einsum("to,ts->os", coefs, gathered, optimize=False)[:, : slots.size]
         if bias is not None:
             acc += self._quantized(np.array(bias, dtype=np.float64))[:, None]
-            self.counter.record("add", first.level - 1, outs)
         if self._compact(slots.size, outs):
-            return CipherVector(acc, first.level - 1, slots)
-        out = np.zeros((outs, self.num_slots))
+            return CipherVector(acc, level - 1, slots)
+        out = np.zeros((outs, n))
         out[:, slots] = acc
-        return CipherVector(out, first.level - 1)
+        return CipherVector(out, level - 1)
 
     def diagonal_sum(self, cipher: CipherVector, diag: np.ndarray, offsets: tuple) -> CipherVector:
         """The front and wrap rows of the diagonal method's masked products on the rotations of one ciphertext.
@@ -432,8 +433,7 @@ class Backend:
         if self._width(cipher) != n:
             raise SlotMismatch(f"operand widths differ: {self._width(cipher)} vs {n}")
         self.counter.record("pt_mult", cipher.level, 2 * count)
-        for t in range(1, count):
-            self.rotate(cipher, t)
+        self._rotations(cipher, range(1, count))
         if count > 1:
             self.counter.record("add", cipher.level - 1, 2 * (count - 1))
 
@@ -469,47 +469,24 @@ class Backend:
         out[1, : n - count + 1], out[1, n - count + 1 :] = wrap[count - 1 :], wrap[: count - 1]
         return CipherVector(out.reshape(2, *cipher.values.shape[:-1], n), cipher.level - 1)
 
-    def _checked(self, first, terms, prods: int, outs: int, count: int):
-        """Yield ``first`` and the terms after it, ``count`` in all, each once checked and its ``prods`` products and their sums recorded.
-
-        Every term adds ``prods`` sums, except that the first term's products start ``outs`` rows from +0.0.
-        """
-        n, level, records, shape = self.num_slots, first.level, 0, first.values.shape[:-1]
-        for t, term in enumerate(itertools.chain([first], terms, [None])):
-            if t == count and term is None:
-                return
-            if t == count or term is None or term.slots is None and term.values.shape[-1] != n or term.values.shape[:-1] != shape:
-                self.counter.discard("pt_mult", level, prods * t)
-                self.counter.discard("add", level - 1, records)
-                if t == count or term is None:
-                    raise ValueError(f"masked_sum needs {count} terms, got {'more' if term is not None else t}")
-                if self._width(term) != n:
-                    raise SlotMismatch(f"operand widths differ: {self._width(term)} vs {n}")
-                raise SlotMismatch(f"operand stacks differ: {term.values.shape[:-1]} vs {first.values.shape[:-1]} rows")
-            self.counter.record("pt_mult", level, prods)
-            adds = prods - outs * (t == 0)
-            if adds:
-                self.counter.record("add", level - 1, adds)
-                records += adds
-            yield term
-
     def sum(self, terms) -> CipherVector:
         """Slot-wise sum of a ciphertext and the terms after it, read once and in order.
 
         Values, level and ledger equal those of ``add(add(t0, t1), t2) ...``:
         each term's ``add`` is recorded before the next term is pulled.  After
-        a full-width first term each term is added as it is pulled.  After a
-        compact one all are pulled first, and the sum is compact on the union
-        of their live slots unless a term is full-width.  Every slot a term
-        does not hold gets the +0.0 that a full-width term adds there.
+        a full-width first term or a lone row, the sum is full-width and each
+        term is added as it is pulled.  After a compact stack of more rows all
+        are pulled first, and the sum is compact on the union of their live
+        slots unless a term is full-width.  Every slot a term does not hold
+        gets the +0.0 that a full-width term adds there.
         """
         terms = iter(terms)
         first = next(terms, None)
         if first is None:
             raise ValueError("sum needs at least one term")
         level, pairs, columns = first.level, self._added(first, terms), None
-        if first.slots is None:
-            acc, slots = first.values.copy(), None
+        if first.slots is None or _rows(first) == 1:  # a lone row is summed full-width, as _compact keeps its products
+            acc, slots = self._dense(first).copy(), None
         else:
             pairs = list(pairs)
             terms = [first] + [term for term, _ in pairs]
@@ -559,6 +536,11 @@ class Backend:
             else:
                 return None
         return covered.nonzero()[0]
+
+    def _rotations(self, cipher: CipherVector, shifts) -> list:
+        """Record the rotations of ``cipher`` by ``shifts`` through :meth:`rotate`, copying nothing; return the amounts mod ``num_slots``."""
+        ghost = CipherVector(np.empty((*cipher.values.shape[:-1], 0)), cipher.level, np.empty(0, np.intp))
+        return [self.rotate(ghost, s).shift for s in shifts]
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
         """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row."""
@@ -616,8 +598,12 @@ class Backend:
     def _rotated(self, values: np.ndarray, r: int) -> np.ndarray:
         if values.shape[-1] != self.num_slots:
             return np.concatenate((values[..., r:], values[..., :r]), axis=-1)
+        return self._twice(values)[..., r : r + self.num_slots]
+
+    def _twice(self, values: np.ndarray) -> np.ndarray:
+        """A read-only copy of full-width ``values`` twice over, kept for the next rotation or masked sum of them."""
         if self._doubled[0] is not values or self._doubled[1] is not None:
             doubled = np.concatenate((values, values), axis=-1)
             doubled.flags.writeable = False
             self._doubled = (values, None, doubled)
-        return self._doubled[2][..., r : r + self.num_slots]
+        return self._doubled[2]

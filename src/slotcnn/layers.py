@@ -27,23 +27,24 @@ as a solo run and their outputs match bit for bit.
 Every schedule works on the whole channel stack of its :class:`CipherState`:
 each backend operation runs once and records one op per channel, and only
 flatten's final merge, which rotates each channel by its own amount, takes
-the channels one at a time.  Convolution hands its masked products and sums
-to :meth:`Backend.masked_sum`.  The fully connected layer hands its input
-ciphertext and its plaintext diagonals to :meth:`Backend.diagonal_sum`,
-which makes the rotations; it forms those diagonals on its first run and
-keeps them, one ``dat_out x dat_in`` copy, which cannot go stale because a
-layer's weight tensors are read-only.  Flatten and ``ApproxReLU`` multiply by masks
-with :meth:`Backend.mul_plain`, and every plaintext a layer uses is made by
-one helper, ``_plain``, through :meth:`Backend.encode`.  All three follow the
+the channels one at a time.  Convolution hands its input ciphertext, its tap
+shifts and its weights to :meth:`Backend.masked_sum`.  The fully connected
+layer hands its input ciphertext and its plaintext diagonals to
+:meth:`Backend.diagonal_sum`.  Both sums make the rotations themselves; FC
+forms its diagonals on its first run and keeps them, one ``dat_out x
+dat_in`` copy, which cannot go stale because a layer's weight tensors are
+read-only.  Flatten and ``ApproxReLU`` multiply by masks with
+:meth:`Backend.mul_plain`, and every plaintext a layer uses is made by one
+helper, ``_plain``, through :meth:`Backend.encode`.  All three follow the
 backend's one masking rule: each product is formed only on its mask's
 nonzero slots, and every other slot is an exact +0.0, so no value of one
 sample reaches another sample's result through a zero mask slot, however
 large it grows.  The two sums' values and op ledger are those of the
-``mul_plain`` / ``add`` loop over full-width masks.  A product of several
-rows over few slots leaves a compact stack, which stores only its live
-slots; the pooling, squaring, flatten and convolution that follow work on
-those slots alone, and its rotations copy nothing.  Rotations stream into
-:meth:`Backend.masked_sum` and :meth:`Backend.sum`.
+``rotate`` / ``mul_plain`` / ``add`` loop over full-width masks.  A product
+of several rows over few slots leaves a compact stack, which stores only its
+live slots; the pooling, squaring, flatten and convolution that follow work
+on those slots alone, and its rotations copy nothing.  Pooling's, flatten's
+and FC's other rotations stream into :meth:`Backend.sum`.
 """
 
 from __future__ import annotations
@@ -169,14 +170,6 @@ def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState
     return CipherState(ct, state.layout)
 
 
-def _headroom(flattened: bool, after: LayoutState, rows: bool = True):
-    """Stride head-room of a conv or pool before the flatten: its outputs, spread back onto the image grid, fit in it."""
-    fits = after.w_in * after.interval <= after.w_img and (not rows or after.h_in * after.interval <= after.h_img)
-    if not (flattened or fits):
-        yield "stride_headroom", (f"layer output {after.h_in}x{after.w_in} at interval {after.interval} "
-                                  f"exceeds the {after.h_img}x{after.w_img} image grid")
-
-
 def _as_array(data, shape, what: str) -> np.ndarray:
     """``data`` as a read-only float array of ``shape``; a writeable array of the caller's is copied first."""
     arr = np.asarray(data, dtype=np.float64)
@@ -198,9 +191,7 @@ class Layer:
     order, ``rules`` the ``(rule, message)`` pairs the layer breaks on its own.
     ``place(flattened)`` takes whether a flatten comes before the layer and
     returns whether one has come by its end, or raises :class:`NotFlattened`
-    where the layer may not stand; ``layout_rules(flattened, after)`` lists
-    the ``(rule, message)`` pairs the layer breaks where it stands, given
-    that and the layout it leaves.  ``step(layout)`` returns ``(layout
+    where the layer may not stand.  ``step(layout)`` returns ``(layout
     after, levels used)`` or raises a shape error, and ``forward`` is the
     plaintext oracle.  ``schedule(backend, state)`` runs the layer on a
     :class:`CipherState` and returns the state it leaves.  ``ledger(layout,
@@ -233,10 +224,6 @@ class Layer:
         return flattened
 
     @staticmethod
-    def layout_rules(flattened: bool, after: LayoutState):
-        return ()
-
-    @staticmethod
     def slot_needs(lay: LayoutState, name: str) -> list:
         return []
 
@@ -255,8 +242,6 @@ class _Conv(Layer):
     def rules(self):
         if 1 <= self.kernel < self.stride:  # a kernel or stride below 1 is the step's shape fault
             yield "kernel_stride", f"kernel {self.kernel} must be at least the stride {self.stride}"
-
-    layout_rules = staticmethod(_headroom)
 
     def step(self, lay: LayoutState):
         kh, kw = self.kernel_hw
@@ -284,18 +269,19 @@ class _Conv(Layer):
         belongs to; each output channel is then a mask-weighted sum of those
         rotations' rows plus a masked bias.  Output values land on an
         ``interval * stride`` grid and the slots in between are zero.  The
-        rotations stream into :meth:`Backend.masked_sum`, which gathers each
-        one's grid slots and forms all products and sums in one contraction, in
-        the oracle's channel-major term order; the ledger still counts
-        ``ch_out * ch_in * k**2`` plaintext products and as many additions, as a
+        input stack and the tap shifts go to :meth:`Backend.masked_sum`, which
+        makes the rotations, reads each tap's grid slots straight from the
+        input and forms all products and sums in one contraction, in the
+        oracle's channel-major term order; the ledger still counts ``ch_out *
+        ch_in * k**2`` plaintext products and as many additions, as a
         full-width schedule would.  A sparse output grid leaves a compact stack.
         """
         lay = state.layout
         out_layout, _ = self.step(lay)
         kh, kw = self.kernel_hw
-        rotations = (backend.rotate(state.ct, lay.interval * (k + lay.w_img * j)) for j in range(kh) for k in range(kw))
+        shifts = [lay.interval * (k + lay.w_img * j) for j in range(kh) for k in range(kw)]
         coefs = self.weights.reshape(self.ch_out, -1) * lay.pending_const
-        return CipherState(backend.masked_sum(rotations, coefs, _support(out_layout), self.bias), out_layout)
+        return CipherState(backend.masked_sum(state.ct, shifts, coefs, _support(out_layout), self.bias), out_layout)
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """One rotation per tap; per output channel and tap a product, and an addition that sums it or the bias."""
@@ -351,11 +337,6 @@ class Conv1d(_Conv):
     def shapes(args) -> dict:
         return {"weights": (args["ch_out"], args["ch_in"], args["kernel"]), "bias": (args["ch_out"],)}
 
-    @staticmethod
-    def layout_rules(flattened: bool, after: LayoutState):
-        """Only the width bound: a width-only convolution never strides vertically."""
-        return _headroom(flattened, after, rows=False)
-
     def step(self, lay: LayoutState):
         if lay.h_in != 1:
             raise ShapeMismatch(f"conv1d requires height 1, input has height {lay.h_in}")
@@ -369,8 +350,6 @@ class AvgPool2d(Layer):
     kind = "avgpool2d"
 
     kernel: int
-
-    layout_rules = staticmethod(_headroom)
 
     def step(self, lay: LayoutState):
         c = self.kernel
@@ -493,12 +472,9 @@ class Flatten(Layer):
 
     @staticmethod
     def place(flattened: bool) -> bool:
-        return True
-
-    @staticmethod
-    def layout_rules(flattened: bool, after: LayoutState):
         if flattened:
-            yield "flatten_structure", "at most one flatten layer is supported"
+            raise NotFlattened("at most one flatten layer is supported")
+        return True
 
     @staticmethod
     def dispatch(lay: LayoutState):

@@ -3,14 +3,13 @@ oracle, JSON (de)serialization and the built-in architectures.
 
 A model is a :class:`ModelSpec`, a plain sequence of the layer classes of
 :mod:`slotcnn.layers` over a ``channels x height x width`` input; each class
-owns its type's layout step, placement and head-room rules, slot schedule,
-op ledger, slot needs and plaintext forward pass.  :func:`trace_layout` walks
-the steps from the input layout, the same steps every slot schedule takes its
-output layout and its shape errors from, so the static depth budget can never
-drift from what actually executes.  :func:`validate` checks each layer's own
-rules and, along that trace, the rules of where it stands, then the two rules
-of the whole model: the level budget and the slot footprint, which
-:func:`slot_sizes` collects from the layers' slot needs.
+owns its type's layout step, placement rule, slot schedule, op ledger, slot
+needs and plaintext forward pass.  :func:`trace_layout` walks the steps from
+the input layout, the same steps every slot schedule takes its output layout
+and its shape errors from, so the static depth budget can never drift from what
+actually executes.  :func:`validate` checks each layer's own rules and that
+trace, then the two rules of the whole model: the level budget and the slot
+footprint, which :func:`slot_sizes` collects from the layers' slot needs.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class ModelSpec:
 
 
 class LayerTrace(NamedTuple):
-    """Static facts of one layer, derived by :func:`trace_layout`: its levels, the layouts it reads and leaves, and whether a flatten precedes it."""
+    """Static facts of one layer, derived by :func:`trace_layout`: its levels and the layouts it reads and leaves."""
 
     index: int
     layer: Layer
@@ -85,7 +84,6 @@ class LayerTrace(NamedTuple):
     mults: int
     before: LayoutState
     after: LayoutState
-    flattened: bool
 
 
 def trace_layout(m: ModelSpec) -> list:
@@ -94,7 +92,8 @@ def trace_layout(m: ModelSpec) -> list:
     Raises :class:`ShapeMismatch`, :class:`NonDivisibleDims`, or
     :class:`NotFlattened` (each tagged with ``layer_index``) when the layer
     sequence does not chain, or a layer stands where its class's ``place``
-    refuses it, as a fully connected layer with no flatten before it.
+    refuses it, as a fully connected layer with no flatten before it or a
+    second flatten.
     """
     lay = m.input_layout()
     flattened = False
@@ -111,7 +110,7 @@ def trace_layout(m: ModelSpec) -> list:
         except SlotCnnError as err:
             err.layer_index = idx
             raise
-        rows.append(LayerTrace(idx, layer, name, mults, lay, after, flattened))
+        rows.append(LayerTrace(idx, layer, name, mults, lay, after))
         flattened, lay = placed, after
     return rows
 
@@ -153,16 +152,13 @@ def validate(m: ModelSpec, params, trace=None) -> ValidationReport:
         try:
             rows = trace_layout(m)
         except (ShapeMismatch, NonDivisibleDims, NotFlattened) as err:
-            # A fully connected layer that reads no flattened vector is a flatten placement fault.
+            # A fully connected layer that reads no flattened vector, or a second flatten, is a flatten placement fault.
             flag(err.layer_index, "flatten_structure" if isinstance(err, NotFlattened) else "shape", str(err))
             return ValidationReport(ok=False, total_mults=0, trace=[], violations=violations)
 
     total = sum(row.mults for row in rows)
     if total > params.depth:
         flag(None, "depth_budget", f"depth budget exceeded: model needs {total} levels, parameters provide {params.depth}")
-    for row in rows:
-        for rule, message in row.layer.layout_rules(row.flattened, row.after):
-            flag(row.index, rule, message)
     need = max(entry["slots"] for entry in slot_sizes(m, rows))
     if need > params.num_slots:
         flag(None, "footprint", f"a single sample needs {need} slots, ciphertext has {params.num_slots}")

@@ -13,6 +13,7 @@ from helpers import build_state, make_backend, read_state, single_layout
 from slotcnn import (
     AvgPool2d,
     ApproxReLU,
+    Conv1d,
     Conv2d,
     FC,
     Flatten,
@@ -163,8 +164,10 @@ def test_operation_counts():
 
 
 def test_grid_headroom_fuzz():
-    """Across 1000 random convolution and pooling stacks the strided layout
-    always fits inside the original image grid."""
+    """Across 1000 random convolution and pooling stacks, and 300 stacks of
+    width-only convolutions, the strided layout always fits inside the
+    original image grid: a kernel at least as wide as its stride keeps every
+    output on it, so no rule beyond ``kernel_stride`` is needed."""
     rng = np.random.default_rng(99)
     violations = 0
     for _ in range(1000):
@@ -203,8 +206,24 @@ def test_grid_headroom_fuzz():
             if row.after.h_in * row.after.interval > h or row.after.w_in * row.after.interval > w:
                 violations += 1
                 break
+    rng = np.random.default_rng(100)
+    for _ in range(300):  # a width-only convolution never strides vertically, so only the width is bounded
+        w = int(rng.integers(2, 129))
+        layers, ch, cur_w = [], 1, w
+        for _ in range(int(rng.integers(1, 4))):
+            if cur_w < 1:
+                break
+            k = int(rng.integers(1, min(cur_w, 5) + 1))
+            s = int(rng.integers(1, k + 1))
+            out = int(rng.integers(1, 4))
+            layers.append(Conv1d(ch_in=ch, ch_out=out, kernel=k, stride=s,
+                                 weights=rng.uniform(-1, 1, (out, ch, k)), bias=rng.uniform(-1, 1, out)))
+            ch, cur_w = out, (cur_w - k) // s + 1
+        m = ModelSpec(name="fuzz1d", channels=1, height=1, width=w, layers=tuple(layers))
+        if any(row.after.w_in * row.after.interval > w for row in trace_layout(m)):
+            violations += 1
     report(
-        "1000 random conv/pool stacks stay inside the image grid",
+        "1300 random conv/pool and conv1d stacks stay inside the image grid",
         violations == 0,
         f"{violations} violations",
     )
@@ -251,7 +270,11 @@ def test_cost_and_precision_trends():
 
 def test_pool_division_folding():
     """Deferring the pooling division and folding it into later layers gives
-    exactly the eager-division result, for every layer that can follow a pool."""
+    exactly the eager-division result, for every layer that can follow a pool,
+    at pool kernels 2 and 4 only.  Their divisors 1/4 and 1/16 are powers of
+    two, so every fold is exact.  A 3x3 pool's 1/9 folded into a later conv's
+    weights can differ from the oracle's eager division in the last bits, and
+    no kernel of 3 is drawn here."""
     params = HEParams(poly_degree=2048, depth=11)
     rng = np.random.default_rng(17)
     ok = True
@@ -291,4 +314,4 @@ def test_pool_division_folding():
         if not np.array_equal(got, layer.forward(x.reshape(-1))):
             ok = False
 
-    report("deferred pooling division folds exactly into every successor layer", ok)
+    report("deferred pooling division by 4 and 16 folds exactly into every successor layer", ok)

@@ -576,7 +576,8 @@ class TestPinnedBytes:
         # conv's einsum sums make this digest depend on the numpy build too, as the note above says.
         assert digest.hexdigest() == "b08a3fdf44ff6ad9b6a80132e25abbe927b01e91cdb42c74b1ea976b1d5892db"
 
-    @pytest.mark.parametrize("digest", ["test_builtins_digest", "test_layer_states_digest", "test_random_stacks_digest"])
+    @pytest.mark.parametrize("digest", ["test_builtins_digest", "test_layer_states_digest", "test_random_stacks_digest",
+                                        "test_random_stack_states_digest"])
     def test_digest_without_einsum(self, digest, capsys, monkeypatch):
         """Where numpy's einsum fails the exactness probe, the sums take their per-term loops, to the same bytes."""
         from slotcnn import he_backend

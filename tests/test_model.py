@@ -227,6 +227,12 @@ class TestTraceLayout:
         with pytest.raises(NotFlattened):
             trace_layout(m)
 
+    def test_second_flatten_stops_the_walk_at_its_index(self):
+        m = ModelSpec("x", 1, 2, 2, (Flatten(), tiny_fc(4, 4), Flatten(), tiny_fc(4, 2)))
+        with pytest.raises(NotFlattened, match="at most one flatten") as err:
+            trace_layout(m)
+        assert err.value.layer_index == 2
+
     def test_fc_dims_must_chain(self):
         m = ModelSpec("x", 1, 2, 2, (Flatten(), tiny_fc(5, 2)))
         with pytest.raises(ShapeMismatch):
@@ -323,10 +329,10 @@ class TestValidate:
         assert report.violations[0]["message"] == "a fully connected layer requires a preceding flatten"
 
     def test_stride_headroom_violation(self):
+        """A stride past the grid is one fault: a kernel at least as wide as its stride keeps every output on the grid."""
         m = ModelSpec("x", 1, 4, 4, (tiny_conv(kernel=1, stride=3),))
         report = validate(m, HEParams())
-        rules = {v["rule"] for v in report.violations}
-        assert "stride_headroom" in rules and "kernel_stride" in rules
+        assert [(v["layer"], v["rule"]) for v in report.violations] == [(0, "kernel_stride")]
 
     def test_all_builtins_validate(self):
         for name in builtin_names():
@@ -611,8 +617,8 @@ def broken_stack(rng, fault):
     """A valid ``random_stack`` model changed to break one rule, and the ``(layer, rule)`` pairs it should report.
 
     Returns ``None`` when the model drawn is invalid or has no place for ``fault``.  Every rule but the depth
-    budget is checked at a budget of 40 levels; a stride past the image grid is reported with ``kernel_stride``
-    too, since a kernel at least as wide as its stride keeps every output on the grid.
+    budget is checked at a budget of 40 levels.  A stride past the image grid is reported as ``kernel_stride``, since
+    a kernel at least as wide as its stride keeps every output on the grid.
     """
     m = random_stack(rng)
     report = validate(m, HEParams(depth=40))
@@ -652,7 +658,7 @@ def broken_stack(rng, fault):
         layers = layers[:flat]  # the image part of the model: no flatten or FC reads what the conv leaves
         ch = report.trace[len(layers) - 1].after.channels if layers else m.channels
         layers.append(Conv2d(ch_in=ch, ch_out=1, kernel=1, stride=m.width + 1, weights=np.ones(ch), bias=np.zeros(1)))
-        want = [(len(layers) - 1, "kernel_stride"), (len(layers) - 1, "stride_headroom")]
+        want = [(len(layers) - 1, "kernel_stride")]
     else:  # a depth budget one level short
         depth = report.total_mults - 1
         if depth < 1:
