@@ -12,6 +12,7 @@ from slotcnn import (
     AvgPool2d,
     Backend,
     CipherState,
+    CipherVector,
     Conv1d,
     Conv2d,
     Flatten,
@@ -361,6 +362,126 @@ class TestFlatten:
         out = apply_layer(be, build_state(be, lay, x), Flatten())
         off = out.layout.batch_offsets[0]
         assert np.array_equal(be.decrypt(out.ct)[0, off : off + 8], np.arange(8.0))
+
+
+def loop_flatten(be, state):
+    """The rotate / mul_plain / add slide loop that Flatten.schedule stands for, over full-width masks.
+
+    Masked extraction slides column ``c`` of every row left by ``c * (interval - 1)``; row removal first sums
+    ``interval`` rotations by multiples of ``interval - 1``, then slides blocks of ``interval`` columns together;
+    column removal slides row ``r`` left by ``r * (row_span - w_in)``.  Each slide masks the whole stack once per
+    part, at every batch offset.  Last, each channel's row is rotated right by ``channel * w_in * h_in`` and
+    the rows are summed.
+    """
+    lay = state.layout
+    interval, w_in, h_in = lay.interval, lay.w_in, lay.h_in
+    row_span = lay.w_img * interval
+    masked, row_removal, col_removal = Flatten.dispatch(lay)
+
+    def runs(start, shape, value=1.0):  # ``value`` on shape[0] runs of shape[1] slots from ``start``, a row span apart
+        rows = np.arange(shape[0])[:, None] * row_span
+        data = np.zeros(be.num_slots)
+        data[np.asarray(lay.batch_offsets)[:, None, None] + (start + rows + np.arange(shape[1]))] = value
+        return be.encode(data)
+
+    def slide(ct, masks, step):
+        parts = (be.mul_plain(ct, mask) for mask in masks)
+        return be.sum(be.rotate(p, i * step) if i * step else p for i, p in enumerate(parts))
+
+    ct = state.ct
+    if masked:
+        ct = slide(ct, (runs(c * interval, (h_in, 1), lay.pending_const) for c in range(w_in)), interval - 1)
+    elif row_removal:
+        blocks = -(-w_in // interval)
+        masks = (runs(b * interval * interval, (h_in, min(interval, w_in - b * interval))) for b in range(blocks))
+        summed = be.sum(be.rotate(ct, s * (interval - 1)) if s else ct for s in range(interval))
+        ct = slide(summed, masks, interval * (interval - 1))
+    if col_removal:
+        ct = slide(ct, (runs(r * row_span, (1, w_in)) for r in range(h_in)), row_span - w_in)
+    flat_len = w_in * h_in
+    rows = (ct[ch : ch + 1] for ch in range(lay.channels))
+    return be.sum(be.rotate(row, -ch * flat_len) if ch else row for ch, row in enumerate(rows))
+
+
+class RotationLog(Backend):
+    """A backend that lists every ``rotate`` call: the amount mod ``num_slots``, the rows rotated and their level."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.rotations = []
+
+    def rotate(self, cipher, r):
+        self.rotations.append((r % self.num_slots, len(cipher.values), cipher.level))
+        return super().rotate(cipher, r)
+
+
+@st.composite
+def flatten_cases(draw):
+    """A layout for each of flatten's four dispatch branches, and a stack for it with specials in its gaps.
+
+    The gaps of a ``gaps_zero`` layout may still hold NaN, ±inf or finite junk, as after an ApproxReLU whose gap
+    junk overflowed; row removal's pre-sum carries those into the sample's valid slots.
+    """
+    branch = draw(st.sampled_from(["masked", "row", "col", "none"]))
+    interval = draw(st.integers(2, 3)) if branch == "row" else draw(st.integers(1, 3))
+    w_in = draw(st.integers(2, 5)) if branch == "row" else draw(st.integers(1, 4))
+    if branch in ("col", "none") and interval > 1 and w_in > 1:
+        w_in = 1 if draw(st.booleans()) else w_in
+        interval = 1 if w_in > 1 else interval
+    h_in = {"col": draw(st.integers(2, 3)), "none": 1}.get(branch, draw(st.integers(1, 3)))
+    gaps_zero, pending = True, 1.0
+    if branch == "masked":
+        gaps_zero = draw(st.booleans())
+        pending = draw(st.sampled_from([1 / 9, 0.25, 1.0] if not gaps_zero else [1 / 9, 0.25]))
+    w_img = (w_in - 1) * interval + 1 + draw(st.integers(0, interval))
+    h_img = (h_in - 1) * interval + 1 + draw(st.integers(0, interval))
+    channels = draw(st.integers(1, 3))
+    lay = single_layout(channels, h_in, w_in, interval=interval, w_img=w_img, h_img=h_img, pending=pending, gaps_zero=gaps_zero)
+    fp = max([w_img * h_img] + [need["slots"] for need in Flatten.slot_needs(lay, "Flatten")])
+    offsets = tuple(i * fp for i in range(draw(st.integers(1, 3))))
+    lay = lay._replace(footprint=fp, batch_offsets=offsets)
+    assert Flatten.dispatch(lay) == {"masked": (True, False, h_in > 1), "row": (False, True, h_in > 1),
+                                     "col": (False, False, True), "none": (False, False, False)}[branch]
+    return lay, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(["zero", "junk", "special"]))
+
+
+def flatten_stack(rng, lay, n, gaps, compact, level):
+    """A stack of ``lay.channels`` rows at ``level``: signed values, -0.0 included, on the valid slots at every offset.
+
+    The other slots hold +0.0, finite junk, or a mix of NaN, ±inf, -0.0 and zeros.  A compact stack keeps the
+    valid slots and a random share of the others.
+    """
+    values = np.zeros((lay.channels, n))
+    if gaps == "junk":
+        values[:] = rng.uniform(-2, 2, values.shape)
+    elif gaps == "special":
+        values[:] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.0], values.shape)
+    valid = (np.asarray(lay.batch_offsets)[:, None] + valid_positions(lay)).reshape(-1)
+    values[:, valid] = rng.choice([-0.0, 0.5, -1.25, 3.0, 1e200], (lay.channels, valid.size)) * rng.uniform(0.5, 2, (lay.channels, valid.size))
+    if not compact:
+        return CipherVector(values, level)
+    live = np.union1d(valid, np.flatnonzero(rng.random(n) < 0.3))
+    return CipherVector(values[:, live].copy(), level, live)
+
+
+class TestFusedFlatten:
+    """Flatten.schedule against the slide loop it stands for: the same bytes, ledger and rotate calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=flatten_cases(), compact=st.booleans(), quantize=st.booleans(), spare=st.integers(0, 2))
+    def test_equals_slide_loop(self, case, compact, quantize, spare):
+        lay, seed, gaps = case
+        params = HEParams(poly_degree=1024, depth=4, scale_bits=8, quantize=quantize)  # 1/9 rounds when encoded
+        level = Flatten.step(lay)[1] + spare
+        results = []
+        for method in (loop_flatten, lambda be, state: Flatten().schedule(be, state).ct):
+            be = RotationLog(params)
+            stack = flatten_stack(np.random.default_rng(seed), lay, params.num_slots, gaps, compact, level)
+            with np.errstate(all="ignore"):
+                out = method(be, CipherState(stack, lay))
+            results.append((out.values.shape, out.values.tobytes(), out.slots, out.level,
+                            list(be.counter.by_level.items()), be.rotations))
+        assert results[0] == results[1]
 
 
 class TestFC:
