@@ -432,7 +432,7 @@ def flatten_cases(draw):
     gaps_zero, pending = True, 1.0
     if branch == "masked":
         gaps_zero = draw(st.booleans())
-        pending = draw(st.sampled_from([1 / 9, 0.25, 1.0] if not gaps_zero else [1 / 9, 0.25]))
+        pending = draw(st.sampled_from([1 / 9, 2**-12, 1.0] if not gaps_zero else [1 / 9, 2**-12]))  # 2**-12 encodes to 0 at 8 bits
     w_img = (w_in - 1) * interval + 1 + draw(st.integers(0, interval))
     h_img = (h_in - 1) * interval + 1 + draw(st.integers(0, interval))
     channels = draw(st.integers(1, 3))
@@ -446,7 +446,7 @@ def flatten_cases(draw):
 
 
 def flatten_stack(rng, lay, n, gaps, compact, level):
-    """A stack of ``lay.channels`` rows at ``level``: signed values, -0.0 included, on the valid slots at every offset.
+    """A stack of ``lay.channels`` rows at ``level``: signed values, -0.0 and inf included, on the valid slots at every offset.
 
     The other slots hold +0.0, finite junk, or a mix of NaN, ±inf, -0.0 and zeros.  A compact stack keeps the
     valid slots and a random share of the others.
@@ -457,7 +457,7 @@ def flatten_stack(rng, lay, n, gaps, compact, level):
     elif gaps == "special":
         values[:] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.0], values.shape)
     valid = (np.asarray(lay.batch_offsets)[:, None] + valid_positions(lay)).reshape(-1)
-    values[:, valid] = rng.choice([-0.0, 0.5, -1.25, 3.0, 1e200], (lay.channels, valid.size)) * rng.uniform(0.5, 2, (lay.channels, valid.size))
+    values[:, valid] = rng.choice([-0.0, 0.5, -1.25, 3.0, 1e200, np.inf], (lay.channels, valid.size)) * rng.uniform(0.5, 2, (lay.channels, valid.size))
     if not compact:
         return CipherVector(values, level)
     live = np.union1d(valid, np.flatnonzero(rng.random(n) < 0.3))
@@ -467,21 +467,47 @@ def flatten_stack(rng, lay, n, gaps, compact, level):
 class TestFusedFlatten:
     """Flatten.schedule against the slide loop it stands for: the same bytes, ledger and rotate calls."""
 
+    @staticmethod
+    def both(params, lay, make_stack):
+        """What the loop and the schedule leave on a stack from ``make_stack()``: the row, its level, the ledger and the rotations."""
+        results = []
+        for method in (loop_flatten, lambda be, state: Flatten().schedule(be, state).ct):
+            be = RotationLog(params)
+            with np.errstate(all="ignore"):
+                out = method(be, CipherState(make_stack(), lay))
+            results.append((out.values.shape, out.values.tobytes(), out.slots, out.level,
+                            list(be.counter.by_level.items()), be.rotations))
+        return results
+
     @settings(max_examples=200, deadline=None)
     @given(case=flatten_cases(), compact=st.booleans(), quantize=st.booleans(), spare=st.integers(0, 2))
     def test_equals_slide_loop(self, case, compact, quantize, spare):
         lay, seed, gaps = case
         params = HEParams(poly_degree=1024, depth=4, scale_bits=8, quantize=quantize)  # 1/9 rounds when encoded
         level = Flatten.step(lay)[1] + spare
-        results = []
-        for method in (loop_flatten, lambda be, state: Flatten().schedule(be, state).ct):
-            be = RotationLog(params)
-            stack = flatten_stack(np.random.default_rng(seed), lay, params.num_slots, gaps, compact, level)
-            with np.errstate(all="ignore"):
-                out = method(be, CipherState(stack, lay))
-            results.append((out.values.shape, out.values.tobytes(), out.slots, out.level,
-                            list(be.counter.by_level.items()), be.rotations))
-        assert results[0] == results[1]
+        want, got = self.both(params, lay, lambda: flatten_stack(np.random.default_rng(seed), lay, params.num_slots, gaps, compact, level))
+        assert got == want
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_pre_sum_carries_a_gap_nan_into_its_own_values_only(self, compact):
+        """A NaN and a -inf in the gaps of a ``gaps_zero`` layout reach exactly the kept values whose pre-sum reads them."""
+        lay = single_layout(2, 2, 4, interval=2, w_img=8, h_img=3, offsets=(0, 24))
+        values = np.zeros((2, 64))
+        values[:, [0, 2, 4, 6, 16, 18, 20, 22]] = np.arange(1.0, 9.0)
+        values[0, 1], values[1, 17] = np.nan, -np.inf  # each read for columns 0 and 1 of one row of sample 0
+        slots = np.flatnonzero(values.any(axis=0) | np.isnan(values).any(axis=0))
+        stack = (lambda: CipherVector(values[:, slots].copy(), 2, slots)) if compact else (lambda: CipherVector(values.copy(), 2))
+        want, got = self.both(HEParams(poly_degree=128, depth=2), lay, stack)
+        assert got == want
+        out = np.frombuffer(got[1]).reshape(1, 64)[0]
+        assert np.isnan(out[:2]).all() and np.isneginf(out[12:14]).all() and np.isfinite(np.delete(out, [0, 1, 12, 13])).all()
+
+    def test_pending_constant_that_encodes_to_zero_leaves_plus_zero(self):
+        """Where the pending constant encodes to 0, no product is formed, so an inf value gives +0.0, not NaN."""
+        lay = single_layout(1, 1, 2, interval=2, w_img=4, h_img=1, pending=2**-12, gaps_zero=False)
+        values = np.array([[np.inf, 5.0, -np.inf] + [0.0] * 61])
+        want, got = self.both(HEParams(poly_degree=128, depth=2, scale_bits=8, quantize=True), lay, lambda: CipherVector(values.copy(), 2))
+        assert got == want and not np.frombuffer(got[1]).any()
 
 
 class TestFC:
