@@ -13,11 +13,11 @@ at encode time and after every multiplication.  There is no noise model
 beyond that and no actual encryption.
 
 Every plaintext product follows one masking rule, in :meth:`Backend.mul_plain`,
-:meth:`Backend.masked_sum` and :meth:`Backend.diagonal_sum` alike: a product is
-formed only on a slot where its mask is nonzero and added to +0.0, and every
-other slot is an exact +0.0, whatever the ciphertext holds there.  So no value
-of one sample reaches another sample's slots through a zero mask slot, however
-large it grows.
+:meth:`Backend.masked_sum`, :meth:`Backend.diagonal_sum` and
+:meth:`Backend.gather` alike: a product is formed only on a slot where its mask
+is nonzero and added to +0.0, and every other slot is an exact +0.0, whatever
+the ciphertext holds there.  So no value of one sample reaches another sample's
+slots through a zero mask slot, however large it grows.
 
 A :class:`CipherVector` is a stack of ciphertexts, one row of slots each, at
 one level; a model's channels travel as one stack.  A full-width stack stores
@@ -32,18 +32,18 @@ work.  An operation whose full-width result could hold anything but +0.0
 outside the live slots returns a full-width stack, so compact storage never
 changes a decrypted byte.  Slot values are never written after they are made.
 
-Both sums take their input stack and make its rotations themselves, through
-:meth:`Backend.rotate` on a stack with no columns, so the ledger sees every
-rotation and no rotated copy is made.  :meth:`Backend.masked_sum` reads each of
-convolution's taps straight from the input on the support slots and sums the
-products in one ``np.einsum`` call.  :meth:`Backend.diagonal_sum` sums the
-fully connected layer's products in one call per block of terms over their
-runs, reading the input's slots once, since every rotation only moves those
-same slots onto its run.  That is exact where einsum without ``optimize`` adds
-the terms in order from +0.0 with no fused multiply-add, as numpy's x86-64
-wheels do.  :func:`exact_einsum` checks that once per process; where it fails,
-both sums take their per-term loop, the one fixed-point runs take, to the same
-bytes.
+Both sums and :meth:`Backend.gather` take their input stack and make its
+rotations themselves, through :meth:`Backend.rotate` on a stack with no
+columns, so the ledger sees every rotation and no rotated copy is made.
+:meth:`Backend.masked_sum` reads each of convolution's taps straight from the
+input on the support slots and sums the products in one ``np.einsum`` call.
+:meth:`Backend.diagonal_sum` sums the fully connected layer's products in one
+call per block of terms over their runs, reading the input's slots once, since
+every rotation only moves those same slots onto its run.  That is exact where
+einsum without ``optimize`` adds the terms in order from +0.0 with no fused
+multiply-add, as numpy's x86-64 wheels do.  :func:`exact_einsum` checks that
+once per process; where it fails, both sums take their per-term loop, the one
+fixed-point runs take, to the same bytes.
 
 Every operation of :class:`Backend` runs once per stack: it checks widths and
 levels, records one op per row in the :class:`OpCounter`'s ``(kind, level)``
@@ -370,10 +370,7 @@ class Backend:
         coefs = np.asarray(coefs, dtype=np.float64)
         if coefs.ndim != 2 or not coefs.size or coefs.shape[1] != rows * count:
             raise ValueError(f"masked_sum needs one or more rows of a coefficient per term row, got {coefs.shape} for {count} terms of {rows} rows")
-        if cipher.level < 1:
-            raise LevelExhausted("ciphertext has no multiplication budget left")
-        if self._width(cipher) != n:
-            raise SlotMismatch(f"operand widths differ: {self._width(cipher)} vs {n}")
+        self._check_spendable(cipher)
         shifts = self._rotations(cipher, shifts)
         level = cipher.level
         self.counter.record("pt_mult", level, outs * rows * count)
@@ -426,12 +423,9 @@ class Backend:
         reach, stride = max(width, count - 1), (offsets[1:2] or (n,))[0] - offsets[0]  # a lone offset: room to the end
         if stride < reach or offsets != tuple(range(offsets[0], offsets[-1] + 1, stride)) or offsets[0] < 0 or offsets[-1] + reach > n:
             raise ValueError(f"diagonal_sum needs offsets evenly spaced at least {reach} apart, got {offsets}")
-        if cipher.level < 1:
-            raise LevelExhausted("ciphertext has no multiplication budget left")
+        self._check_spendable(cipher)
         if _rows(cipher) != 1:
             raise ValueError(f"diagonal_sum needs one ciphertext, got a stack of {_rows(cipher)}")
-        if self._width(cipher) != n:
-            raise SlotMismatch(f"operand widths differ: {self._width(cipher)} vs {n}")
         self.counter.record("pt_mult", cipher.level, 2 * count)
         self._rotations(cipher, range(1, count))
         if count > 1:
@@ -468,6 +462,29 @@ class Backend:
         per_offset(wrap, count - 1)[...] = acc[:, origin - count + 1 : origin]
         out[1, : n - count + 1], out[1, n - count + 1 :] = wrap[count - 1 :], wrap[: count - 1]
         return CipherVector(out.reshape(2, *cipher.values.shape[:-1], n), cipher.level - 1)
+
+    def gather(self, cipher: CipherVector, reads: np.ndarray, dest: np.ndarray, scales, records) -> CipherVector:
+        """One full-width row: slot ``dest[r, j]`` is row ``r``'s slots ``reads[:, j]`` added in order, times each scale.
+
+        Each of ``scales`` multiplies as :meth:`mul_plain` by a plaintext holding it: quantized and added to +0.0, or
+        +0.0 where it encodes to zero.  Every other slot is +0.0, and the level drops by one per scale.  ``records``
+        are the ``(kind, level, count, shifts)`` records of the loop this stands for, made in order, a rotation's
+        ``count // len(shifts)`` rows through :meth:`rotate` once per shift, and no count of 0.  Level and width are
+        refused before any record.
+        """
+        self._check_spendable(cipher, len(scales))
+        for kind, level, count, shifts in records:
+            if shifts:
+                self._rotations(CipherVector(np.empty((count // len(shifts), 0)), level), shifts)
+            elif count:
+                self.counter.record(kind, level, count)
+        terms = self._take(cipher, reads.reshape(-1)).reshape(_rows(cipher), *reads.shape)
+        acc = functools.reduce(np.add, terms.swapaxes(0, 1))  # in term order from the first
+        for scale in self._quantized(np.array(scales, dtype=np.float64)):
+            acc = self._quantized(acc * scale) + 0.0 if scale else np.zeros_like(acc)
+        out = np.zeros((1, self.num_slots))
+        out[0, dest] = acc
+        return CipherVector(out, cipher.level - len(scales))
 
     def sum(self, terms) -> CipherVector:
         """Slot-wise sum of a ciphertext and the terms after it, read once and in order.
@@ -536,6 +553,13 @@ class Backend:
             else:
                 return None
         return covered.nonzero()[0]
+
+    def _check_spendable(self, cipher: CipherVector, levels: int = 1) -> None:
+        """Refuse a stack with fewer than ``levels`` levels left, or with fewer than ``num_slots`` slots."""
+        if cipher.level < levels:
+            raise LevelExhausted("ciphertext has no multiplication budget left")
+        if self._width(cipher) != self.num_slots:
+            raise SlotMismatch(f"operand widths differ: {self._width(cipher)} vs {self.num_slots}")
 
     def _rotations(self, cipher: CipherVector, shifts) -> list:
         """Record the rotations of ``cipher`` by ``shifts`` through :meth:`rotate`, copying nothing; return the amounts mod ``num_slots``."""

@@ -25,26 +25,23 @@ present there, so a batched run performs exactly the same slot arithmetic
 as a solo run and their outputs match bit for bit.
 
 Every schedule works on the whole channel stack of its :class:`CipherState`:
-each backend operation runs once and records one op per channel, and only
-flatten's final merge, which rotates each channel by its own amount, takes
-the channels one at a time.  Convolution hands its input ciphertext, its tap
-shifts and its weights to :meth:`Backend.masked_sum`.  The fully connected
-layer hands its input ciphertext and its plaintext diagonals to
-:meth:`Backend.diagonal_sum`.  Both sums make the rotations themselves; FC
-forms its diagonals on its first run and keeps them, one ``dat_out x
-dat_in`` copy, which cannot go stale because a layer's weight tensors are
-read-only.  Flatten and ``ApproxReLU`` multiply by masks with
-:meth:`Backend.mul_plain`, and every plaintext a layer uses is made by one
-helper, ``_plain``, through :meth:`Backend.encode`.  All three follow the
+each backend operation runs once and records one op per channel.
+Convolution hands its input, its tap shifts and its weights to
+:meth:`Backend.masked_sum`; the fully connected layer its input and its
+plaintext diagonals, formed on its first run and kept (weight tensors are
+read-only), to :meth:`Backend.diagonal_sum`; flatten its input, the slots
+its slide loop moves and that loop's records to :meth:`Backend.gather`.
+Each of the three makes its rotations itself, and its values and op ledger
+are those of the ``rotate`` / ``mul_plain`` / ``add`` loop over full-width
+masks.  ``ApproxReLU`` multiplies by masks with :meth:`Backend.mul_plain`,
+and every plaintext a layer uses is made by ``_plain``.  All follow the
 backend's one masking rule: each product is formed only on its mask's
-nonzero slots, and every other slot is an exact +0.0, so no value of one
+nonzero slots and every other slot is an exact +0.0, so no value of one
 sample reaches another sample's result through a zero mask slot, however
-large it grows.  The two sums' values and op ledger are those of the
-``rotate`` / ``mul_plain`` / ``add`` loop over full-width masks.  A product
-of several rows over few slots leaves a compact stack, which stores only its
-live slots; the pooling, squaring, flatten and convolution that follow work
-on those slots alone, and its rotations copy nothing.  Pooling's, flatten's
-and FC's other rotations stream into :meth:`Backend.sum`.
+large it grows.  A product of several rows over few slots leaves a compact
+stack, which stores only its live slots; the layers that follow work on
+those slots alone.  Pooling's and FC's other rotations, and flatten's
+channel merge when no other step runs, stream into :meth:`Backend.sum`.
 """
 
 from __future__ import annotations
@@ -90,6 +87,9 @@ class LayoutState(NamedTuple):
     ``pending_const`` is a deferred scalar every slot value still has to be
     multiplied by; ``gaps_zero`` records whether the slots between valid
     positions are known to hold zeros rather than stale intermediate junk.
+    That holds for finite junk only: a gap whose junk overflowed to inf holds
+    NaN after ``ApproxReLU``, whose ciphertext product there is 0 * inf; flatten's
+    pre-sum carries it into that sample's values, never another sample's.
     """
 
     interval: int
@@ -138,18 +138,6 @@ def _plain(backend: Backend, slots, values) -> PlainVector:
     data = np.zeros(backend.num_slots)
     data[slots] = values
     return backend.encode(data)
-
-
-def _runs(backend: Backend, lay: LayoutState, start: int, shape: tuple, value=1.0) -> PlainVector:
-    """The plaintext ``value`` on ``shape[0]`` runs of ``shape[1]`` slots from ``start``, one image row apart, in each sample region."""
-    rows = np.arange(shape[0])[:, None] * (lay.w_img * lay.interval)
-    return _plain(backend, np.asarray(lay.batch_offsets)[:, None, None] + (start + rows + np.arange(shape[1])), value)
-
-
-def _slide(backend: Backend, ct, masks, step: int):
-    """Mask ``ct`` with each of ``masks`` in turn, rotate product ``i`` left by ``i * step``, and add them up."""
-    parts = (backend.mul_plain(ct, mask) for mask in masks)
-    return backend.sum(backend.rotate(p, i * step) if i * step else p for i, p in enumerate(parts))
 
 
 def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState:
@@ -439,9 +427,10 @@ class ApproxReLU(Layer):
 
         Costs one ciphertext product and one masked plaintext product (two
         levels).  All three coefficients are applied only at valid positions,
-        with the pending constant folded in, so the activation also scrubs any
-        junk out of the gap slots: afterwards the gaps are exactly zero and no
-        constant is pending.
+        with the pending constant folded in, so the activation also scrubs
+        finite junk out of the gap slots: afterwards those gaps are exactly zero
+        and no constant is pending.  A gap whose junk overflowed to inf holds
+        NaN instead, its ciphertext product's 0 * inf (see :attr:`LayoutState.gaps_zero`).
         """
         lay = state.layout
         out_layout, _ = self.step(lay)
@@ -478,12 +467,10 @@ class Flatten(Layer):
 
     @staticmethod
     def dispatch(lay: LayoutState):
-        """Decide which flatten steps the layout flatten reads needs.
+        """``(masked_extract, row_removal, column_removal)``: the steps, one level each, flatten takes on ``lay``.
 
-        Returns ``(masked_extract, row_removal, column_removal)``.  Masked
-        extraction subsumes row removal: it both compacts each row and applies
-        any pending constant while clearing garbage between values.  Column
-        removal then closes the gaps between row ends and the next row start.
+        Masked extraction, when gaps hold junk or a constant is pending, compacts each row, applies the constant and
+        clears the gaps; else row removal compacts rows when the interval is above one.  Column removal joins rows.
         """
         masked = (not lay.gaps_zero) or lay.pending_const != 1.0
         row = (not masked) and lay.interval > 1 and lay.w_in > 1
@@ -499,76 +486,65 @@ class Flatten(Layer):
     def schedule(self, backend: Backend, state: CipherState) -> CipherState:
         """Compact the strided layout into one contiguous channel-major vector.
 
-        Three optional steps, chosen by the same dispatch the static depth
-        accounting uses: masked extraction when gaps hold junk or a constant is
-        pending (one level), otherwise in-row gap removal when the interval is
-        larger than one (one level); then row concatenation when there are
-        multiple rows (one level).  Each step masks the whole channel stack, one
-        mask at a time.  Finally every channel's row is rotated onto one
-        ciphertext, which costs only rotations and additions.
+        The schedule is a slide loop of the steps :meth:`dispatch` picks: each
+        masks the stack once per part and slides the parts together; last, each
+        channel's row is rotated onto one ciphertext.  In values the loop is a
+        permutation, so :meth:`Backend.gather` forms it in one read, row
+        removal's pre-sum over gap slots included.  With no step, each channel's
+        row may hold anything between its values and is rotated and summed whole.
         """
         lay = state.layout
-        interval, w_in, h_in = lay.interval, lay.w_in, lay.h_in
-        row_span = lay.w_img * interval
-        masked, row_removal, col_removal = self.dispatch(lay)
-        ct = state.ct
+        out_layout, _ = self.step(lay)
+        masked, row, col = self.dispatch(lay)
+        flat_len, n = lay.w_in * lay.h_in, backend.num_slots
+        if not (masked or row or col):
+            rows = (state.ct[ch : ch + 1] for ch in range(lay.channels))  # each channel's row, as a stack of one
+            return CipherState(backend.sum(backend.rotate(row, -ch * flat_len) if ch else row for ch, row in enumerate(rows)), out_layout)
+        offsets, reads = np.asarray(lay.batch_offsets), self._reads(lay)  # slots mod n, a power of two, by a mask
+        reads = (offsets[:, None] + reads[:, None, :]).reshape(len(reads), -1) & (n - 1)
+        dest = (np.arange(lay.channels)[:, None] * flat_len + (offsets[:, None] + np.arange(flat_len)).reshape(-1)) & (n - 1)
+        scales = [lay.pending_const] * masked + [1.0] * (row + col)
+        return CipherState(backend.gather(state.ct, reads, dest, scales, self._loop(lay, state.level)), out_layout)
 
-        if masked:
-            # Extract column c of every row, scaled by the pending constant, and
-            # slide it left so the row becomes contiguous.
-            masks = (_runs(backend, lay, c * interval, (h_in, 1), lay.pending_const) for c in range(w_in))
-            ct = _slide(backend, ct, masks, interval - 1)
-        elif row_removal:
-            # Gaps are zero: summing interval-many shifted copies first makes
-            # every block of `interval` consecutive columns contiguous, then one
-            # masked product per block slides the blocks together.
-            blocks = math.ceil(w_in / interval)
-            runs = [(b * interval * interval, min(interval, w_in - b * interval)) for b in range(blocks)]
-            masks = (_runs(backend, lay, start, (h_in, width)) for start, width in runs)
-            summed = backend.sum(backend.rotate(ct, s * (interval - 1)) if s else ct for s in range(interval))
-            ct = _slide(backend, summed, masks, interval * (interval - 1))
+    @staticmethod
+    def _reads(lay: LayoutState) -> np.ndarray:
+        """``(terms, values)``: the slots, from a sample's offset, the slide loop adds up onto each kept value."""
+        positions = valid_positions(lay)
+        if not Flatten.dispatch(lay)[1]:
+            return positions[None]
+        i = lay.interval  # row removal: value (r, c) is term c % i of a pre-sum by multiples of i - 1
+        return positions + (np.arange(i)[:, None] - np.tile(np.arange(lay.w_in) % i, lay.h_in)) * (i - 1)
 
-        if col_removal:
-            # Rows are now contiguous runs of w_in values, one run per row span;
-            # mask each run and slide it next to the previous one.
-            masks = (_runs(backend, lay, r * row_span, (1, w_in)) for r in range(h_in))
-            ct = _slide(backend, ct, masks, row_span - w_in)
+    @staticmethod
+    def _loop(lay: LayoutState, level: int):
+        """The slide loop's ``(kind, level, count, shifts)`` records in order, a rotation's ``shifts`` its amounts.
 
-        flat_len = w_in * h_in
-        rows = (ct[ch : ch + 1] for ch in range(lay.channels))  # each channel's row, as a stack of one
-        out = backend.sum(backend.rotate(row, -ch * flat_len) if ch else row for ch, row in enumerate(rows))
-        return CipherState(out, self.step(lay)[0])
+        A slide masks ``parts`` copies of ``rows`` rows, or not, and adds them up, copy ``p`` rotated by ``p * step``.
+        """
+        masked, row, col = Flatten.dispatch(lay)
+        ch, i, w_in, h_in = lay.channels, lay.interval, lay.w_in, lay.h_in
+        pre_sum = [(ch, i, i - 1, False), (ch, math.ceil(w_in / i), i * (i - 1), True)]  # then a product per block of i columns
+        slides = [(ch, w_in, i - 1, True)] if masked else pre_sum if row else []
+        slides += [(ch, h_in, lay.w_img * i - w_in, True)] * col + [(1, ch, -w_in * h_in, False)]
+        for rows, parts, step, product in slides:
+            if product:
+                yield "pt_mult", level, rows * parts, []
+                level -= 1
+            shifts = [p * step for p in range(1, parts) if step]  # no rotation by 0
+            yield "rotation", level, rows * len(shifts), shifts
+            yield "add", level, rows * (parts - 1), []
 
     @staticmethod
     def ledger(lay: LayoutState, level: int) -> list:
-        """The records of :meth:`schedule`'s steps, each made for every channel in turn."""
-        masked, row, col = Flatten.dispatch(lay)
-        ch, i = lay.channels, lay.interval
-        records = []
-
-        def slide(parts: int, step: int) -> None:  # a masked product per part, then rotations (none by 0) and adds
-            nonlocal level
-            records.extend([("pt_mult", level, ch * parts), ("rotation", level - 1, ch * (parts - 1) * (step != 0)),
-                            ("add", level - 1, ch * (parts - 1))])
-            level -= 1
-
-        if masked:
-            slide(lay.w_in, i - 1)
-        elif row:
-            records.extend([("rotation", level, ch * (i - 1)), ("add", level, ch * (i - 1))])  # the pre-sum
-            slide(math.ceil(lay.w_in / i), i * (i - 1))
-        if col:
-            slide(lay.h_in, lay.w_img * i - lay.w_in)
-        return records + [("rotation", level, ch - 1), ("add", level, ch - 1)]  # channels onto one ciphertext
+        """The records of the slide loop :meth:`schedule` stands for."""
+        return [record[:3] for record in Flatten._loop(lay, level)]
 
     @staticmethod
     def slot_needs(lay: LayoutState, name: str) -> list:
         """The flat vector, and the slots row removal's pre-sum reads when it runs."""
         needs = [{"layer": name, "slots": lay.w_in * lay.h_in * lay.channels}]
         if Flatten.dispatch(lay)[1]:  # the pre-sum reads (interval - 1)**2 slots past its last kept slot
-            i = lay.interval
-            last = (lay.h_in - 1) * lay.w_img * i + (math.ceil(lay.w_in / i) - 1) * i * (i - 1) + lay.w_in - 1
-            needs.append({"layer": "Flatten pre-sum", "slots": last + (i - 1) ** 2 + 1})
+            needs.append({"layer": "Flatten pre-sum", "slots": int(Flatten._reads(lay).max()) + 1})
         return needs
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from slotcnn import (
     run_inference,
     trace_layout,
     validate,
+    valid_positions,
     verify_against_oracle,
 )
 from slotcnn import engine, he_backend
@@ -389,6 +390,36 @@ class TestSampleIsolation:
         for i in range(plan.capacity):
             if i != 1:
                 assert dirty[i].tobytes() == clean[i].tobytes(), f"sample {i}"
+
+    def test_gap_nan_after_approx_relu_stays_in_its_sample(self):
+        """``gaps_zero`` holds for finite gap junk only: an overflowing sample's gaps can hold NaN after ApproxReLU.
+
+        ``random_stack`` seed 69 (as in the pinned stage digest) is AvgPool2d, Square, ApproxReLU, Flatten, FC,
+        FC, ApproxReLU at 2048 slots.  Sample 0 is scaled by 1e200, so the pooling junk in its gaps squares to inf
+        and ApproxReLU's zero product there is 0 * inf = NaN.  Flatten's pre-sum adds those gaps onto the sample's
+        own values, and no valid slot of another sample ever holds a value that is not finite.
+        """
+        rng = np.random.default_rng(69)
+        m = random_stack(rng)
+        params = HEParams(poly_degree=4096, depth=int(rng.integers(8, 12)))
+        plan = footprint(m, params)
+        xs = rng.uniform(-1.0, 1.0, size=(plan.capacity, m.channels, m.height, m.width))
+        xs[0] *= 1e200
+        xs[-1][xs[-1] < 0] = -0.0
+        with np.errstate(all="ignore"):
+            stages = [np.frombuffer(stage).reshape(-1, params.num_slots) for stage in stage_bytes(m, xs, params)]
+        names = [type(layer).__name__ for layer in m.layers]
+        assert names == ["AvgPool2d", "Square", "ApproxReLU", "Flatten", "FC", "FC", "ApproxReLU"]
+        relu, flat = (trace_layout(m)[i].after for i in (2, 3))
+        assert relu.gaps_zero and Flatten.dispatch(relu) == (False, True, True)  # row removal's pre-sum reads the gaps
+        off = plan.offsets[0]
+        gaps = np.ones(plan.footprint, bool)
+        gaps[valid_positions(relu)] = False
+        assert np.isnan(stages[3][:, off : off + plan.footprint][:, gaps]).any()  # stages[0] is the level alignment
+        assert np.isnan(stages[4][0, off + valid_positions(flat)]).any()
+        layouts = [trace_layout(m)[0].before] + [row.after for row in trace_layout(m)]
+        for stage, lay in zip(stages, layouts, strict=True):
+            assert np.isfinite(stage[:, np.add.outer(plan.offsets[1:], valid_positions(lay))]).all()
 
 
 class TestKeptDiagonals:

@@ -25,6 +25,7 @@ from slotcnn import (
 )
 from slotcnn.errors import (
     FootprintOverflow,
+    LevelExhausted,
     NonDivisibleDims,
     NotFlattened,
     PaddingUnsupported,
@@ -508,6 +509,17 @@ class TestFusedFlatten:
         values = np.array([[np.inf, 5.0, -np.inf] + [0.0] * 61])
         want, got = self.both(HEParams(poly_degree=128, depth=2, scale_bits=8, quantize=True), lay, lambda: CipherVector(values.copy(), 2))
         assert got == want and not np.frombuffer(got[1]).any()
+
+    @pytest.mark.parametrize("branch", ["masked", "row"])
+    def test_level_below_its_steps_is_refused_before_any_record(self, branch):
+        """Two steps at level 1: nothing is recorded and nothing rotated, where the loop recorded its first slide."""
+        lay = (single_layout(2, 3, 3, interval=2, w_img=6, h_img=6, pending=0.25, gaps_zero=False) if branch == "masked"
+               else single_layout(2, 3, 3, interval=3, w_img=9, h_img=9))
+        be = RotationLog(SMALL_PARAMS)
+        state = build_state(be, lay, np.ones((2, 3, 3)))
+        with pytest.raises(LevelExhausted):
+            Flatten().schedule(be, CipherState(CipherVector(state.ct.values, 1), lay))
+        assert be.counter.by_level == {} and be.rotations == []
 
 
 class TestFC:
