@@ -500,39 +500,37 @@ class Flatten(Layer):
         if not (masked or row or col):
             rows = (state.ct[ch : ch + 1] for ch in range(lay.channels))  # each channel's row, as a stack of one
             return CipherState(backend.sum(backend.rotate(row, -ch * flat_len) if ch else row for ch, row in enumerate(rows)), out_layout)
-        offsets, reads = np.asarray(lay.batch_offsets), self._reads(lay)  # slots mod n, a power of two, by a mask
-        reads = (offsets[:, None] + reads[:, None, :]).reshape(len(reads), -1) & (n - 1)
-        dest = (np.arange(lay.channels)[:, None] * flat_len + (offsets[:, None] + np.arange(flat_len)).reshape(-1)) & (n - 1)
+        reads = self._reads(lay) & (n - 1)  # slots mod n, a power of two
+        dest = (np.arange(lay.channels)[:, None] * flat_len + _support(lay._replace(interval=1, w_in=flat_len, h_in=1))) & (n - 1)
         scales = [lay.pending_const] * masked + [1.0] * (row + col)
         return CipherState(backend.gather(state.ct, reads, dest, scales, self._loop(lay, state.level)), out_layout)
 
     @staticmethod
     def _reads(lay: LayoutState) -> np.ndarray:
-        """``(terms, values)``: the slots, from a sample's offset, the slide loop adds up onto each kept value."""
-        positions = valid_positions(lay)
+        """``(terms, values)``: the slots the slide loop adds up onto each kept value, at every batch offset."""
         if not Flatten.dispatch(lay)[1]:
-            return positions[None]
-        i = lay.interval  # row removal: value (r, c) is term c % i of a pre-sum by multiples of i - 1
-        return positions + (np.arange(i)[:, None] - np.tile(np.arange(lay.w_in) % i, lay.h_in)) * (i - 1)
+            return _support(lay)[None]
+        i, k = lay.interval, np.tile(np.arange(lay.w_in) % lay.interval, lay.h_in * len(lay.batch_offsets))
+        return _support(lay) + (np.arange(i)[:, None] - k) * (i - 1)  # value (r, c) is term c % i of the pre-sum
 
     @staticmethod
     def _loop(lay: LayoutState, level: int):
         """The slide loop's ``(kind, level, count, shifts)`` records in order, a rotation's ``shifts`` its amounts.
 
-        A slide masks ``parts`` copies of ``rows`` rows, or not, and adds them up, copy ``p`` rotated by ``p * step``.
+        A slide sums ``parts`` copies of ``rows`` rows, masked if it makes products, copy ``p`` rotated left by ``p * step``.
         """
         masked, row, col = Flatten.dispatch(lay)
         ch, i, w_in, h_in = lay.channels, lay.interval, lay.w_in, lay.h_in
-        pre_sum = [(ch, i, i - 1, False), (ch, math.ceil(w_in / i), i * (i - 1), True)]  # then a product per block of i columns
+        pre_sum = [(ch, i, i - 1, False), (ch, math.ceil(w_in / i), i * (i - 1), True)]  # then a block of i columns a part
         slides = [(ch, w_in, i - 1, True)] if masked else pre_sum if row else []
         slides += [(ch, h_in, lay.w_img * i - w_in, True)] * col + [(1, ch, -w_in * h_in, False)]
         for rows, parts, step, product in slides:
             if product:
-                yield "pt_mult", level, rows * parts, []
+                yield "pt_mult", level, rows * parts, ()
                 level -= 1
-            shifts = [p * step for p in range(1, parts) if step]  # no rotation by 0
+            shifts = range(step, step * parts, step) if step else ()  # p * step for p = 1 .. parts - 1, none by 0
             yield "rotation", level, rows * len(shifts), shifts
-            yield "add", level, rows * (parts - 1), []
+            yield "add", level, rows * (parts - 1), ()
 
     @staticmethod
     def ledger(lay: LayoutState, level: int) -> list:
@@ -544,7 +542,9 @@ class Flatten(Layer):
         """The flat vector, and the slots row removal's pre-sum reads when it runs."""
         needs = [{"layer": name, "slots": lay.w_in * lay.h_in * lay.channels}]
         if Flatten.dispatch(lay)[1]:  # the pre-sum reads (interval - 1)**2 slots past its last kept slot
-            needs.append({"layer": "Flatten pre-sum", "slots": int(Flatten._reads(lay).max()) + 1})
+            i = lay.interval
+            last = (lay.h_in - 1) * lay.w_img * i + (math.ceil(lay.w_in / i) - 1) * i * (i - 1) + lay.w_in - 1
+            needs.append({"layer": "Flatten pre-sum", "slots": last + (i - 1) ** 2 + 1})
         return needs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
