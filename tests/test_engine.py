@@ -545,17 +545,33 @@ class TestCompactStacks:
         assert compact == full
 
     def test_sparse_conv_outputs_are_compact(self, monkeypatch):
-        """M1's conv (810 live slots of 8192) and M4's convs after the first pooling leave compact stacks; M3, M6 and M7 do not."""
+        """Every layer's storage form at full capacity: only a sparse conv makes a compact stack, and Square and pooling keep it.
+
+        M1's conv (810 live slots of 8192) and the convs after the first pooling of M2, M4 and M5 are compact; flatten
+        and FC always leave one full-width row.
+        """
         kept = []
         apply = engine.apply_layer
         monkeypatch.setattr(engine, "apply_layer", lambda be, state, layer: kept.append(apply(be, state, layer)) or kept[-1])
-        compact = {}
-        for name in ("M1", "M3", "M4", "M6", "M7"):
+        full = lambda rows: (False, (rows, PARAMS.num_slots))  # noqa: E731
+        compact = lambda rows, live: (True, (rows, live))  # noqa: E731
+        storage = {}
+        for name in builtin_names():
             m = builtin(name)
             kept.clear()
-            run_inference(m, rand_samples(m, 1), PARAMS)
-            compact[name] = [state.ct.slots is not None for layer, state in zip(m.layers, kept) if isinstance(layer, (Conv1d, Conv2d))]
-        assert compact == {"M1": [True], "M3": [False], "M4": [False, True, True], "M6": [False], "M7": [False, False]}
+            run_inference(m, rand_samples(m, footprint(m, PARAMS).capacity), PARAMS)
+            storage[name] = [(state.ct.slots is not None, state.ct.values.shape) for state in kept]
+        assert storage == {
+            "M1": [compact(8, 810), compact(8, 810), full(1), full(1), full(1), full(1)],
+            "M2": [full(4), full(4), full(4), compact(12, 640), compact(12, 640), compact(12, 810), full(1), full(1)],
+            "M3": [full(6), full(6), full(6), full(1), full(1), full(1), full(1)],
+            "M4": [full(6), full(6), full(6), compact(16, 700), compact(16, 700), compact(16, 847), compact(120, 7),
+                   compact(120, 7), full(1), full(1), full(1), full(1)],
+            "M5": [full(16), full(16), full(16), compact(64, 1008), compact(64, 1008), compact(64, 1183), compact(128, 112),
+                   compact(128, 112), compact(128, 343), full(1), full(1)],
+            "M6": [full(6), full(6), full(1), full(1), full(1), full(1)],
+            "M7": [full(2), full(2), full(4), full(1), full(1), full(1), full(1)],
+        }
 
 
 def presum_models():
