@@ -24,13 +24,14 @@ one level; a model's channels travel as one stack.  A full-width stack stores
 every slot, and its rotation is a read-only view of one doubled copy of it,
 shared by consecutive rotations of that stack (the simulator's hoisted
 rotations).  A compact stack stores only its live slots, every other slot being
-+0.0: a plaintext product of more than one row returns one when it is formed on
-fewer than ``_COMPACT_SHARE`` of the slots, a sum of compact stacks stays one,
-and its rotations only move the slot indices.  A lone row's product or sum is
-full-width, where adding a plaintext costs less than the compact sum's index
-work.  An operation whose full-width result could hold anything but +0.0
-outside the live slots returns a full-width stack, so compact storage never
-changes a decrypted byte.  Slot values are never written after they are made.
++0.0.  One operation makes one: :meth:`Backend.masked_sum` (convolution) of
+more than one row formed on fewer than ``_COMPACT_SHARE`` of the slots.  Its
+rotations only move the slot indices, a ``mul_cipher`` of two stacks on the
+same slots and a sum of compact stacks of more than one row each stay compact,
+and every other result is full-width, so compact storage never changes a
+decrypted byte.  Slot values are never written after they are made, and
+:meth:`Backend.decrypt` writes every NaN as one quiet NaN, whichever NaN
+operand numpy's kernels kept.
 
 Both sums and :meth:`Backend.gather` take their input stack and make its
 rotations themselves, through :meth:`Backend.rotate` on a stack with no
@@ -137,17 +138,19 @@ _GATHER_BYTES = 1 << 19  # about the most bytes of term slots diagonal_sum gathe
 # other per-call arrays of a dense pass.  With the buffer sized to its contents (a 512 KiB or 1 MiB bound instead), a
 # dense-wide benchmark process took 7 to 12 times the minor page faults.
 _SCRATCH_BYTES = 1 << 21
-# A plaintext product of two or more rows formed on fewer than this share of the slots returns a compact stack.
-# At 8192 slots that takes M1's conv (810 slots) and the convs after M2's, M4's and M5's first pooling (7-1008
-# slots), and leaves the first convs of M2-M5 (4732-6300 slots), M6's conv (1225) and M7's (2048-4096)
-# full-width.  In per-layer timings M6 ran no faster with its conv compact, and denser supports pay more for
-# index work than they save.  A lone row, as in the activation after a fully connected layer, is cheaper
-# full-width: on a 2-core Xeon VM, M3's second ApproxReLU took about 145 microseconds with its product compact
-# and 70 without, because adding a plaintext to a compact stack does index work over every slot.
+# A masked sum (convolution) of two or more rows formed on fewer than this share of the slots returns a compact
+# stack, the only operation that makes one.  At 8192 slots that takes M1's conv (810 slots) and the convs after
+# M2's, M4's and M5's first pooling (7-1008 slots), and leaves the first convs of M2-M5 (4732-6300 slots), M6's
+# conv (1225) and M7's (2048-4096) full-width.  In per-layer timings M6 ran no faster with its conv compact, and
+# denser supports pay more for index work than they save.
 _COMPACT_SHARE = 1 / 8
 # Products that sum to +0.0 when each is rounded and added in term order from +0.0, and to something else when the
 # terms are reassociated, a product is fused into its addition, or a sum starts from its first product.
 _PROBES = (([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]), ([-(1 + 2.0**-29), 1 + 2.0**-30], [1.0, 1 + 2.0**-30]), ([-0.0], [1.0]))
+
+# The one NaN that decrypt writes, x86's default quiet NaN.  Which of two NaN operands a numpy addition returns
+# depends on where the pair falls in the array and on the SIMD kernels numpy dispatches to.
+_NAN = np.array(0xFFF8_0000_0000_0000, np.uint64).view(np.float64)
 
 
 @functools.cache
@@ -186,7 +189,8 @@ class CipherVector:
     ``values`` is ``(rows, width)``, or ``(width,)`` for a lone ciphertext.  A full-width stack stores every
     slot.  A compact stack stores only its live columns: column ``j`` holds slot ``(slots[j] - shift) %
     num_slots``, for sorted ``slots``, and every other slot of every row is +0.0; rotating it moves ``shift``
-    and copies nothing.  Indexing and iteration go over the rows, which keep the stack's slots.
+    and copies nothing.  Only :meth:`Backend.masked_sum` makes one; its rotations, a same-slot ``mul_cipher``
+    and sums of such stacks keep one.  Indexing and iteration go over the rows, which keep the stack's slots.
     """
 
     values: np.ndarray
@@ -290,8 +294,10 @@ class Backend:
         return CipherVector(values, self.params.depth)
 
     def decrypt(self, cipher: CipherVector) -> np.ndarray:
-        """Every slot of every row: ``(rows, num_slots)``, or ``(num_slots,)`` for a lone ciphertext."""
-        return self._dense(cipher).copy()
+        """Every slot of every row: ``(rows, num_slots)``, or ``(num_slots,)`` for a lone ciphertext, each NaN as ``_NAN``."""
+        out = self._dense(cipher).copy()
+        np.copyto(out, _NAN, where=np.isnan(out))
+        return out
 
     # -- arithmetic -------------------------------------------------------
 
@@ -316,23 +322,18 @@ class Backend:
         """Slot-wise ciphertext-plaintext product; consumes one level.
 
         The product is formed only on the plaintext's nonzero slots and added to +0.0; every other slot is an exact
-        +0.0, whatever the ciphertext holds there.  The result is compact when those slots are few.
+        +0.0, whatever the ciphertext holds there.  The result is always full-width, whatever the form of ``cipher``.
         """
         if cipher.level < 1:
             raise LevelExhausted("ciphertext has no multiplication budget left")
         self._check_width(cipher, plain)
         self.counter.record("pt_mult", cipher.level, _rows(cipher))
-        nonzero = plain.values != 0
-        count = np.count_nonzero(nonzero)
-        if self._compact(count, _rows(cipher)):
-            slots = nonzero.nonzero()[0]
-            values = self._quantized(self._take(cipher, slots) * plain.values[slots])
-        else:  # whole rows: where the plaintext is zero, a finite slot's product is a zero that the +0.0 below makes +0.0
-            slots, values = None, self._quantized(self._dense(cipher) * plain.values)
-            if count < self.num_slots and np.isnan(values).any():  # and a slot that is not finite gives NaN there
-                values[..., ~nonzero] = 0.0
+        # Where the plaintext is zero, a finite slot's product is a zero that the +0.0 below makes +0.0
+        values = self._quantized(self._dense(cipher) * plain.values)
+        if np.isnan(values).any():  # and a slot that is not finite gives NaN there
+            values[..., plain.values == 0] = 0.0
         values += 0.0
-        return CipherVector(values, cipher.level - 1, slots)
+        return CipherVector(values, cipher.level - 1)
 
     def mul_cipher(self, a: CipherVector, b: CipherVector) -> CipherVector:
         """Slot-wise ciphertext-ciphertext product; consumes one level.  Compact only for two stacks on the same slots."""
@@ -354,8 +355,9 @@ class Backend:
         term): result row ``o`` is ``sum_r,t term[t][r] * coefs[o, r *
         len(shifts) + t]``, plus ``bias[o]`` when ``bias`` is given.  As in
         :meth:`mul_plain`, products are formed only on the mask slots, every
-        other slot is an exact +0.0 whatever the stack holds there, and the
-        result is compact when those slots are few.
+        other slot is an exact +0.0 whatever the stack holds there.  A result
+        of more than one row on few slots is compact, the one way a compact
+        stack is made.
 
         Values and ledger are those of the ``rotate`` / ``mul_plain`` / ``add``
         loop over full-width masks, summed in the order above from +0.0 with
@@ -400,7 +402,7 @@ class Backend:
             acc = np.einsum("to,ts->os", coefs, gathered, optimize=False)[:, : slots.size]
         if bias is not None:
             acc += self._quantized(np.array(bias, dtype=np.float64))[:, None]
-        if self._compact(slots.size, outs):
+        if outs > 1 and slots.size < _COMPACT_SHARE * n:
             return CipherVector(acc, level - 1, slots)
         out = np.zeros((outs, n))
         out[:, slots] = acc
@@ -490,36 +492,38 @@ class Backend:
         """Slot-wise sum of a ciphertext and the terms after it, read once and in order.
 
         Values, level and ledger equal those of ``add(add(t0, t1), t2) ...``:
-        each term's ``add`` is recorded before the next term is pulled.  After
-        a full-width first term or a lone row, the sum is full-width and each
-        term is added as it is pulled.  After a compact stack of more rows all
-        are pulled first, and the sum is compact on the union of their live
-        slots unless a term is full-width.  Every slot a term does not hold
-        gets the +0.0 that a full-width term adds there.
+        each term's ``add`` is recorded before the next term is pulled.  The
+        sum is compact only when every term is a compact stack of two or more
+        rows, as pooling after a sparse conv sums: it then holds the union of
+        their live slots.  Any other sum is full-width, and after a full-width
+        first term or a lone row each term is added as it is pulled.  Every
+        slot a term does not hold gets the +0.0 that a full-width term adds
+        there.
         """
         terms = iter(terms)
         first = next(terms, None)
         if first is None:
             raise ValueError("sum needs at least one term")
-        level, pairs, columns = first.level, self._added(first, terms), None
-        if first.slots is None or _rows(first) == 1:  # a lone row is summed full-width, as _compact keeps its products
-            acc, slots = self._dense(first).copy(), None
-        else:
+        level, pairs, slots, columns = first.level, self._added(first, terms), None, None
+        if first.slots is not None and _rows(first) > 1:
             pairs = list(pairs)
-            terms = [first] + [term for term, _ in pairs]
-            columns = [self._live(term) if getattr(term, "slots", None) is not None else None for term in terms]
-            slots = self._union(terms, columns)
-            if slots is not None:  # each term's live slots become its columns of the compact sum
-                lookup = np.zeros(self.num_slots, np.intp)
+            if all(getattr(term, "slots", None) is not None for term, _ in pairs):
+                columns = [self._live(term) for term in (first, *(term for term, _ in pairs))]
+                covered = np.zeros(self.num_slots, bool)
+                for live in columns:
+                    covered[live] = True
+                slots = covered.nonzero()[0]
+                lookup = np.zeros(self.num_slots, np.intp)  # each term's live slots become its columns of the compact sum
                 lookup[slots] = np.arange(slots.size)
-                columns = [None if live is None else lookup[live] for live in columns]
-            acc = np.zeros((*first.values.shape[:-1], self.num_slots if slots is None else slots.size))
+                columns = [lookup[live] for live in columns]
+        if slots is None:
+            acc = self._dense(first).copy()
+        else:
+            acc = np.zeros((*first.values.shape[:-1], slots.size))
             acc.T[columns[0]] = first.values.T
         signed = None  # whether the first term holds a -0.0, which an uncovered slot's +0.0 would turn to +0.0
         for i, (term, level) in enumerate(pairs, 1):
-            if isinstance(term, PlainVector):
-                acc += term.values if slots is None else term.values[..., slots]
-            elif term.slots is None:
+            if getattr(term, "slots", None) is None:
                 acc += term.values
             else:
                 cols = self._live(term) if columns is None else columns[i]
@@ -541,18 +545,6 @@ class Backend:
                 level = min(level, term.level)
             self.counter.record("add", level, rows)
             yield term, level
-
-    def _union(self, terms, lives):
-        """The sorted slots that compact stacks with live slots ``lives`` and plaintexts cover, or ``None`` for a full-width term."""
-        covered = np.zeros(self.num_slots, bool)
-        for term, live in zip(terms, lives):
-            if live is not None:
-                covered[live] = True
-            elif isinstance(term, PlainVector):
-                covered |= term.values != 0
-            else:
-                return None
-        return covered.nonzero()[0]
 
     def _check_spendable(self, cipher: CipherVector, levels: int = 1) -> None:
         """Refuse a stack with fewer than ``levels`` levels left, or with fewer than ``num_slots`` slots."""
@@ -576,23 +568,17 @@ class Backend:
 
     # -- slot values -------------------------------------------------------
 
-    def _compact(self, live: int, rows: int) -> bool:
-        """Whether a product of ``rows`` rows with ``live`` live slots is stored compact: a lone row never is."""
-        return rows > 1 and live < _COMPACT_SHARE * self.num_slots
-
     def _live(self, cipher) -> np.ndarray:
         """The slot each column of a compact stack holds."""
         return cipher.slots if not cipher.shift else (cipher.slots - cipher.shift) % self.num_slots
 
     def _take(self, cipher, slots: np.ndarray, out=None) -> np.ndarray:
         """Every row's values on ``slots``, written to ``out`` when given."""
+        if cipher.slots is None:
+            return cipher.values.take(slots, axis=-1, out=out, mode="clip")
         if out is None:
             out = np.zeros((*cipher.values.shape[:-1], slots.size))
-        if cipher.slots is None:
-            rows = cipher.values.reshape(-1, cipher.values.shape[-1])
-            for row, dest in zip(rows, out.reshape(len(rows), slots.size)):
-                row.take(slots, out=dest, mode="clip")
-        elif cipher.slots.size:
+        if cipher.slots.size:
             stored = (slots + cipher.shift) % self.num_slots
             columns = np.minimum(np.searchsorted(cipher.slots, stored), cipher.slots.size - 1)
             out[...] = np.where(cipher.slots[columns] == stored, cipher.values[..., columns], 0.0)

@@ -38,9 +38,10 @@ and every plaintext a layer uses is made by ``_plain``.  All follow the
 backend's one masking rule: each product is formed only on its mask's
 nonzero slots and every other slot is an exact +0.0, so no value of one
 sample reaches another sample's result through a zero mask slot, however
-large it grows.  A product of several rows over few slots leaves a compact
-stack, which stores only its live slots; the layers that follow work on
-those slots alone.  Pooling's and FC's other rotations, and flatten's
+large it grows.  A convolution of several rows over few slots leaves a
+compact stack, which stores only its live slots, and only it does: Square
+and pooling keep a compact input compact, and ApproxReLU, level alignment,
+flatten and FC leave full-width stacks.  Pooling's and FC's other rotations, and flatten's
 channel merge when no other step runs, stream into :meth:`Backend.sum`.
 """
 

@@ -51,6 +51,10 @@ class TestPlan:
         code, out, err = run_cli(capsys, "plan", "--builtin", "M1", "--align", "0")
         assert code == 1 and "error: alignment" in err and out == ""
 
+    def test_alignment_above_the_slots_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--builtin", "M1", "--align", "9000")
+        assert code == 2 and err == "error: a single sample needs 9000 slots, ciphertext has 8192\n" and out == ""
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--builtin", "M7", "--format", "csv")
         assert code == 0
@@ -146,6 +150,10 @@ class TestRun:
     def test_bad_batch_exit_1(self, capsys, batch):
         code, out, err = run_cli(capsys, "run", "--builtin", "M1", "--batch", batch)
         assert code == 1 and "error: --batch" in err and out == ""
+
+    def test_batch_above_capacity_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--builtin", "M7", "--batch", "65")
+        assert code == 2 and err == "error: 65 samples exceed the batch capacity 64\n" and out == ""
 
     def test_non_finite_input_exit_1(self, capsys, tmp_path):
         inp = tmp_path / "input.csv"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from helpers import SMALL_PARAMS, build_state, gap_slots, make_backend, read_state, single_layout
 
@@ -17,6 +17,7 @@ from slotcnn import (
     Conv2d,
     Flatten,
     HEParams,
+    LayoutState,
     RELU_COEFFS,
     Square,
     apply_layer,
@@ -470,18 +471,22 @@ class TestFusedFlatten:
 
     @staticmethod
     def both(params, lay, make_stack):
-        """What the loop and the schedule leave on a stack from ``make_stack()``: the row, its level, the ledger and the rotations."""
+        """What the loop and the schedule leave on a stack from ``make_stack()``: the decrypted row, its level, the ledger and the rotations."""
         results = []
         for method in (loop_flatten, lambda be, state: Flatten().schedule(be, state).ct):
             be = RotationLog(params)
             with np.errstate(all="ignore"):
                 out = method(be, CipherState(make_stack(), lay))
-            results.append((out.values.shape, out.values.tobytes(), out.slots, out.level,
+            results.append((out.values.shape, be.decrypt(out).tobytes(), out.slots, out.level,
                             list(be.counter.by_level.items()), be.rotations))
         return results
 
     @settings(max_examples=200, deadline=None)
     @given(case=flatten_cases(), compact=st.booleans(), quantize=st.booleans(), spare=st.integers(0, 2))
+    @example(  # the pre-sum adds NaN to NaN in a 2 x 27 array and the loop in 2 x 512 rows: numpy keeps a different operand's NaN
+        case=(LayoutState(interval=3, w_img=7, h_img=7, w_in=3, h_in=3, channels=2, pending_const=1.0, gaps_zero=True,
+                          batch_offsets=(0, 49, 98), footprint=49), 1, "special"),
+        compact=False, quantize=False, spare=0)
     def test_equals_slide_loop(self, case, compact, quantize, spare):
         lay, seed, gaps = case
         params = HEParams(poly_degree=1024, depth=4, scale_bits=8, quantize=quantize)  # 1/9 rounds when encoded
