@@ -2,8 +2,13 @@
 
 import dataclasses
 import itertools
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,7 @@ from slotcnn import (
     valid_positions,
     verify_against_oracle,
 )
+import slotcnn
 from slotcnn import engine, he_backend
 from slotcnn.errors import NonFiniteInput, SlotCnnError
 
@@ -648,6 +654,39 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap reserve acts through glibc's dynamic mmap threshold")
+    @pytest.mark.parametrize("names", [("M4", "M5"), ("M1", "M3", "M6", "M7")], ids=["conv-deep", "dense-wide"])
+    def test_full_batch_passes_fault_in_no_pages(self, names):
+        # Any MALLOC_* variable fixes glibc's thresholds and turns the dynamic mmap threshold off.
+        env = {key: value for key, value in os.environ.items() if not key.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(slotcnn.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", FAULT_PASSES, *names], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        faults = float(done.stdout)
+        assert faults <= 64, f"median {faults:.0f} minor page faults per pass"
+
+
+# Full-capacity batches of the named built-ins, one pass a batch each: 3 passes to warm up, then the median minor
+# page faults of 10 more.
+FAULT_PASSES = """
+import resource, statistics, sys
+import numpy as np
+from slotcnn import HEParams, builtin, footprint, run_inference
+
+params, batches = HEParams(), []
+for name in sys.argv[1:]:
+    m = builtin(name)
+    plan = footprint(m, params)
+    batches.append((m, np.random.default_rng(0).uniform(0.0, 1.0, (plan.capacity, m.channels, m.height, m.width)), plan))
+faults = []
+for _ in range(13):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for m, xs, plan in batches:
+        run_inference(m, xs, params, plan=plan)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[3:]))
+"""
 
 
 class KeyRecordingBackend(Backend):
