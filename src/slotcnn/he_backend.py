@@ -53,6 +53,19 @@ slots.  The op ledger does not depend on slot values, so pricing a schedule
 needs no run: each layer class in :mod:`slotcnn.layers` states its ledger in
 closed form, and :func:`slotcnn.engine.ledger_metrics` (``slotcnn bench``)
 reads those.
+
+Every operation allocates its arrays afresh, sized to their contents.  So
+that a pass reuses heap pages instead of faulting in new ones, the first
+:class:`Backend` of a process allocates and frees one untouched block of
+``_HEAP_RESERVE`` (8 MiB).  glibc frees an mmapped block by raising its mmap
+threshold to the block's size, up to its cap of 32 MiB, and its trim
+threshold to twice that.  Every array of a pass, at most about 2 MiB at the
+default parameters, then comes from a heap whose top is not trimmed between
+passes: a full-capacity M4 + M5 pass faulted in about 1070 pages before the
+reserve and none after, and the dense built-ins stayed at none.  The price
+is that the process keeps up to twice the reserve of freed heap instead of
+returning it to the OS.  Under another C library the untouched block costs
+nothing.
 """
 
 from __future__ import annotations
@@ -133,11 +146,13 @@ class HEParams:
 
 DEFAULT_PARAMS = HEParams()
 _GATHER_BYTES = 1 << 19  # about the most bytes of term slots diagonal_sum gathers for one contraction, kept in cache
-# diagonal_sum asks the allocator for at least this many bytes for that buffer on every call, whichever layer calls it.
-# The same large request each time lets glibc reuse one heap block and keeps its dynamic mmap threshold above the
-# other per-call arrays of a dense pass.  With the buffer sized to its contents (a 512 KiB or 1 MiB bound instead), a
-# dense-wide benchmark process took 7 to 12 times the minor page faults.
-_SCRATCH_BYTES = 1 << 21
+# The block the first Backend of a process allocates and frees untouched, raising glibc's mmap threshold to its size
+# (glibc's cap is 32 MiB) and its trim threshold to twice that, so the process keeps up to 16 MiB of freed heap.  The
+# largest arrays of a pass at the default parameters are about 2 MiB: M5's doubled (16, 16384) copy and its
+# (256, 1008) conv gather.  Median minor page faults per full-capacity M4 + M5 pass in one process: 1620 with no
+# reserve, 1072 with a 2 MiB request in every diagonal_sum call instead, 0 with a 4 or 8 MiB reserve.  8 MiB keeps
+# a doubled copy of 16 rows below the threshold at twice the default slot count too.
+_HEAP_RESERVE = 1 << 23
 # A masked sum (convolution) of two or more rows formed on fewer than this share of the slots returns a compact
 # stack, the only operation that makes one.  At 8192 slots that takes M1's conv (810 slots) and the convs after
 # M2's, M4's and M5's first pooling (7-1008 slots), and leaves the first convs of M2-M5 (4732-6300 slots), M6's
@@ -151,6 +166,12 @@ _PROBES = (([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]), ([-(1 + 2.0**-29), 1 + 2.0**-3
 # The one NaN that decrypt writes, x86's default quiet NaN.  Which of two NaN operands a numpy addition returns
 # depends on where the pair falls in the array and on the SIMD kernels numpy dispatches to.
 _NAN = np.array(0xFFF8_0000_0000_0000, np.uint64).view(np.float64)
+
+
+@functools.cache
+def _reserve_heap() -> None:
+    """Allocate and free one untouched ``_HEAP_RESERVE``-byte block, once per process; under another C library a no-op in effect."""
+    np.empty(_HEAP_RESERVE, np.uint8)
 
 
 @functools.cache
@@ -271,6 +292,7 @@ class Backend:
         self.counter = OpCounter()
         self._scale = float(2**params.scale_bits)
         self._doubled = (None, None, None)  # the values and slots last doubled, held so their ids stay unique, and the copy
+        _reserve_heap()
 
     # -- encoding ---------------------------------------------------------
 
@@ -417,7 +439,9 @@ class Backend:
         ``mul_plain`` / ``add`` loop with those runs as full-width masks, every other slot an exact zero: the ``count -
         1`` rotations go through :meth:`rotate`, and the records keep the loop's key order.  Rotation ``t`` only moves
         ``cipher``'s slots ``[off, off + d)`` onto its run, so those slots are read once per call, not once per
-        rotation.  ``diag`` is quantized a block of rows at a time, so a caller may keep one unquantized copy.
+        rotation.  ``diag`` is quantized a block of rows at a time, so a caller may keep one unquantized copy.  The
+        gather buffer holds about ``_GATHER_BYTES`` at most and is sized to its contents, like every other array of
+        a pass; the heap reserve keeps all of them from faulting in new pages.
         Offsets are evenly spaced, ``max(d, count - 1)`` or more apart and from the end of the vector; ``cipher``
         holds one ciphertext, and the two full-width rows are shaped like it.  Every refusal comes before any record.
         """
@@ -435,9 +459,7 @@ class Backend:
 
         block = max(2, min(count, _GATHER_BYTES // (8 * wide * width)))  # terms per contraction
         span, origin = width + block - 1, -(-count // block) * block - 1  # acc column origin + s: slot s after each offset
-        acc, coefs, size = np.zeros((wide, origin + width)), np.zeros((block + 1, span)), (block + 1) * wide * span
-        gathered = np.empty(max(size, _SCRATCH_BYTES // 8))[:size].reshape(block + 1, wide, span)
-        gathered.fill(0.0)
+        acc, coefs, gathered = np.zeros((wide, origin + width)), np.zeros((block + 1, span)), np.zeros((block + 1, wide, span))
         coefs[0] = 1.0  # row 0 carries the sums so far through each contraction
 
         def per_offset(a, d):  # ``d`` slots from each offset of the flat buffer ``a``, a row per offset

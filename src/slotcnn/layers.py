@@ -460,6 +460,8 @@ class Flatten(Layer):
 
     kind = "flatten"
 
+    _indices = None  # (layout, num_slots, reads, dest) of the last call to indices(), not a field
+
     @staticmethod
     def place(flattened: bool) -> bool:
         if flattened:
@@ -501,10 +503,24 @@ class Flatten(Layer):
         if not (masked or row or col):
             rows = (state.ct[ch : ch + 1] for ch in range(lay.channels))  # each channel's row, as a stack of one
             return CipherState(backend.sum(backend.rotate(row, -ch * flat_len) if ch else row for ch, row in enumerate(rows)), out_layout)
-        reads = self._reads(lay) & (n - 1)  # slots mod n, a power of two
-        dest = (np.arange(lay.channels)[:, None] * flat_len + _support(lay._replace(interval=1, w_in=flat_len, h_in=1))) & (n - 1)
+        reads, dest = self.indices(lay, n)
         scales = [lay.pending_const] * masked + [1.0] * (row + col)
         return CipherState(backend.gather(state.ct, reads, dest, scales, self._loop(lay, state.level)), out_layout)
+
+    def indices(self, lay: LayoutState, n: int) -> tuple:
+        """``(reads, dest)`` for :meth:`Backend.gather` on ``lay`` at ``n`` slots, kept for the next call.
+
+        ``reads`` are :meth:`_reads` mod ``n`` and ``dest`` the flat slots each channel's values go to.  One read-only
+        copy is kept, for the layout and slot count it was formed from.
+        """
+        kept = self._indices
+        if kept is None or kept[0] != lay or kept[1] != n:
+            flat_len = lay.w_in * lay.h_in
+            reads = self._reads(lay) & (n - 1)  # slots mod n, a power of two
+            dest = (np.arange(lay.channels)[:, None] * flat_len + _support(lay._replace(interval=1, w_in=flat_len, h_in=1))) & (n - 1)
+            reads.flags.writeable = dest.flags.writeable = False
+            self._indices = kept = (lay, n, reads, dest)
+        return kept[2:]
 
     @staticmethod
     def _reads(lay: LayoutState) -> np.ndarray:

@@ -365,6 +365,30 @@ class TestFlatten:
         off = out.layout.batch_offsets[0]
         assert np.array_equal(be.decrypt(out.ct)[0, off : off + 8], np.arange(8.0))
 
+    def test_index_arrays_kept_per_layout_and_slot_count(self):
+        """A second call on the same layout and slot count gathers with the same read-only index arrays; any other rebuilds them."""
+        gathered = []
+
+        class GatherLog(Backend):
+            def gather(self, cipher, reads, dest, scales, records):
+                gathered.append((reads, dest))
+                return super().gather(cipher, reads, dest, scales, records)
+
+        row = single_layout(2, 3, 3, interval=3, w_img=9, h_img=9)
+        masked = single_layout(2, 3, 3, interval=2, w_img=6, h_img=6, pending=0.25, gaps_zero=False)
+        x = np.random.default_rng(43).uniform(-1, 1, (2, 3, 3))
+        layer, wide = Flatten(), HEParams(poly_degree=4096, depth=11)
+        for params, lay in ((SMALL_PARAMS, row), (SMALL_PARAMS, row), (SMALL_PARAMS, masked), (SMALL_PARAMS, row), (wide, row)):
+            outs = []
+            for flatten in (layer, Flatten()):
+                be = GatherLog(params)
+                outs.append(be.decrypt(flatten.schedule(be, build_state(be, lay, x, gap_rng=np.random.default_rng(5))).ct).tobytes())
+            assert outs[0] == outs[1]
+        kept = gathered[::2]
+        assert not any(a.flags.writeable for pair in kept for a in pair)
+        assert kept[1][0] is kept[0][0] and kept[1][1] is kept[0][1]
+        assert all(kept[i][0] is not kept[i - 1][0] and kept[i][1] is not kept[i - 1][1] for i in (2, 3, 4))
+
 
 def loop_flatten(be, state):
     """The rotate / mul_plain / add slide loop that Flatten.schedule stands for, over full-width masks.
