@@ -46,7 +46,6 @@ from slotcnn import (
     valid_positions,
     verify_against_oracle,
 )
-import slotcnn
 from slotcnn import engine, he_backend
 from slotcnn.errors import NonFiniteInput, SlotCnnError
 
@@ -658,17 +657,16 @@ class TestMemory:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap reserve acts through glibc's dynamic mmap threshold")
     @pytest.mark.parametrize("names", [("M4", "M5"), ("M1", "M3", "M6", "M7")], ids=["conv-deep", "dense-wide"])
     def test_full_batch_passes_fault_in_no_pages(self, names):
-        # Any MALLOC_* variable fixes glibc's thresholds and turns the dynamic mmap threshold off.
+        # MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_, MALLOC_TOP_PAD_ and MALLOC_MMAP_MAX_ each turn glibc's dynamic mmap threshold off.
         env = {key: value for key, value in os.environ.items() if not key.startswith("MALLOC_")}
-        env["PYTHONPATH"] = str(Path(slotcnn.__file__).parents[1])
+        env["PYTHONPATH"] = str(Path(engine.__file__).parents[1])
         done = subprocess.run([sys.executable, "-c", FAULT_PASSES, *names], env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         faults = float(done.stdout)
         assert faults <= 64, f"median {faults:.0f} minor page faults per pass"
 
 
-# Full-capacity batches of the named built-ins, one pass a batch each: 3 passes to warm up, then the median minor
-# page faults of 10 more.
+# Passes of one full-capacity batch of each named built-in: 3 to warm up, then the median minor page faults of 10 more.
 FAULT_PASSES = """
 import resource, statistics, sys
 import numpy as np
