@@ -674,6 +674,25 @@ def loop_fc(be, state, layer):
     return be.add(out, be.encode(bias))
 
 
+def fc_bias_plain(be, lay, layer):
+    """The plaintext holding ``layer.bias`` on the first ``dat_out`` slots after each batch offset, +0.0 elsewhere."""
+    data = np.zeros(be.num_slots)
+    data[np.add.outer(lay.batch_offsets, np.arange(layer.dat_out))] = layer.bias
+    return be.encode(data)
+
+
+def loop_fc_tail(be, front_wrap, window, step, reps, bias):
+    """FC's tail after ``diagonal_sum`` as generic backend calls: the wrap correction, the folds and the bias.
+
+    The wrap row is rotated right by ``window`` and added to the front row; the sum and its rotations left by
+    ``i * step`` for ``i`` in ``1 .. reps - 1`` are summed in order; last the plaintext ``bias`` is added.
+    """
+    front, wrap = front_wrap
+    summed = be.add(front, be.rotate(wrap, -window))
+    out = be.sum(be.rotate(summed, i * step) if i else summed for i in range(reps))
+    return be.add(out, bias)
+
+
 @st.composite
 def fc_cases(draw):
     """An FC layer on a flat layout of 1-4 samples at 128 slots, with ``d_out`` above, at or below ``d_in``."""
@@ -739,6 +758,32 @@ class TestFCDiagonals:
                 out = apply_layer(be, CipherState(be.encrypt([be.encode(values)]), lay), layer)
             outs.append([be.decrypt(out.ct)[0, off : off + layer.dat_out].tobytes() for off in lay.batch_offsets])
         assert outs[0][:hit] + outs[0][hit + 1 :] == outs[1][:hit] + outs[1][hit + 1 :]
+
+
+class TestFCTail:
+    """FC's wrap correction, folds and bias against :func:`loop_fc_tail`: the same bytes, level, ledger and rotate calls."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=fc_cases(), seed=st.integers(0, 2**32 - 1), special=st.sampled_from([None, -0.0, np.inf, -np.inf, np.nan, 1e200]))
+    def test_schedule_equals_diagonal_sum_then_loop_tail(self, case, seed, special):
+        lay, params, layer = case
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-4, 4, params.num_slots)
+        if special is not None:
+            x[rng.integers(params.num_slots, size=3)] = special
+        reps = -(-layer.dat_in // layer.dat_out)
+        results = []
+        for tail in (None, loop_fc_tail):
+            be = RotationLog(params)
+            state = CipherState(be.encrypt([be.encode(x)]), lay)
+            with np.errstate(all="ignore"):
+                if tail is None:
+                    out = apply_layer(be, state, layer).ct
+                else:
+                    front_wrap = be.diagonal_sum(state.ct, layer.diagonals(lay.pending_const), lay.batch_offsets)
+                    out = tail(be, front_wrap, reps * layer.dat_out, layer.dat_out, reps, fc_bias_plain(be, lay, layer))
+            results.append((be.decrypt(out).tobytes(), out.level, list(be.counter.by_level.items()), be.rotations))
+        assert results[0] == results[1]
 
 
 class TestApplyLayer:
