@@ -487,6 +487,32 @@ class Backend:
         out[1, : n - count + 1], out[1, n - count + 1 :] = wrap[count - 1 :], wrap[: count - 1]
         return CipherVector(out.reshape(2, *cipher.values.shape[:-1], n), cipher.level - 1)
 
+    def fold(self, front_wrap: CipherVector, window: int, step: int, count: int, bias: PlainVector) -> CipherVector:
+        """The diagonal method's tail on :meth:`diagonal_sum`'s front and wrap rows: one row of the same level.
+
+        The wrap row rotated right by ``window`` is added to the front row; that sum and its rotations left by ``i *
+        step``, for ``i`` from 1 to ``count - 1``, are added in order, and the plaintext ``bias`` last.  Values and
+        ledger are those of that ``rotate`` / ``add`` / ``sum`` loop: its ``count`` rotations go through
+        :meth:`rotate` on a stack with no columns, in the loop's order, and its records keep the loop's key order.
+        """
+        n, level = self.num_slots, front_wrap.level
+        if step < 1 or count < 1 or step * count > n:
+            raise ValueError(f"fold needs {count} folds of {step} slots to fit into {n} slots")
+        self._check_width(front_wrap, bias)
+        front, wrap = self._dense(front_wrap)
+        self._rotations(front_wrap[0], [-window, *range(step, step * count, step)])
+        self.counter.record("add", level, _rows(front_wrap[0]) * (count + 1))
+        w = window % n
+        summed = np.empty((*front.shape[:-1], n + step * (count - 1)))  # the sum, then its first slots again
+        np.add(front[..., w:], wrap[..., : n - w], out=summed[..., w:n])
+        np.add(front[..., :w], wrap[..., n - w :], out=summed[..., :w])
+        summed[..., n:] = summed[..., : step * (count - 1)]
+        out = summed[..., :n].copy()
+        for i in range(1, count):
+            out += summed[..., i * step : i * step + n]
+        out += bias.values
+        return CipherVector(out, level)
+
     def gather(self, cipher: CipherVector, reads: np.ndarray, dest: np.ndarray, scales, records) -> CipherVector:
         """One full-width row: slot ``dest[r, j]`` is row ``r``'s slots ``reads[:, j]`` added in order, times each scale.
 

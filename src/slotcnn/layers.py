@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FootprintOverflow, NonDivisibleDims, NotFlattened, PaddingUnsupported, ShapeMismatch, TargetAboveCurrent
+from .errors import FootprintOverflow, LevelExhausted, NonDivisibleDims, NotFlattened, PaddingUnsupported, ShapeMismatch, TargetAboveCurrent
 from .he_backend import Backend, CipherVector, PlainVector
 
 __all__ = [
@@ -135,28 +135,38 @@ def _support(layout: LayoutState) -> np.ndarray:
 
 
 def _plain(backend: Backend, slots, values) -> PlainVector:
-    """The plaintext holding ``values`` on ``slots`` and +0.0 on every other slot, encoded by ``backend``."""
+    """The read-only plaintext holding ``values`` on ``slots`` and +0.0 on every other slot, encoded by ``backend``."""
     data = np.zeros(backend.num_slots)
     data[slots] = values
-    return backend.encode(data)
+    plain = backend.encode(data)
+    plain.values.flags.writeable = False
+    return plain
 
 
 def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState:
-    """Multiply by all-ones plaintexts until the level equals ``target``.
+    """Lower the level to ``target`` as products by an all-ones plaintext, one per level, would.
 
     Aligning the level with the model's exact multiplication count before
     the first layer keeps every later multiplication as cheap as possible.
+    One product is formed, a ``mul_plain`` by ones at the current level, and
+    a ``pt_mult`` per row is recorded at each level below it down to
+    ``target + 1``.  A product by 1.0 added to +0.0 gives back its own
+    input, quantized or not, inf and NaN included, and -0.0 once the first
+    product has made it +0.0, so further products would give the same
+    bytes.  A target below 0 records the products down to level 1 and
+    raises :class:`LevelExhausted`, as the products one per level would.
     """
     current = state.level
     if target > current:
         raise TargetAboveCurrent(f"cannot raise level from {current} to {target}")
     if target == current:
         return state
-    ones = backend.encode(np.ones(backend.num_slots))
-    ct = state.ct
-    for _ in range(current - target):
-        ct = backend.mul_plain(ct, ones)
-    return CipherState(ct, state.layout)
+    ct = backend.mul_plain(state.ct, backend.encode(np.ones(backend.num_slots)))
+    for level in range(current - 1, max(target, 0), -1):
+        backend.counter.record("pt_mult", level, math.prod(ct.values.shape[:-1]))
+    if target < 0:
+        raise LevelExhausted("ciphertext has no multiplication budget left")
+    return CipherState(CipherVector(ct.values, target), state.layout)
 
 
 def _as_array(data, shape, what: str) -> np.ndarray:
@@ -581,6 +591,7 @@ class FC(Layer):
     bias: np.ndarray
 
     _diagonals = None  # (weights, scale, diagonals) of the last call to diagonals(), not a field
+    _bias_plain = None  # (bias, layout, params, plaintext) of the last call to bias_plain(), not a field
 
     @staticmethod
     def shapes(args) -> dict:
@@ -623,11 +634,8 @@ class FC(Layer):
         window = reps * d_out
         if window > lay.footprint:
             raise FootprintOverflow(f"fc working window {window} exceeds the footprint {lay.footprint}")
-        acc_front, acc_wrap = backend.diagonal_sum(state.ct, self.diagonals(lay.pending_const), lay.batch_offsets)
-        summed = backend.add(acc_front, backend.rotate(acc_wrap, -window))
-        out = backend.sum(backend.rotate(summed, i * d_out) if i else summed for i in range(reps))
-        out = backend.add(out, _plain(backend, np.add.outer(lay.batch_offsets, np.arange(d_out)), self.bias))
-        return CipherState(out, out_layout)
+        front_wrap = backend.diagonal_sum(state.ct, self.diagonals(lay.pending_const), lay.batch_offsets)
+        return CipherState(backend.fold(front_wrap, window, d_out, reps, self.bias_plain(backend, lay)), out_layout)
 
     def diagonals(self, scale: float) -> np.ndarray:
         """The scaled weight diagonals, ``diag[o, j] = W[(j - o) mod dat_out, j] * scale``, kept for the next call.
@@ -648,6 +656,18 @@ class FC(Layer):
             diag.flags.writeable = False
             self._diagonals = kept = (self.weights, scale, diag)
         return kept[2]
+
+    def bias_plain(self, backend: Backend, lay: LayoutState) -> PlainVector:
+        """The bias on the first ``dat_out`` slots after each offset of ``lay``, encoded by ``backend``, kept for the next call.
+
+        One copy is kept, for the bias, layout and parameters it was formed from, and only while that bias is
+        read-only, as :meth:`diagonals` keeps its copy.
+        """
+        kept = self._bias_plain
+        if kept is None or kept[0] is not self.bias or kept[1] != lay or kept[2] != backend.params or self.bias.flags.writeable:
+            plain = _plain(backend, np.add.outer(lay.batch_offsets, np.arange(self.dat_out)), self.bias)
+            self._bias_plain = kept = (self.bias, lay, backend.params, plain)
+        return kept[3]
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """Diagonal rotations and their two masked products each, then the wrap correction, folds and bias."""

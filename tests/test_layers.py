@@ -88,6 +88,45 @@ class TestDropLevel:
         with pytest.raises(TargetAboveCurrent):
             drop_level(be, state, SMALL_PARAMS.depth + 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(depth=st.integers(1, 6), data=st.data(), rows=st.integers(1, 3), scale_bits=st.sampled_from([8, 32]),
+           quantize=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_one_product_per_level(self, depth, data, rows, scale_bits, quantize, seed):
+        """Bytes, level and ledger key order of the products one per level, or the same refusal after the same records.
+
+        1e300 overflows to inf on the first product at 32 bits; -0.0 turns +0.0 there.
+        """
+        params = HEParams(poly_degree=64, depth=depth, scale_bits=scale_bits, quantize=quantize)
+        level = data.draw(st.integers(0, depth))
+        target = data.draw(st.integers(-2, level + 1))
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-0.0, 0.0, 1.5, -2.25, 1 / 3, np.inf, -np.inf, np.nan, 1e200, 1e300], (rows, 32))
+        values *= rng.uniform(0.5, 2, values.shape)
+        results = []
+        for method in (loop_drop_level, drop_level):
+            be = Backend(params)
+            state = CipherState(CipherVector(values.copy(), level), single_layout(rows, 1, 1))
+            try:
+                with np.errstate(all="ignore"):
+                    out = method(be, state, target)
+                outcome = (be.decrypt(out.ct).tobytes(), out.level, out.ct.slots)
+            except (TargetAboveCurrent, LevelExhausted) as err:
+                outcome = type(err)
+            results.append((outcome, list(be.counter.by_level.items())))
+        assert results[0] == results[1]
+
+
+def loop_drop_level(be, state, target):
+    """Level alignment as one ``mul_plain`` by an all-ones plaintext per level, from the current level down to ``target``."""
+    if target > state.level:
+        raise TargetAboveCurrent(f"cannot raise level from {state.level} to {target}")
+    if target == state.level:
+        return state
+    ones, ct = be.encode(np.ones(be.num_slots)), state.ct
+    for _ in range(state.level - target):
+        ct = be.mul_plain(ct, ones)
+    return CipherState(ct, state.layout)
+
 
 class TestConv2d:
     def test_pointwise_kernel(self):
@@ -784,6 +823,42 @@ class TestFCTail:
                     out = tail(be, front_wrap, reps * layer.dat_out, layer.dat_out, reps, fc_bias_plain(be, lay, layer))
             results.append((be.decrypt(out).tobytes(), out.level, list(be.counter.by_level.items()), be.rotations))
         assert results[0] == results[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(step=st.integers(1, 9), reps=st.sampled_from([1, 1, 2, 3, 7]), level=st.integers(0, 3), quantize=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fused_step_equals_loop(self, step, reps, level, quantize, seed):
+        """Front and wrap rows holding -0.0, ±inf, NaN and 1e200 among signed values, in float and 8-bit fixed point."""
+        params = HEParams(poly_degree=128, depth=3, scale_bits=8, quantize=quantize)
+        n = params.num_slots
+        assume(step * reps <= n)
+        rng = np.random.default_rng(seed)
+        rows = rng.choice([-0.0, 0.0, 1.5, -2.25, np.inf, -np.inf, np.nan, 1e200], (2, 1, n)) * rng.uniform(0.5, 2, (2, 1, n))
+        bias = np.zeros(n)
+        bias[rng.choice(n, step, replace=False)] = rng.choice([-0.0, 0.3, -1.7], step)
+        results = []
+        for method in (loop_fc_tail, Backend.fold):
+            be = RotationLog(params)
+            front_wrap = CipherVector(rows.copy(), level)  # a stack of one row each, as diagonal_sum leaves them
+            with np.errstate(all="ignore"):
+                out = method(be, front_wrap, reps * step, step, reps, be.encode(bias))
+            results.append((out.values.shape, be.decrypt(out).tobytes(), out.slots, out.level,
+                            list(be.counter.by_level.items()), be.rotations))
+        assert results[0] == results[1]
+
+    def test_bias_plaintext_kept_per_layout_and_params(self):
+        """A second call on the same layout and parameters adds the same read-only plaintext; any other rebuilds it."""
+        layer = rand_fc(np.random.default_rng(3), 6, 4)
+        lay, wide = flat_layout(6, 8), HEParams(poly_degree=4096, depth=11)
+        two = lay._replace(batch_offsets=(0, 8))
+        kept = [layer.bias_plain(Backend(params), lay) for params, lay in
+                ((SMALL_PARAMS, lay), (SMALL_PARAMS, lay), (SMALL_PARAMS, two), (wide, two), (wide, two))]
+        assert not any(p.values.flags.writeable for p in kept)
+        assert kept[1] is kept[0] and kept[4] is kept[3]
+        assert kept[2] is not kept[1] and kept[3] is not kept[2]
+        assert np.flatnonzero(kept[2].values).tolist() == [0, 1, 2, 3, 8, 9, 10, 11]
+        layer.bias = np.array([1.0, 2.0, 3.0, 4.0])  # a writeable bias is read afresh on every call
+        assert layer.bias_plain(Backend(wide), two) is not layer.bias_plain(Backend(wide), two)
 
 
 class TestApplyLayer:
