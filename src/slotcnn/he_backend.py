@@ -168,6 +168,14 @@ _PROBES = (([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]), ([-(1 + 2.0**-29), 1 + 2.0**-3
 _NAN = np.array(0xFFF8_0000_0000_0000, np.uint64).view(np.float64)
 
 
+def lattice_slots(first: int, axes) -> np.ndarray:
+    """The slots of the lattice ``first + sum(i_k * stride_k)``, ``0 <= i_k < count_k`` for ``axes`` of ``(count_k, stride_k)``, row-major."""
+    slots = np.array(first)
+    for count, stride in axes:
+        slots = np.add.outer(slots, np.arange(count) * stride)
+    return slots.reshape(-1)
+
+
 @functools.cache
 def _reserve_heap() -> None:
     """Allocate and free one untouched ``_HEAP_RESERVE``-byte block, once per process; under another C library a no-op in effect."""
@@ -368,50 +376,51 @@ class Backend:
             return CipherVector(self._quantized(a.values * b.values), level - 1, a.slots, a.shift)
         return CipherVector(self._quantized(self._dense(a) * self._dense(b)), level - 1)
 
-    def masked_sum(self, cipher: CipherVector, shifts, coefs, support, bias=None) -> CipherVector:
+    def masked_sum(self, cipher: CipherVector, taps, coefs, support, bias=None) -> CipherVector:
         """Masked linear combinations of the rotations of one stack, one result row per mask row.
 
-        Term ``t`` is ``cipher`` rotated left by ``shifts[t]``.  ``support`` is
-        a flat array of slot indices shared by all masks and ``coefs[o]`` holds
-        a scalar per term row, in row-major order over (row of the stack,
-        term): result row ``o`` is ``sum_r,t term[t][r] * coefs[o, r *
-        len(shifts) + t]``, plus ``bias[o]`` when ``bias`` is given.  As in
-        :meth:`mul_plain`, products are formed only on the mask slots, every
-        other slot is an exact +0.0 whatever the stack holds there.  A result
-        of more than one row on few slots is compact, the one way a compact
-        stack is made.
+        ``taps`` and ``support`` are slot lattices, each ``(first, axes)`` with ``axes`` a tuple of ``(count,
+        stride)`` pairs: the slots ``first + sum(i_k * stride_k)`` for ``0 <= i_k < count_k``, in row-major order
+        over the axes (:func:`lattice_slots`).  Term ``t`` is ``cipher`` rotated left by tap ``t``, each tap in ``[0,
+        num_slots)``.  The support is the slots shared by all masks, strictly increasing, and ``coefs[o]`` holds a
+        scalar per term row, in row-major order over (row of the stack, term): result row ``o`` is ``sum_r,t
+        term[t][r] * coefs[o, r * len(taps) + t]``, plus ``bias[o]`` when ``bias`` is given.  As in
+        :meth:`mul_plain`, products are formed only on the mask slots, every other slot is an exact +0.0 whatever
+        the stack holds there.  A result of more than one row on few slots is compact, the one way a compact stack
+        is made.
 
-        Values and ledger are those of the ``rotate`` / ``mul_plain`` / ``add``
-        loop over full-width masks, summed in the order above from +0.0 with
-        the bias last, in one contraction, and the records keep that loop's
-        key order.  The rotations go through :meth:`rotate` and copy nothing;
-        each term is read straight from ``cipher`` on the mask slots.  Every
-        refusal comes before any record.
+        Values and ledger are those of the ``rotate`` / ``mul_plain`` / ``add`` loop over full-width masks, summed
+        in the order above from +0.0 with the bias last, in one contraction, and the records keep that loop's key
+        order.  The rotations go through :meth:`rotate` and copy nothing.  The terms of a full-width stack are
+        copied from one strided view of its doubled copy, with an axis per tap axis and per support axis, and a
+        full-width result is written through a strided view of the support; a compact stack's terms are read
+        slot by slot.  Every refusal comes before any record.
         """
         if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
             raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
-        rows, outs, count, n = _rows(cipher), len(coefs), len(shifts), self.num_slots
+        rows, outs, n = _rows(cipher), len(coefs), self.num_slots
+        shifts, slots = lattice_slots(*taps), lattice_slots(*support)
+        count = shifts.size
         coefs = np.asarray(coefs, dtype=np.float64)
         if coefs.ndim != 2 or not coefs.size or coefs.shape[1] != rows * count:
             raise ValueError(f"masked_sum needs one or more rows of a coefficient per term row, got {coefs.shape} for {count} terms of {rows} rows")
+        if shifts.min() < 0 or shifts.max() >= n or slots.size and (slots[0] < 0 or slots[-1] >= n or np.any(slots[1:] <= slots[:-1])):
+            raise ValueError(f"masked_sum needs taps in [0, {n}) and strictly increasing support slots in [0, {n})")
         self._check_spendable(cipher)
-        shifts = self._rotations(cipher, shifts)
+        self._rotations(cipher, shifts.tolist())
         level = cipher.level
         self.counter.record("pt_mult", level, outs * rows * count)
         adds = outs * (rows * count - (bias is None))
         if adds:
             self.counter.record("add", level - 1, adds)
-        slots = np.asarray(support)
-        if np.any(slots[1:] <= slots[:-1]):
-            slots = np.unique(slots)
-        # Term t's slot j is the input's slot j + shifts[t] of one doubled copy, made first so that the copy it
-        # replaces is freed before the terms are gathered: in the other order an M5 pass peaked 2 MB higher.
-        doubled = self._twice(cipher.values).reshape(rows, 2 * n) if cipher.slots is None else None
+        (tap_first, tap_axes), (first, axes) = taps, support
         gathered = np.zeros((rows * count, max(slots.size, 2)))  # a pad column keeps einsum's term axis outermost
-        if doubled is not None:
-            at = np.add.outer(shifts, slots)
-            for row, dest in zip(doubled, gathered.reshape(rows, count, -1)):
-                row.take(at, out=dest[:, : slots.size], mode="clip")
+        if cipher.slots is None:  # term t's slot j is slot j + shifts[t] of the input's doubled copy
+            doubled = self._twice(cipher.values).reshape(rows, 2 * n)
+            lattice = [*tap_axes, *axes]
+            terms = np.ndarray((rows, *(c for c, _ in lattice)), np.float64, doubled, 8 * (tap_first + first),
+                               (doubled.strides[0], *(8 * s for _, s in lattice)))
+            gathered[:, : slots.size].reshape(terms.shape, copy=False)[...] = terms
         else:
             for t, s in enumerate(shifts):
                 self._take(CipherVector(cipher.values, level, cipher.slots, cipher.shift + s), slots, gathered[t::count, : slots.size])
@@ -427,7 +436,7 @@ class Backend:
         if outs > 1 and slots.size < _COMPACT_SHARE * n:
             return CipherVector(acc, level - 1, slots)
         out = np.zeros((outs, n))
-        out[:, slots] = acc
+        np.ndarray((outs, *(c for c, _ in axes)), np.float64, out, 8 * first, (out.strides[0], *(8 * s for _, s in axes)))[...] = acc.reshape(outs, *(c for c, _ in axes))
         return CipherVector(out, level - 1)
 
     def diagonal_sum(self, cipher: CipherVector, diag: np.ndarray, offsets: tuple) -> CipherVector:

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FootprintOverflow, LevelExhausted, NonDivisibleDims, NotFlattened, PaddingUnsupported, ShapeMismatch, TargetAboveCurrent
-from .he_backend import Backend, CipherVector, PlainVector
+from .he_backend import Backend, CipherVector, PlainVector, lattice_slots
 
 __all__ = [
     "Layer",
@@ -127,11 +127,21 @@ def valid_positions(layout: LayoutState) -> np.ndarray:
     return (rows[:, None] + cols[None, :]).reshape(-1)
 
 
+def _lattice(layout: LayoutState) -> tuple:
+    """The valid positions at every batch offset as a slot lattice: the first slot, then ``(count, stride)`` over offsets, rows and columns.
+
+    A plan's offsets are evenly spaced (:class:`~slotcnn.packing.PackPlan`); a lone offset's spacing is the footprint.
+    """
+    offsets, row = layout.batch_offsets, layout.w_img * layout.interval
+    stride = offsets[1] - offsets[0] if len(offsets) > 1 else layout.footprint
+    assert offsets == tuple(range(offsets[0], offsets[0] + stride * len(offsets), stride))
+    assert min(layout.h_in, layout.w_in) < 1 or (layout.h_in - 1) * row + (layout.w_in - 1) * layout.interval < layout.footprint
+    return offsets[0], ((len(offsets), stride), (layout.h_in, row), (layout.w_in, layout.interval))
+
+
 def _support(layout: LayoutState) -> np.ndarray:
     """Slot indices of the valid positions at every batch offset."""
-    positions = valid_positions(layout)
-    assert positions.size == 0 or positions.max() < layout.footprint
-    return (np.asarray(layout.batch_offsets)[:, None] + positions[None, :]).reshape(-1)
+    return lattice_slots(*_lattice(layout))
 
 
 def _plain(backend: Backend, slots, values) -> PlainVector:
@@ -278,9 +288,9 @@ class _Conv(Layer):
         lay = state.layout
         out_layout, _ = self.step(lay)
         kh, kw = self.kernel_hw
-        shifts = [lay.interval * (k + lay.w_img * j) for j in range(kh) for k in range(kw)]
+        taps = (0, ((kh, lay.interval * lay.w_img), (kw, lay.interval)))  # tap (j, k) is interval * (k + w_img * j)
         coefs = self.weights.reshape(self.ch_out, -1) * lay.pending_const
-        return CipherState(backend.masked_sum(state.ct, shifts, coefs, _support(out_layout), self.bias), out_layout)
+        return CipherState(backend.masked_sum(state.ct, taps, coefs, _lattice(out_layout), self.bias), out_layout)
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """One rotation per tap; per output channel and tap a product, and an addition that sums it or the bias."""

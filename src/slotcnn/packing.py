@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch
+from .errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch, SlotCnnError
 from .he_backend import PlainVector
 from .model import ModelSpec, slot_sizes, trace_layout
 
@@ -42,6 +42,18 @@ class PackPlan:
     num_slots: int
     model: ModelSpec = field(repr=False)
     trace: tuple = field(repr=False)
+
+    def __post_init__(self) -> None:
+        """Refuse offsets that are not one lattice: evenly spaced, at least the footprint apart, inside the slots."""
+        first, stride = (self.offsets or (0,))[0], self.stride
+        end = first + stride * len(self.offsets)  # one stride past the last offset
+        if stride < max(self.footprint, 1) or self.offsets != tuple(range(first, end, stride)) or first < 0 or end - stride + self.footprint > self.num_slots:
+            raise SlotCnnError(f"batch offsets {self.offsets} are not evenly spaced at least the footprint {self.footprint} apart within {self.num_slots} slots")
+
+    @property
+    def stride(self) -> int:
+        """The spacing of the offsets; a lone offset's is the footprint."""
+        return self.offsets[1] - self.offsets[0] if len(self.offsets) > 1 else self.footprint
 
     def check_capacity(self, count: int) -> None:
         """Refuse a request of ``count`` samples that does not fit into one batch."""
@@ -101,7 +113,8 @@ def batch_pack(samples, plan: PackPlan) -> list:
     Each sample is a list of per-channel row-major vectors (the output of
     :func:`flatten_input`), or ``samples`` is one array of them, sample by
     channel by slot.  Sample ``i`` is added into the zeroed shared vector at
-    ``plan.offsets[i]``.  The returned plaintexts are layout-only; encode them
+    ``plan.offsets[i]``, through one strided view of the offsets' lattice, so
+    a -0.0 input slot becomes +0.0.  The returned plaintexts are layout-only; encode them
     through a backend to apply quantization before encryption.
 
     Refusals come in this order: :class:`CapacityExceeded` before any sample
@@ -129,7 +142,9 @@ def batch_pack(samples, plan: PackPlan) -> list:
         i, ch = np.argwhere(~finite)[0]
         raise NonFiniteInput(f"sample {i} channel {ch} holds a non-finite value")
     combined = np.zeros((batch.shape[1], plan.num_slots))
-    combined[:, np.add.outer(plan.offsets[: len(batch)], np.arange(size))] += batch.transpose(1, 0, 2)
+    n, (count, channels) = plan.num_slots, batch.shape[:2]  # each sample's first ``size`` slots, a view of ``combined``
+    samples = np.ndarray((channels, count, size), np.float64, combined, 8 * plan.offsets[0], (8 * n, 8 * plan.stride, 8))
+    samples += batch.transpose(1, 0, 2)
     return [PlainVector(vec) for vec in combined]
 
 

@@ -162,3 +162,22 @@ def stage_bytes(m, samples, params):
         patch.setattr(engine, "apply_layer", kept(engine.apply_layer))
         engine.run_inference(m, samples, params)
     return stages
+
+
+def loop_masked_sum(be, terms, coefs, support, bias):
+    """The mul_plain / add loop that Backend.masked_sum replaces, over the rows of the rotated stacks ``terms``.
+
+    The products are taken in masked_sum's (row of the stack, term) order.  Each result row starts with its first
+    product, with no ``add`` recorded for it, and ends with the bias when one is given.
+    """
+    pattern = np.zeros(be.params.num_slots)
+    pattern[support] = 1.0
+    rows = [term[r] for r in range(len(terms[0].values)) for term in terms]
+    out = []
+    for o in range(coefs.shape[0]):
+        acc = None
+        for c, row in zip(coefs[o], rows, strict=True):
+            prod = be.mul_plain(row, be.encode(pattern * c))
+            acc = prod if acc is None else be.add(acc, prod)
+        out.append(acc if bias is None else be.add(acc, be.encode(pattern * bias[o])))
+    return out

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import loop_masked_sum
 
 from slotcnn import Backend, CipherVector, DEFAULT_PARAMS, HEParams, OpCounter, PlainVector
 from slotcnn.errors import LevelExhausted, OversizedInput, SlotMismatch
 from slotcnn import he_backend
-from slotcnn.he_backend import diff_snapshots
+from slotcnn.he_backend import diff_snapshots, lattice_slots
 
 P8 = HEParams(poly_degree=16, depth=5)  # 8 slots
 P4 = HEParams(poly_degree=8, depth=3)  # 4 slots
@@ -375,45 +376,41 @@ class TestCounter:
         assert hist == {("rotation", 2): 2, ("add", 1): 1}
 
 
-def loop_masked_sum(be, terms, coefs, support, bias):
-    """The mul_plain / add loop that Backend.masked_sum replaces, over the rows of the rotated stacks ``terms``.
-
-    The products are taken in masked_sum's (row of the stack, term) order.  Each result row starts with its first
-    product, with no ``add`` recorded for it, and ends with the bias when one is given.
-    """
-    pattern = np.zeros(be.params.num_slots)
-    pattern[support] = 1.0
-    rows = [term[r] for r in range(len(terms[0].values)) for term in terms]
-    out = []
-    for o in range(coefs.shape[0]):
-        acc = None
-        for c, row in zip(coefs[o], rows, strict=True):
-            prod = be.mul_plain(row, be.encode(pattern * c))
-            acc = prod if acc is None else be.add(acc, prod)
-        out.append(acc if bias is None else be.add(acc, be.encode(pattern * bias[o])))
-    return out
+def random_lattice(rng, n, axes, max_count, increasing):
+    """A random slot lattice inside ``[0, n)`` with ``axes`` axes: strictly increasing when ``increasing``, else of taps."""
+    while True:
+        pairs, reach = [], 0
+        for _ in range(axes):  # innermost first
+            count = int(rng.integers(0 if increasing else 1, max_count + 1))
+            stride = reach + 1 + int(rng.integers(0, 3)) if increasing else int(rng.integers(0, 8))
+            pairs.insert(0, (count, stride))
+            reach += max(count - 1, 0) * stride
+        if reach < n:
+            return int(rng.integers(0, n - reach)), tuple(pairs)
 
 
 class TestMaskedSum:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_terms=st.integers(1, 40),
+        tap_axes=st.integers(0, 2),
         rows=st.integers(1, 4),
         in_rows=st.integers(1, 3),
-        n_support=st.integers(0, 32),
+        support_axes=st.integers(1, 3),
         drops=st.integers(0, 3),
         quantize=st.booleans(),
         with_bias=st.booleans(),
     )
-    def test_equals_mul_plain_add_loop(self, seed, n_terms, rows, in_rows, n_support, drops, quantize, with_bias):
+    def test_equals_mul_plain_add_loop(self, seed, tap_axes, rows, in_rows, support_axes, drops, quantize, with_bias):
+        """Random tap and support lattices, the support empty, lone or dense among them, against the loop on flat slots."""
         params = HEParams(poly_degree=64, depth=4, scale_bits=8, quantize=quantize)
         rng = np.random.default_rng(seed)
         x = rng.uniform(-4, 4, (in_rows, params.num_slots))
-        support = rng.choice(params.num_slots, size=n_support, replace=False)
-        coefs = rng.uniform(-2, 2, (rows, in_rows * n_terms))
+        support_lattice = random_lattice(rng, params.num_slots, support_axes, 5, True)
+        taps = random_lattice(rng, params.num_slots, tap_axes, 6, False)
+        support, shifts = lattice_slots(*support_lattice), lattice_slots(*taps).tolist()
+        coefs = rng.uniform(-2, 2, (rows, in_rows * len(shifts)))
         bias = rng.uniform(-2, 2, rows) if with_bias else None
-        shifts = [int(s) for s in rng.integers(-40, 40, n_terms)]
         results = []
         for method in (loop_masked_sum, Backend.masked_sum):
             be = Backend(params)
@@ -424,7 +421,7 @@ class TestMaskedSum:
             if method is loop_masked_sum:
                 out = method(be, [be.rotate(ct, s) for s in shifts], coefs, support, bias)
             else:
-                out = method(be, ct, shifts, coefs, support, bias)
+                out = method(be, ct, taps, coefs, support_lattice, bias)
             results.append((out, be.counter.snapshot()))
         (want, want_ledger), (got, got_ledger) = results
         assert got_ledger == want_ledger
@@ -452,7 +449,7 @@ class TestMaskedSum:
             if method is loop_masked_sum:
                 out = method(be, [be.rotate(ct, 0)], coefs, support, np.zeros(1))
             else:
-                out = method(be, ct, [0], coefs, support, np.zeros(1))
+                out = method(be, ct, (0, ()), coefs, (3, ()), np.zeros(1))
             results.append((be.decrypt(out[0])[support].tobytes(), be.counter.snapshot()))
         assert results[0] == results[1]
 
@@ -472,7 +469,7 @@ class TestMaskedSum:
         assert want == 0.0 != other
         be = Backend(HEParams(poly_degree=16, depth=2))
         ct = be.encrypt([be.encode(np.full(8, v)) for v in values])
-        out = be.masked_sum(ct, [0], np.array([coefs]), np.array([5]))
+        out = be.masked_sum(ct, (0, ()), np.array([coefs]), (5, ()))
         assert be.decrypt(out)[0, 5] == want
 
     def test_probe_refuses_an_einsum_that_reorders_its_terms(self, monkeypatch):
@@ -490,10 +487,21 @@ class TestMaskedSum:
         ct = be.mul_plain(be.encrypt(be.encode([1])), be.encode(np.ones(4)))
         before = be.counter.snapshot()
         with pytest.raises(LevelExhausted):
-            be.masked_sum(ct, [0], np.ones((1, 1)), np.arange(2), np.zeros(1))
+            be.masked_sum(ct, (0, ()), np.ones((1, 1)), (0, ((2, 1),)), np.zeros(1))
         with pytest.raises(SlotMismatch):
-            be.masked_sum(CipherVector(np.zeros(8), 1), [0, 1], np.ones((1, 2)), np.arange(2), np.zeros(1))
+            be.masked_sum(CipherVector(np.zeros(8), 1), (0, ((2, 1),)), np.ones((1, 2)), (0, ((2, 1),)), np.zeros(1))
         assert be.counter.snapshot() == before
+
+    @pytest.mark.parametrize("taps,support", [((4, ()), (0, ((2, 1),))), ((2, ((2, 2),)), (1, ((2, 1),))), ((0, ()), (0, ((2, 0),))),
+                                              ((0, ()), (1, ((2, 2), (2, 1)))), ((0, ()), (-1, ((2, 1),))), ((0, ()), (3, ((2, 1),)))])
+    def test_taps_and_support_outside_the_slots_or_out_of_order_are_refused_before_any_record(self, taps, support):
+        """Taps outside ``[0, 4)``, or support slots repeated, out of order or outside ``[0, 4)``."""
+        be = Backend(P4)
+        ct = be.encrypt(be.encode([1.0, 2.0]))
+        terms = lattice_slots(*taps).size
+        with pytest.raises(ValueError, match="strictly increasing"):
+            be.masked_sum(ct, taps, np.ones((1, terms)), support, np.zeros(1))
+        assert be.counter.snapshot() == {}
 
 
 class TestCountingBackend:
@@ -515,7 +523,7 @@ class TestCountingBackend:
         with pytest.raises(LevelExhausted):
             be.mul_cipher(ct, ct)
         with pytest.raises(LevelExhausted):
-            be.masked_sum(ct, [0], np.ones((1, 1)), np.arange(2), np.zeros(1))
+            be.masked_sum(ct, (0, ()), np.ones((1, 1)), (0, ((2, 1),)), np.zeros(1))
         assert be.counter.snapshot() == before
 
     @pytest.mark.parametrize("cls", [Backend])
@@ -528,7 +536,7 @@ class TestCountingBackend:
             lambda: be.add(ct, PlainVector(np.zeros(8))),
             lambda: be.mul_plain(ct, PlainVector(np.zeros(8))),
             lambda: be.mul_cipher(ct, wide),
-            lambda: be.masked_sum(wide, [0, 1], np.ones((1, 2)), np.arange(2), np.zeros(1)),
+            lambda: be.masked_sum(wide, (0, ((2, 1),)), np.ones((1, 2)), (0, ((2, 1),)), np.zeros(1)),
         ):
             with pytest.raises(SlotMismatch):
                 call()
@@ -550,17 +558,17 @@ class TestMaskedSumStream:
         be = Backend(P8)
         ct = be.encrypt(be.encode(np.arange(8.0)))
         with pytest.raises(ValueError, match="one mask per term"):
-            be.masked_sum(ct, [0, 1], [[1.0, 1.0], [1.0]], np.arange(8), np.ones(2) if with_bias else None)
+            be.masked_sum(ct, (0, ((2, 1),)), [[1.0, 1.0], [1.0]], (0, ((8, 1),)), np.ones(2) if with_bias else None)
         assert be.counter.snapshot() == {}
 
-    @pytest.mark.parametrize("rows,shifts,shape", [(1, [0, 1], (2, 1)), (1, [0, 1], (2, 3)), (2, [0, 1], (2, 2)), (2, [3], (2, 1)),
-                                                   (1, [], (2, 0)), (1, [0], (0, 1)), (1, [0], (0,))])
+    @pytest.mark.parametrize("rows,shifts,shape", [(1, (0, ((2, 1),)), (2, 1)), (1, (0, ((2, 1),)), (2, 3)), (2, (0, ((2, 1),)), (2, 2)),
+                                                   (2, (3, ()), (2, 1)), (1, (0, ((0, 1),)), (2, 0)), (1, (0, ()), (0, 1)), (1, (0, ()), (0,))])
     def test_wrong_coefficient_count_is_refused_before_anything_is_recorded(self, rows, shifts, shape):
-        """One or more mask rows, each with one coefficient per row of the stack and shift."""
+        """One or more mask rows, each with one coefficient per row of the stack and tap; ``shifts`` is the tap lattice."""
         be = Backend(P8)
         ct = be.encrypt([be.encode(np.arange(8.0))] * rows)
         with pytest.raises(ValueError, match="a coefficient per term row"):
-            be.masked_sum(ct, shifts, np.ones(shape), np.arange(8), np.ones(shape[0]))
+            be.masked_sum(ct, shifts, np.ones(shape), (0, ((8, 1),)), np.ones(shape[0]))
         assert be.counter.snapshot() == {}
 
 
@@ -736,8 +744,10 @@ class TestSum:
             be.sum(iter([]))
 
 
-def compact_ops(be, ct, shifts, plain, coefs, support):
+def compact_ops(be, ct, shifts, plain, coefs, support, taps):
     """Results of every operation on ``ct`` and its rotations, for comparing a compact stack with its full-width copy.
+
+    ``taps`` and ``support`` are the masked sum's lattices.
 
     The last sum takes a compact first term of any number of rows, adds a compact term into a full-width sum, where
     the first term's -0.0 slots that the term does not hold meet its +0.0, and adds a plaintext.
@@ -749,7 +759,7 @@ def compact_ops(be, ct, shifts, plain, coefs, support):
         be.mul_plain(rotated, plain),
         be.mul_cipher(rotated, rotated),
         be.mul_cipher(ct, rotated),
-        be.masked_sum(ct, shifts, coefs, support, np.ones(len(coefs))),
+        be.masked_sum(ct, taps, coefs, support, np.ones(len(coefs))),
         be.sum([ct, rotated, plain]),
     ]
 
@@ -767,8 +777,9 @@ class TestCompactStacks:
         zeros_and_signs = st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.0])
         values = np.array(data.draw(st.lists(zeros_and_signs, min_size=rows * n_live, max_size=rows * n_live))).reshape(rows, n_live)
         plain = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, np.inf]), min_size=32, max_size=32)))
-        coefs = rng.uniform(-2, 2, (2, rows * len(shifts)))
-        support = np.sort(rng.choice(32, int(rng.integers(0, 9)), replace=False))
+        taps = random_lattice(rng, 32, 2, 3, False)
+        coefs = rng.uniform(-2, 2, (2, rows * lattice_slots(*taps).size))
+        support = random_lattice(rng, 32, 2, 3, True)
         results = []
         for compact in (True, False):
             be = Backend(params)
@@ -776,7 +787,7 @@ class TestCompactStacks:
             if not compact:
                 ct = CipherVector(be.decrypt(ct), 3)
             with np.errstate(invalid="ignore"):  # inf times a zero slot is NaN, in both forms
-                out = compact_ops(be, ct, shifts, PlainVector(plain), coefs, support)
+                out = compact_ops(be, ct, shifts, PlainVector(plain), coefs, support, taps)
             results.append(([(be.decrypt(x).tobytes(), x.level) for x in out], be.counter.snapshot(), list(be.counter.by_level)))
         assert results[0] == results[1]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from helpers import SMALL_PARAMS, build_state, gap_slots, make_backend, read_state, single_layout
+from helpers import SMALL_PARAMS, build_state, gap_slots, loop_masked_sum, make_backend, read_state, single_layout
 
 from slotcnn import (
     FC,
@@ -252,6 +252,43 @@ class TestConv1d:
         apply_layer(be, state, rand_conv1d(rng, 2, 4, 2, 2))
         assert be.counter.rotations == 2 * 2
         assert be.counter.pt_mults == 2 * 4 * 2
+
+
+class TestConvLattice:
+    """Conv's masked sum read and written through slot lattices, against the loop on flat tap and support index arrays."""
+
+    CASES = {  # layer, input layout
+        "conv1d": (lambda rng: rand_conv1d(rng, 2, 3, 3, 1), single_layout(2, 1, 12, offsets=(0, 12, 24))),
+        "conv1d stride 2": (lambda rng: rand_conv1d(rng, 2, 3, 2, 2), single_layout(2, 1, 12, pending=0.25, gaps_zero=False, offsets=(0, 12, 24))),
+        "conv2d stride 2": (lambda rng: rand_conv2d(rng, 1, 2, 3, 2), single_layout(1, 3, 4, interval=2, w_img=8, h_img=6, offsets=(0, 48))),
+        "1x1 output": (lambda rng: rand_conv2d(rng, 2, 3, 4, 1), single_layout(2, 4, 4)),  # one support slot: gathered's pad column
+        "1x1 output, one channel": (lambda rng: rand_conv2d(rng, 2, 1, 4, 1), single_layout(2, 4, 4)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_equals_loop_on_index_arrays(self, case, quantize):
+        make, lay = self.CASES[case]
+        rng = np.random.default_rng(len(case))
+        layer, params = make(rng), HEParams(poly_degree=256, depth=3, scale_bits=8, quantize=quantize)
+        values = rng.choice([-0.0, 0.5, -1.25, 3.0, 1e200], (lay.channels, params.num_slots)) * rng.uniform(0.5, 2, (lay.channels, params.num_slots))
+        out_layout, _ = layer.step(lay)
+        kh, kw = layer.kernel_hw
+        shifts = [lay.interval * (k + lay.w_img * j) for j in range(kh) for k in range(kw)]
+        support = np.add.outer(out_layout.batch_offsets, valid_positions(out_layout)).reshape(-1)
+        coefs = layer.weights.reshape(layer.ch_out, -1) * lay.pending_const
+        results = []
+        for fused in (False, True):
+            be = RotationLog(params)
+            ct = CipherVector(values.copy(), 2)
+            with np.errstate(all="ignore"):
+                if fused:
+                    out = be.decrypt(layer.schedule(be, CipherState(ct, lay)).ct)
+                else:
+                    out = np.array([be.decrypt(row) for row in loop_masked_sum(be, [be.rotate(ct, s) for s in shifts], coefs, support, layer.bias)])
+            results.append((out.tobytes(), list(be.counter.by_level.items()), be.rotations))
+        assert results[0] == results[1]
+        assert np.frombuffer(results[1][0])[support].any() and not np.frombuffer(results[1][0]).reshape(layer.ch_out, -1)[:, np.setdiff1d(np.arange(params.num_slots), support)].any()
 
 
 class TestAvgPool:

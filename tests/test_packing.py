@@ -15,7 +15,7 @@ from slotcnn import (
     infer,
     run_inference,
 )
-from slotcnn.errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch
+from slotcnn.errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch, SlotCnnError
 
 PARAMS = HEParams()  # 8192 slots
 
@@ -107,6 +107,42 @@ class TestFootprint:
     def test_to_dict_keys(self):
         doc = footprint(builtin("M7"), PARAMS).to_dict()
         assert sorted(doc) == ["capacity", "footprint", "offsets", "per_layer_sizes"]
+
+
+def index_pack(samples, plan):
+    """batch_pack's sum as one fancy-index ``+=`` of every sample's slots, for ``(samples, channels, size)`` arrays."""
+    combined = np.zeros((samples.shape[1], plan.num_slots))
+    combined[:, np.add.outer(plan.offsets[: len(samples)], np.arange(samples.shape[2]))] += samples.transpose(1, 0, 2)
+    return combined
+
+
+class TestPlanLattice:
+    """A plan's offsets are one lattice: evenly spaced, at least the footprint apart, within the slots."""
+
+    @pytest.mark.parametrize("offsets,fp,n", [((0, 4, 9), 4, 16), ((0, 3), 4, 8), ((0, 4, 4), 4, 16), ((4, 0), 4, 8),
+                                              ((-4, 0), 4, 8), ((0, 5), 4, 8), ((5,), 4, 8)])
+    def test_refused(self, offsets, fp, n):
+        with pytest.raises(SlotCnnError, match="evenly spaced"):
+            PackPlan(footprint=fp, capacity=len(offsets), offsets=offsets, per_layer_sizes=(), num_slots=n, model=None, trace=())
+
+    @pytest.mark.parametrize("offsets,fp,n", [((0, 4), 4, 8), ((1, 6), 4, 10), ((4,), 4, 8), ((), 4, 2)])
+    def test_accepted(self, offsets, fp, n):
+        plan = PackPlan(footprint=fp, capacity=len(offsets), offsets=offsets, per_layer_sizes=(), num_slots=n, model=None, trace=())
+        assert plan.stride == (offsets[1] - offsets[0] if len(offsets) > 1 else fp)
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "M7"])
+    @pytest.mark.parametrize("align", [1, 3, 256])
+    def test_lattice_pack_equals_index_pack(self, name, align):
+        """Partial and full batches, -0.0 inputs turned +0.0 as by the fancy-index sum."""
+        m = builtin(name)
+        plan = footprint(m, PARAMS, alignment=align)
+        rng = np.random.default_rng(align)
+        for count in sorted({1, plan.capacity // 2 or 1, plan.capacity}):
+            samples = rng.choice([-0.0, 0.0, 1.5, -2.25], (count, m.channels, m.height * m.width)) * rng.uniform(0.5, 2, (count, m.channels, 1))
+            packed = batch_pack(samples, plan)
+            want = index_pack(samples, plan)
+            assert [p.values.tobytes() for p in packed] == [row.tobytes() for row in want]
+            assert not np.signbit(want[want == 0]).any()
 
 
 class TestBatchPack:
