@@ -211,7 +211,7 @@ class PlainVector:
         return self.values.size
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CipherVector:
     """A simulated ciphertext stack: slot values, one row per ciphertext, and the level budget the rows share.
 
@@ -610,18 +610,23 @@ class Backend:
         if self._width(cipher) != self.num_slots:
             raise SlotMismatch(f"operand widths differ: {self._width(cipher)} vs {self.num_slots}")
 
-    def _rotations(self, cipher: CipherVector, shifts) -> list:
-        """Record the rotations of ``cipher`` by ``shifts`` through :meth:`rotate`, copying nothing; return the amounts mod ``num_slots``."""
+    def _rotations(self, cipher: CipherVector, shifts) -> None:
+        """Record the rotations of ``cipher`` by ``shifts`` through :meth:`rotate`, copying nothing."""
         ghost = CipherVector(np.empty((*cipher.values.shape[:-1], 0)), cipher.level, np.empty(0, np.intp))
-        return [self.rotate(ghost, s).shift for s in shifts]
+        for s in shifts:
+            self.rotate(ghost, s)
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
-        """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row."""
-        r = r % self.num_slots
-        self.counter.record("rotation", cipher.level, _rows(cipher))
+        """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row.
+
+        The hot path of every fused operation, which rotates a stack with no columns once per amount: it adds to the
+        counter's histogram in place, as :meth:`OpCounter.record` would.
+        """
+        values, level, hist = cipher.values, cipher.level, self.counter.by_level
+        hist["rotation", level] = hist.get(("rotation", level), 0) + (len(values) if values.ndim == 2 else _rows(cipher))
         if cipher.slots is not None:
-            return CipherVector(cipher.values, cipher.level, cipher.slots, (cipher.shift + r) % self.num_slots)
-        return CipherVector(self._rotated(cipher.values, r), cipher.level)
+            return CipherVector(values, level, cipher.slots, (cipher.shift + r) % self.num_slots)
+        return CipherVector(self._rotated(values, r % self.num_slots), level)
 
     # -- slot values -------------------------------------------------------
 

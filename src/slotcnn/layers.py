@@ -134,7 +134,8 @@ def _lattice(layout: LayoutState) -> tuple:
     """
     offsets, row = layout.batch_offsets, layout.w_img * layout.interval
     stride = offsets[1] - offsets[0] if len(offsets) > 1 else layout.footprint
-    assert offsets == tuple(range(offsets[0], offsets[0] + stride * len(offsets), stride))
+    if stride < 1 or offsets != tuple(range(offsets[0], offsets[0] + stride * len(offsets), stride)):
+        raise ValueError(f"batch offsets {offsets} are not evenly spaced")
     assert min(layout.h_in, layout.w_in) < 1 or (layout.h_in - 1) * row + (layout.w_in - 1) * layout.interval < layout.footprint
     return offsets[0], ((len(offsets), stride), (layout.h_in, row), (layout.w_in, layout.interval))
 
@@ -440,6 +441,8 @@ class ApproxReLU(Layer):
     a1: float = RELU_COEFFS[1]
     a2: float = RELU_COEFFS[2]
 
+    _plains = None  # (layout, params, coefficients, plaintexts) of the last call to plains(), not a field
+
     def step(self, lay: LayoutState):
         return lay._replace(pending_const=1.0, gaps_zero=True), 2
 
@@ -455,14 +458,24 @@ class ApproxReLU(Layer):
         """
         lay = state.layout
         out_layout, _ = self.step(lay)
-        support = _support(lay)
-        quad = _plain(backend, support, self.a2 * lay.pending_const * lay.pending_const)
-        lin = _plain(backend, support, self.a1 * lay.pending_const)
-        const = _plain(backend, support, self.a0)
+        quad, lin, const = self.plains(backend, lay)
         t = backend.mul_plain(state.ct, quad)
         t = backend.add(t, lin)
         t = backend.mul_cipher(t, state.ct)
         return CipherState(backend.add(t, const), out_layout)
+
+    def plains(self, backend: Backend, lay: LayoutState) -> tuple:
+        """``(quadratic, linear, constant)``: the masked plaintexts :meth:`schedule` uses on ``lay``, kept for the next call.
+
+        One read-only set is kept, for the layout, parameters and coefficients it was encoded from, as
+        :meth:`Flatten.indices` keeps its index arrays.
+        """
+        kept, coeffs = self._plains, (self.a0, self.a1, self.a2)
+        if kept is None or kept[0] != lay or kept[1] != backend.params or kept[2] != coeffs:
+            support, p = _support(lay), lay.pending_const
+            plains = tuple(_plain(backend, support, c) for c in (self.a2 * p * p, self.a1 * p, self.a0))
+            self._plains = kept = (lay, backend.params, coeffs, plains)
+        return kept[3]
 
     @staticmethod
     def ledger(lay: LayoutState, level: int) -> list:

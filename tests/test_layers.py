@@ -373,6 +373,28 @@ class TestApproxReLU:
         assert out.level == SMALL_PARAMS.depth - 2
         assert be.counter.pt_mults == 2 and be.counter.ct_mults == 2 and be.counter.adds == 4
 
+    def test_plaintexts_kept_per_layout_params_and_coefficients(self):
+        """A second call on the same layout, parameters and coefficients uses the same read-only plaintexts; any other rebuilds them."""
+        junk = single_layout(2, 3, 3, interval=2, w_img=6, h_img=6, pending=0.25, gaps_zero=False)
+        clean = junk._replace(pending_const=1.0, gaps_zero=True)
+        x = np.random.default_rng(47).uniform(-1, 1, (2, 3, 3))
+        layer, fixed, changed = ApproxReLU(), HEParams(poly_degree=2048, depth=11, quantize=True, scale_bits=8), ApproxReLU(a0=0.5)
+        kept = []
+        for params, lay, coeffs in ((SMALL_PARAMS, junk, None), (SMALL_PARAMS, junk, None), (SMALL_PARAMS, clean, None),
+                                    (fixed, clean, None), (fixed, clean, (0.5, layer.a1, layer.a2)), (fixed, clean, None)):
+            if coeffs is not None:
+                layer.a0, layer.a1, layer.a2 = coeffs
+            outs = []
+            for relu in (layer, ApproxReLU(layer.a0, layer.a1, layer.a2)):
+                be = make_backend(params)
+                outs.append(be.decrypt(relu.schedule(be, build_state(be, lay, x, gap_rng=np.random.default_rng(5))).ct).tobytes())
+            assert outs[0] == outs[1]
+            kept.append(layer.plains(Backend(params), lay))
+        assert not any(p.values.flags.writeable for plains in kept for p in plains)
+        assert kept[1] is kept[0] and kept[5] is kept[4]
+        assert all(kept[i] is not kept[i - 1] for i in (2, 3, 4))
+        assert changed.plains(Backend(fixed), clean)[2].values.tobytes() == kept[4][2].values.tobytes()
+
 
 class TestFlatten:
     def assert_flattened(self, be, out, tensor, levels_used):
