@@ -33,11 +33,16 @@ decrypted byte.  Slot values are never written after they are made, and
 :meth:`Backend.decrypt` writes every NaN as one quiet NaN, whichever NaN
 operand numpy's kernels kept.
 
-Both sums and :meth:`Backend.gather` take their input stack and make its
-rotations themselves, through :meth:`Backend.rotate` on a stack with no
-columns, so the ledger sees every rotation and no rotated copy is made.
-:meth:`Backend.masked_sum` reads each of convolution's taps straight from the
-input on the support slots and sums the products in one ``np.einsum`` call.
+Both sums, :meth:`Backend.fold` and :meth:`Backend.gather` take their input
+stack and make its rotations themselves, through :meth:`Backend.rotate` on a
+stack with no columns, so the ledger sees every rotation and no rotated copy
+is made.  :meth:`Backend.masked_sum` takes convolution's taps and support as
+slot lattices, a first slot and ``(count, stride)`` axes, the form batch
+packing's offsets also take (:func:`lattice_slots`, :func:`lattice_view`): it
+copies the taps from one strided view of the input's doubled copy, sums the
+products in one ``np.einsum`` call and writes a full-width result through a
+strided view of the support.  :meth:`Backend.fold` adds the fully connected
+layer's wrap row, folds and bias in a few numpy calls.
 :meth:`Backend.diagonal_sum` sums the fully connected layer's products in one
 call per block of terms over their runs, reading the input's slots once, since
 every rotation only moves those same slots onto its run.  That is exact where
@@ -174,6 +179,15 @@ def lattice_slots(first: int, axes) -> np.ndarray:
     for count, stride in axes:
         slots = np.add.outer(slots, np.arange(count) * stride)
     return slots.reshape(-1)
+
+
+def lattice_view(rows: np.ndarray, first: int, axes) -> np.ndarray:
+    """The lattice's slots of every row of the C-contiguous float64 ``rows``, as one strided view, ``(rows, *counts)``.
+
+    numpy refuses a lattice that reaches past the end of ``rows``.
+    """
+    shape, strides = (len(rows), *(count for count, _ in axes)), (rows.strides[0], *(8 * stride for _, stride in axes))
+    return np.ndarray(shape, np.float64, rows, 8 * first, strides)
 
 
 @functools.cache
@@ -414,12 +428,12 @@ class Backend:
         if adds:
             self.counter.record("add", level - 1, adds)
         (tap_first, tap_axes), (first, axes) = taps, support
+        # Term t's slot j is the input's slot j + shifts[t] of one doubled copy, made first so that the copy it
+        # replaces is freed before the terms are gathered: in the other order an M5 pass peaked 2 MB higher.
+        doubled = self._twice(cipher.values).reshape(rows, 2 * n) if cipher.slots is None else None
         gathered = np.zeros((rows * count, max(slots.size, 2)))  # a pad column keeps einsum's term axis outermost
-        if cipher.slots is None:  # term t's slot j is slot j + shifts[t] of the input's doubled copy
-            doubled = self._twice(cipher.values).reshape(rows, 2 * n)
-            lattice = [*tap_axes, *axes]
-            terms = np.ndarray((rows, *(c for c, _ in lattice)), np.float64, doubled, 8 * (tap_first + first),
-                               (doubled.strides[0], *(8 * s for _, s in lattice)))
+        if doubled is not None:  # a view with an axis per tap axis and per support axis; the write lands in gathered
+            terms = lattice_view(doubled, tap_first + first, (*tap_axes, *axes))
             gathered[:, : slots.size].reshape(terms.shape, copy=False)[...] = terms
         else:
             for t, s in enumerate(shifts):
@@ -436,7 +450,8 @@ class Backend:
         if outs > 1 and slots.size < _COMPACT_SHARE * n:
             return CipherVector(acc, level - 1, slots)
         out = np.zeros((outs, n))
-        np.ndarray((outs, *(c for c, _ in axes)), np.float64, out, 8 * first, (out.strides[0], *(8 * s for _, s in axes)))[...] = acc.reshape(outs, *(c for c, _ in axes))
+        view = lattice_view(out, first, axes)
+        view[...] = acc.reshape(view.shape)
         return CipherVector(out, level - 1)
 
     def diagonal_sum(self, cipher: CipherVector, diag: np.ndarray, offsets: tuple) -> CipherVector:

@@ -26,23 +26,27 @@ as a solo run and their outputs match bit for bit.
 
 Every schedule works on the whole channel stack of its :class:`CipherState`:
 each backend operation runs once and records one op per channel.
-Convolution hands its input, its tap shifts and its weights to
-:meth:`Backend.masked_sum`; the fully connected layer its input and its
-plaintext diagonals, formed on its first run and kept (weight tensors are
-read-only), to :meth:`Backend.diagonal_sum`; flatten its input, the slots
-its slide loop moves and that loop's records to :meth:`Backend.gather`.
-Each of the three makes its rotations itself, and its values and op ledger
-are those of the ``rotate`` / ``mul_plain`` / ``add`` loop over full-width
-masks.  ``ApproxReLU`` multiplies by masks with :meth:`Backend.mul_plain`,
-and every plaintext a layer uses is made by ``_plain``.  All follow the
-backend's one masking rule: each product is formed only on its mask's
-nonzero slots and every other slot is an exact +0.0, so no value of one
-sample reaches another sample's result through a zero mask slot, however
-large it grows.  A convolution of several rows over few slots leaves a
-compact stack, which stores only its live slots, and only it does: Square
-and pooling keep a compact input compact, and ApproxReLU, level alignment,
-flatten and FC leave full-width stacks.  Pooling's and FC's other rotations, and flatten's
-channel merge when no other step runs, stream into :meth:`Backend.sum`.
+Convolution hands its input, its weights and its taps and output slots as
+slot lattices to :meth:`Backend.masked_sum`; the fully connected layer its
+input and its plaintext diagonals, formed on its first run and kept (weight
+tensors are read-only), to :meth:`Backend.diagonal_sum`, and the two rows
+that leaves with its kept bias plaintext to :meth:`Backend.fold`; flatten its
+input, the slots its slide loop moves and that loop's records to
+:meth:`Backend.gather`.  Each makes its rotations itself, and its values and
+op ledger are those of the ``rotate`` / ``mul_plain`` / ``add`` loop over
+full-width masks.  ``ApproxReLU`` multiplies by masks with
+:meth:`Backend.mul_plain`, and every plaintext a layer uses is made by
+``_plain``; ApproxReLU and FC keep theirs per layout and parameters.  Level
+alignment forms one product by ones and records the others, whose bytes it
+would repeat.  All follow the backend's one masking rule: each product is
+formed only on its mask's nonzero slots and every other slot is an exact
++0.0, so no value of one sample reaches another sample's result through a
+zero mask slot, however large it grows.  A convolution of several rows over
+few slots leaves a compact stack, which stores only its live slots, and only
+it does: Square and pooling keep a compact input compact, and ApproxReLU,
+level alignment, flatten and FC leave full-width stacks.  Pooling's
+rotations, and flatten's channel merge when no other step runs, stream into
+:meth:`Backend.sum`.
 """
 
 from __future__ import annotations
@@ -279,9 +283,10 @@ class _Conv(Layer):
         belongs to; each output channel is then a mask-weighted sum of those
         rotations' rows plus a masked bias.  Output values land on an
         ``interval * stride`` grid and the slots in between are zero.  The
-        input stack and the tap shifts go to :meth:`Backend.masked_sum`, which
-        makes the rotations, reads each tap's grid slots straight from the
-        input and forms all products and sums in one contraction, in the
+        input stack, the taps and the output grid at every batch offset go as
+        slot lattices to :meth:`Backend.masked_sum`, which makes the rotations,
+        copies each tap's grid slots from one strided view of the input and
+        forms all products and sums in one contraction, in the
         oracle's channel-major term order; the ledger still counts ``ch_out *
         ch_in * k**2`` plaintext products and as many additions, as a
         full-width schedule would.  A sparse output grid leaves a compact stack.
@@ -645,10 +650,11 @@ class FC(Layer):
         :meth:`Backend.diagonal_sum` makes the rotations and forms both masked
         sums at every batch offset in a few einsum calls, reading the input once
         on the samples' slots.  The diagonals are :meth:`diagonals`, formed on
-        the first run and kept.  Summing ``ceil(dat_in / dat_out)``-many
-        ``dat_out``-strided rotations of the masked sum then folds the window
-        down to one dot product per output slot.  Slots past ``dat_out`` are
-        left holding fold junk.
+        the first run and kept.  :meth:`Backend.fold` then makes the corrective
+        rotation, sums ``ceil(dat_in / dat_out)``-many ``dat_out``-strided
+        rotations of the masked sum, which folds the window down to one dot
+        product per output slot, and adds the bias plaintext of
+        :meth:`bias_plain`.  Slots past ``dat_out`` are left holding fold junk.
         """
         lay = state.layout
         out_layout, _ = self.step(lay)

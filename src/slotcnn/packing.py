@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch, SlotCnnError
-from .he_backend import PlainVector
+from .he_backend import PlainVector, lattice_view
 from .model import ModelSpec, slot_sizes, trace_layout
 
 __all__ = ["PackPlan", "flatten_input", "footprint", "batch_pack"]
@@ -142,8 +142,7 @@ def batch_pack(samples, plan: PackPlan) -> list:
         i, ch = np.argwhere(~finite)[0]
         raise NonFiniteInput(f"sample {i} channel {ch} holds a non-finite value")
     combined = np.zeros((batch.shape[1], plan.num_slots))
-    n, (count, channels) = plan.num_slots, batch.shape[:2]  # each sample's first ``size`` slots, a view of ``combined``
-    samples = np.ndarray((channels, count, size), np.float64, combined, 8 * plan.offsets[0], (8 * n, 8 * plan.stride, 8))
+    samples = lattice_view(combined, plan.offsets[0], ((len(batch), plan.stride), (size, 1)))  # channel, sample, slot
     samples += batch.transpose(1, 0, 2)
     return [PlainVector(vec) for vec in combined]
 
