@@ -37,12 +37,10 @@ Both sums, :meth:`Backend.fold` and :meth:`Backend.gather` take their input
 stack and make its rotations themselves, through :meth:`Backend.rotate` on a
 stack with no columns, so the ledger sees every rotation and no rotated copy
 is made.  :meth:`Backend.masked_sum` takes convolution's taps and support as
-slot lattices, a first slot and ``(count, stride)`` axes, the form batch
-packing's offsets also take (:func:`lattice_slots`, :func:`lattice_view`): it
-copies the taps from one strided view of the input's doubled copy, sums the
-products in one ``np.einsum`` call and writes a full-width result through a
-strided view of the support.  :meth:`Backend.fold` adds the fully connected
-layer's wrap row, folds and bias in a few numpy calls.
+slot lattices, as batch packing takes its offsets: it copies the taps from a
+strided view of the input, sums the products in one ``np.einsum`` call and
+writes a full-width result through a strided view.  :meth:`Backend.fold`
+adds the fully connected layer's wrap row, folds and bias.
 :meth:`Backend.diagonal_sum` sums the fully connected layer's products in one
 call per block of terms over their runs, reading the input's slots once, since
 every rotation only moves those same slots onto its run.  That is exact where
@@ -182,10 +180,7 @@ def lattice_slots(first: int, axes) -> np.ndarray:
 
 
 def lattice_view(rows: np.ndarray, first: int, axes) -> np.ndarray:
-    """The lattice's slots of every row of the C-contiguous float64 ``rows``, as one strided view, ``(rows, *counts)``.
-
-    numpy refuses a lattice that reaches past the end of ``rows``.
-    """
+    """The lattice's slots of every row of the C-contiguous float64 ``rows``, one view shaped ``(rows, *counts)``; numpy refuses one past the end."""
     shape, strides = (len(rows), *(count for count, _ in axes)), (rows.strides[0], *(8 * stride for _, stride in axes))
     return np.ndarray(shape, np.float64, rows, 8 * first, strides)
 
@@ -393,22 +388,18 @@ class Backend:
     def masked_sum(self, cipher: CipherVector, taps, coefs, support, bias=None) -> CipherVector:
         """Masked linear combinations of the rotations of one stack, one result row per mask row.
 
-        ``taps`` and ``support`` are slot lattices, each ``(first, axes)`` with ``axes`` a tuple of ``(count,
-        stride)`` pairs: the slots ``first + sum(i_k * stride_k)`` for ``0 <= i_k < count_k``, in row-major order
-        over the axes (:func:`lattice_slots`).  Term ``t`` is ``cipher`` rotated left by tap ``t``, each tap in ``[0,
-        num_slots)``.  The support is the slots shared by all masks, strictly increasing, and ``coefs[o]`` holds a
-        scalar per term row, in row-major order over (row of the stack, term): result row ``o`` is ``sum_r,t
-        term[t][r] * coefs[o, r * len(taps) + t]``, plus ``bias[o]`` when ``bias`` is given.  As in
-        :meth:`mul_plain`, products are formed only on the mask slots, every other slot is an exact +0.0 whatever
-        the stack holds there.  A result of more than one row on few slots is compact, the one way a compact stack
-        is made.
+        ``taps`` and ``support`` are slot lattices (:func:`lattice_slots`).  Term ``t`` is ``cipher`` rotated left
+        by tap ``t``, in ``[0, num_slots)``; the support is the mask slots, strictly increasing.  ``coefs[o]`` holds
+        a scalar per term row, in row-major order over (row of the stack, term): result row ``o`` is ``sum_r,t
+        term[t][r] * coefs[o, r * len(taps) + t]``, plus ``bias[o]`` when given.  As in :meth:`mul_plain`, every
+        slot off the support is an exact +0.0.  A result of more than one row on few slots is compact, the one way
+        a compact stack is made.
 
         Values and ledger are those of the ``rotate`` / ``mul_plain`` / ``add`` loop over full-width masks, summed
         in the order above from +0.0 with the bias last, in one contraction, and the records keep that loop's key
-        order.  The rotations go through :meth:`rotate` and copy nothing.  The terms of a full-width stack are
-        copied from one strided view of its doubled copy, with an axis per tap axis and per support axis, and a
-        full-width result is written through a strided view of the support; a compact stack's terms are read
-        slot by slot.  Every refusal comes before any record.
+        order.  The rotations go through :meth:`rotate` and copy nothing.  A full-width stack's terms are copied
+        from one :func:`lattice_view` of its doubled copy, and a full-width result is written through one; a
+        compact stack's terms are read slot by slot.  Every refusal comes before any record.
         """
         if not isinstance(coefs, np.ndarray) and len(set(map(len, coefs))) > 1:  # an array has equal rows
             raise ValueError(f"masked_sum needs one mask per term in every row, got rows of {list(map(len, coefs))}")
@@ -512,12 +503,11 @@ class Backend:
         return CipherVector(out.reshape(2, *cipher.values.shape[:-1], n), cipher.level - 1)
 
     def fold(self, front_wrap: CipherVector, window: int, step: int, count: int, bias: PlainVector) -> CipherVector:
-        """The diagonal method's tail on :meth:`diagonal_sum`'s front and wrap rows: one row of the same level.
+        """The fully connected layer's tail on :meth:`diagonal_sum`'s front and wrap rows: one row at the same level.
 
-        The wrap row rotated right by ``window`` is added to the front row; that sum and its rotations left by ``i *
-        step``, for ``i`` from 1 to ``count - 1``, are added in order, and the plaintext ``bias`` last.  Values and
-        ledger are those of that ``rotate`` / ``add`` / ``sum`` loop: its ``count`` rotations go through
-        :meth:`rotate` on a stack with no columns, in the loop's order, and its records keep the loop's key order.
+        The wrap row rotated right by ``window`` is added to the front row, then that sum's rotations left by ``i *
+        step`` for ``i`` from 1 below ``count``, in order, then ``bias``.  Values and ledger are those of that
+        ``rotate`` / ``add`` / ``sum`` loop, whose rotations go through :meth:`rotate` in its order.
         """
         n, level = self.num_slots, front_wrap.level
         if step < 1 or count < 1 or step * count > n:
@@ -527,11 +517,8 @@ class Backend:
         self._rotations(front_wrap[0], [-window, *range(step, step * count, step)])
         self.counter.record("add", level, _rows(front_wrap[0]) * (count + 1))
         w = window % n
-        summed = np.empty((*front.shape[:-1], n + step * (count - 1)))  # the sum, then its first slots again
-        np.add(front[..., w:], wrap[..., : n - w], out=summed[..., w:n])
-        np.add(front[..., :w], wrap[..., n - w :], out=summed[..., :w])
-        summed[..., n:] = summed[..., : step * (count - 1)]
-        out = summed[..., :n].copy()
+        out = front + np.concatenate((wrap[..., n - w :], wrap[..., : n - w]), axis=-1)  # wrap rotated right by window
+        summed = np.concatenate((out, out[..., : step * (count - 1)]), axis=-1)  # the sum, then its first slots again
         for i in range(1, count):
             out += summed[..., i * step : i * step + n]
         out += bias.values
@@ -632,11 +619,7 @@ class Backend:
             self.rotate(ghost, s)
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
-        """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row.
-
-        The hot path of every fused operation, which rotates a stack with no columns once per amount: it adds to the
-        counter's histogram in place, as :meth:`OpCounter.record` would.
-        """
+        """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row; records as :meth:`OpCounter.record` would."""
         values, level, hist = cipher.values, cipher.level, self.counter.by_level
         hist["rotation", level] = hist.get(("rotation", level), 0) + (len(values) if values.ndim == 2 else _rows(cipher))
         if cipher.slots is not None:

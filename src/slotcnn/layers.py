@@ -132,10 +132,7 @@ def valid_positions(layout: LayoutState) -> np.ndarray:
 
 
 def _lattice(layout: LayoutState) -> tuple:
-    """The valid positions at every batch offset as a slot lattice: the first slot, then ``(count, stride)`` over offsets, rows and columns.
-
-    A plan's offsets are evenly spaced (:class:`~slotcnn.packing.PackPlan`); a lone offset's spacing is the footprint.
-    """
+    """The valid positions at every batch offset as a slot lattice, over offsets, rows and columns; a lone offset's spacing is the footprint."""
     offsets, row = layout.batch_offsets, layout.w_img * layout.interval
     stride = offsets[1] - offsets[0] if len(offsets) > 1 else layout.footprint
     if stride < 1 or offsets != tuple(range(offsets[0], offsets[0] + stride * len(offsets), stride)):
@@ -159,17 +156,14 @@ def _plain(backend: Backend, slots, values) -> PlainVector:
 
 
 def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState:
-    """Lower the level to ``target`` as products by an all-ones plaintext, one per level, would.
+    """Lower the level to ``target`` as one product by an all-ones plaintext per level would.
 
     Aligning the level with the model's exact multiplication count before
     the first layer keeps every later multiplication as cheap as possible.
-    One product is formed, a ``mul_plain`` by ones at the current level, and
-    a ``pt_mult`` per row is recorded at each level below it down to
-    ``target + 1``.  A product by 1.0 added to +0.0 gives back its own
-    input, quantized or not, inf and NaN included, and -0.0 once the first
-    product has made it +0.0, so further products would give the same
-    bytes.  A target below 0 records the products down to level 1 and
-    raises :class:`LevelExhausted`, as the products one per level would.
+    One product is formed and the others are only recorded: a product by 1.0
+    added to +0.0 gives back its input, inf and NaN included, quantized or
+    not, so they would repeat its bytes.  A target below 0 records them down
+    to level 1 and raises :class:`LevelExhausted`, as they would.
     """
     current = state.level
     if target > current:
@@ -470,11 +464,7 @@ class ApproxReLU(Layer):
         return CipherState(backend.add(t, const), out_layout)
 
     def plains(self, backend: Backend, lay: LayoutState) -> tuple:
-        """``(quadratic, linear, constant)``: the masked plaintexts :meth:`schedule` uses on ``lay``, kept for the next call.
-
-        One read-only set is kept, for the layout, parameters and coefficients it was encoded from, as
-        :meth:`Flatten.indices` keeps its index arrays.
-        """
+        """The quadratic, linear and constant masked plaintexts on ``lay``, kept per layout, parameters and coefficients."""
         kept, coeffs = self._plains, (self.a0, self.a1, self.a2)
         if kept is None or kept[0] != lay or kept[1] != backend.params or kept[2] != coeffs:
             support, p = _support(lay), lay.pending_const
@@ -687,11 +677,7 @@ class FC(Layer):
         return kept[2]
 
     def bias_plain(self, backend: Backend, lay: LayoutState) -> PlainVector:
-        """The bias on the first ``dat_out`` slots after each offset of ``lay``, encoded by ``backend``, kept for the next call.
-
-        One copy is kept, for the bias, layout and parameters it was formed from, and only while that bias is
-        read-only, as :meth:`diagonals` keeps its copy.
-        """
+        """The bias on the first ``dat_out`` slots after each offset, kept per layout and parameters as :meth:`diagonals` is kept."""
         kept = self._bias_plain
         if kept is None or kept[0] is not self.bias or kept[1] != lay or kept[2] != backend.params or self.bias.flags.writeable:
             plain = _plain(backend, np.add.outer(lay.batch_offsets, np.arange(self.dat_out)), self.bias)

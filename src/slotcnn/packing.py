@@ -113,8 +113,8 @@ def batch_pack(samples, plan: PackPlan) -> list:
     Each sample is a list of per-channel row-major vectors (the output of
     :func:`flatten_input`), or ``samples`` is one array of them, sample by
     channel by slot.  Sample ``i`` is added into the zeroed shared vector at
-    ``plan.offsets[i]``, through one strided view of the offsets' lattice, so
-    a -0.0 input slot becomes +0.0.  The returned plaintexts are layout-only; encode them
+    ``plan.offsets[i]``, through one view of the offsets' lattice, so a -0.0
+    input becomes +0.0.  The returned plaintexts are layout-only; encode them
     through a backend to apply quantization before encryption.
 
     Refusals come in this order: :class:`CapacityExceeded` before any sample
