@@ -16,6 +16,7 @@ from .errors import (
     SlotCnnError,
     SlotMismatch,
     TargetAboveCurrent,
+    UnevenOffsets,
     UnknownModel,
 )
 from .he_backend import DEFAULT_PARAMS, Backend, CipherVector, HEParams, OpCounter, PlainVector

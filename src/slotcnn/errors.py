@@ -55,3 +55,7 @@ class NonDivisibleDims(SlotCnnError):
 
 class NotFlattened(SlotCnnError):
     """A fully-connected layer was applied to a non-flattened layout."""
+
+
+class UnevenOffsets(SlotCnnError, ValueError):
+    """Batch offsets are not evenly spaced at least a footprint apart within the slots."""

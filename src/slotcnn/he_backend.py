@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LevelExhausted, OversizedInput, SlotMismatch
+from .errors import LevelExhausted, OversizedInput, SlotMismatch, UnevenOffsets
 
 __all__ = [
     "HEParams",
@@ -177,6 +177,19 @@ def lattice_slots(first: int, axes) -> np.ndarray:
     for count, stride in axes:
         slots = np.add.outer(slots, np.arange(count) * stride)
     return slots.reshape(-1)
+
+
+def offset_lattice(offsets: tuple, footprint: int, num_slots: int) -> tuple:
+    """Batch ``offsets`` as ``(first, stride)``: evenly spaced, ``footprint`` or more apart and each ``footprint`` slots from the end.
+
+    A lone offset's stride is the footprint, and no offsets are ``(0, footprint)``.  Any other offsets raise
+    :class:`UnevenOffsets`.
+    """
+    first, stride = (offsets or (0,))[0], offsets[1] - offsets[0] if len(offsets) > 1 else footprint
+    end = first + stride * len(offsets)  # one stride past the last offset
+    if stride < max(footprint, 1) or offsets != tuple(range(first, end, stride)) or first < 0 or end - stride + footprint > num_slots:
+        raise UnevenOffsets(f"offsets {offsets} are not evenly spaced at least {footprint} apart within {num_slots} slots")
+    return first, stride
 
 
 def lattice_view(rows: np.ndarray, first: int, axes) -> np.ndarray:
@@ -374,6 +387,20 @@ class Backend:
         values += 0.0
         return CipherVector(values, cipher.level - 1)
 
+    def mul_ones(self, cipher: CipherVector, count: int) -> CipherVector:
+        """``count`` (1 or more) products by an all-ones plaintext in a row, as that many :meth:`mul_plain` calls.
+
+        One product is formed and the others are only recorded: a product by 1.0 added to +0.0 gives back its
+        input, inf and NaN included, quantized or not, so they would repeat its bytes.  Past level 0 it raises
+        :class:`LevelExhausted` after the records those calls would make.
+        """
+        out = self.mul_plain(cipher, self.encode(np.ones(self.num_slots)))
+        for level in range(cipher.level - 1, max(cipher.level - count, 0), -1):
+            self.counter.record("pt_mult", level, _rows(cipher))
+        if count > cipher.level:
+            raise LevelExhausted("ciphertext has no multiplication budget left")
+        return CipherVector(out.values, cipher.level - count)
+
     def mul_cipher(self, a: CipherVector, b: CipherVector) -> CipherVector:
         """Slot-wise ciphertext-ciphertext product; consumes one level.  Compact only for two stacks on the same slots."""
         level = min(a.level, b.level)
@@ -425,7 +452,7 @@ class Backend:
         gathered = np.zeros((rows * count, max(slots.size, 2)))  # a pad column keeps einsum's term axis outermost
         if doubled is not None:  # a view with an axis per tap axis and per support axis; the write lands in gathered
             terms = lattice_view(doubled, tap_first + first, (*tap_axes, *axes))
-            gathered[:, : slots.size].reshape(terms.shape, copy=False)[...] = terms
+            gathered[:, : slots.size].reshape(terms.shape)[...] = terms
         else:
             for t, s in enumerate(shifts):
                 self._take(CipherVector(cipher.values, level, cipher.slots, cipher.shift + s), slots, gathered[t::count, : slots.size])
@@ -457,13 +484,13 @@ class Backend:
         rotation.  ``diag`` is quantized a block of rows at a time, so a caller may keep one unquantized copy.  The
         gather buffer holds about ``_GATHER_BYTES`` at most and is sized to its contents, like every other array of
         a pass; the heap reserve keeps all of them from faulting in new pages.
-        Offsets are evenly spaced, ``max(d, count - 1)`` or more apart and from the end of the vector; ``cipher``
+        The offsets are one or more, an :func:`offset_lattice` with a footprint of ``max(d, count - 1)``; ``cipher``
         holds one ciphertext, and the two full-width rows are shaped like it.  Every refusal comes before any record.
         """
         (count, width), n, wide = diag.shape, self.num_slots, len(offsets)
-        reach, stride = max(width, count - 1), (offsets[1:2] or (n,))[0] - offsets[0]  # a lone offset: room to the end
-        if stride < reach or offsets != tuple(range(offsets[0], offsets[-1] + 1, stride)) or offsets[0] < 0 or offsets[-1] + reach > n:
-            raise ValueError(f"diagonal_sum needs offsets evenly spaced at least {reach} apart, got {offsets}")
+        if not offsets:
+            raise ValueError("diagonal_sum needs one or more offsets")
+        base, stride = offset_lattice(offsets, max(width, count - 1), n)
         self._check_spendable(cipher)
         if _rows(cipher) != 1:
             raise ValueError(f"diagonal_sum needs one ciphertext, got a stack of {_rows(cipher)}")
@@ -478,7 +505,7 @@ class Backend:
         coefs[0] = 1.0  # row 0 carries the sums so far through each contraction
 
         def per_offset(a, d):  # ``d`` slots from each offset of the flat buffer ``a``, a row per offset
-            return np.ndarray((wide, d), np.float64, a, 8 * offsets[0], (8 * stride, 8))
+            return np.ndarray((wide, d), np.float64, a, 8 * base, (8 * stride, 8))
 
         def skewed(a):  # row 1 + i of ``a`` from column block - 1 - i on: term i of a block, so one slot's products share a column
             return np.ndarray((block, *a.shape[1:-1], width), np.float64, a, a.strides[0] + 8 * (block - 1), (a.strides[0] - 8, *a.strides[1:]))
@@ -619,12 +646,11 @@ class Backend:
             self.rotate(ghost, s)
 
     def rotate(self, cipher: CipherVector, r: int) -> CipherVector:
-        """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row; records as :meth:`OpCounter.record` would."""
-        values, level, hist = cipher.values, cipher.level, self.counter.by_level
-        hist["rotation", level] = hist.get(("rotation", level), 0) + (len(values) if values.ndim == 2 else _rows(cipher))
+        """Cyclic left shift by ``r`` slots (negative ``r`` shifts right) of every row."""
+        self.counter.record("rotation", cipher.level, _rows(cipher))
         if cipher.slots is not None:
-            return CipherVector(values, level, cipher.slots, (cipher.shift + r) % self.num_slots)
-        return CipherVector(self._rotated(values, r % self.num_slots), level)
+            return CipherVector(cipher.values, cipher.level, cipher.slots, (cipher.shift + r) % self.num_slots)
+        return CipherVector(self._rotated(cipher.values, r % self.num_slots), cipher.level)
 
     # -- slot values -------------------------------------------------------
 

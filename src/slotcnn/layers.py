@@ -57,8 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FootprintOverflow, LevelExhausted, NonDivisibleDims, NotFlattened, PaddingUnsupported, ShapeMismatch, TargetAboveCurrent
-from .he_backend import Backend, CipherVector, PlainVector, lattice_slots
+from .errors import FootprintOverflow, NonDivisibleDims, NotFlattened, PaddingUnsupported, ShapeMismatch, TargetAboveCurrent
+from .he_backend import Backend, CipherVector, PlainVector, lattice_slots, offset_lattice
 
 __all__ = [
     "Layer",
@@ -131,19 +131,16 @@ def valid_positions(layout: LayoutState) -> np.ndarray:
     return (rows[:, None] + cols[None, :]).reshape(-1)
 
 
-def _lattice(layout: LayoutState) -> tuple:
-    """The valid positions at every batch offset as a slot lattice, over offsets, rows and columns; a lone offset's spacing is the footprint."""
-    offsets, row = layout.batch_offsets, layout.w_img * layout.interval
-    stride = offsets[1] - offsets[0] if len(offsets) > 1 else layout.footprint
-    if stride < 1 or offsets != tuple(range(offsets[0], offsets[0] + stride * len(offsets), stride)):
-        raise ValueError(f"batch offsets {offsets} are not evenly spaced")
+def _lattice(layout: LayoutState, num_slots: int) -> tuple:
+    """The valid positions at every batch offset as a slot lattice, over offsets, rows and columns."""
+    (first, stride), row = offset_lattice(layout.batch_offsets, layout.footprint, num_slots), layout.w_img * layout.interval
     assert min(layout.h_in, layout.w_in) < 1 or (layout.h_in - 1) * row + (layout.w_in - 1) * layout.interval < layout.footprint
-    return offsets[0], ((len(offsets), stride), (layout.h_in, row), (layout.w_in, layout.interval))
+    return first, ((len(layout.batch_offsets), stride), (layout.h_in, row), (layout.w_in, layout.interval))
 
 
-def _support(layout: LayoutState) -> np.ndarray:
+def _support(layout: LayoutState, num_slots: int) -> np.ndarray:
     """Slot indices of the valid positions at every batch offset."""
-    return lattice_slots(*_lattice(layout))
+    return lattice_slots(*_lattice(layout, num_slots))
 
 
 def _plain(backend: Backend, slots, values) -> PlainVector:
@@ -160,22 +157,16 @@ def drop_level(backend: Backend, state: CipherState, target: int) -> CipherState
 
     Aligning the level with the model's exact multiplication count before
     the first layer keeps every later multiplication as cheap as possible.
-    One product is formed and the others are only recorded: a product by 1.0
-    added to +0.0 gives back its input, inf and NaN included, quantized or
-    not, so they would repeat its bytes.  A target below 0 records them down
-    to level 1 and raises :class:`LevelExhausted`, as they would.
+    :meth:`~slotcnn.he_backend.Backend.mul_ones` forms one product and records
+    the others, whose bytes it would repeat.  A target below 0 records them
+    down to level 1 and raises :class:`LevelExhausted`, as they would.
     """
     current = state.level
     if target > current:
         raise TargetAboveCurrent(f"cannot raise level from {current} to {target}")
     if target == current:
         return state
-    ct = backend.mul_plain(state.ct, backend.encode(np.ones(backend.num_slots)))
-    for level in range(current - 1, max(target, 0), -1):
-        backend.counter.record("pt_mult", level, math.prod(ct.values.shape[:-1]))
-    if target < 0:
-        raise LevelExhausted("ciphertext has no multiplication budget left")
-    return CipherState(CipherVector(ct.values, target), state.layout)
+    return CipherState(backend.mul_ones(state.ct, current - target), state.layout)
 
 
 def _as_array(data, shape, what: str) -> np.ndarray:
@@ -290,7 +281,7 @@ class _Conv(Layer):
         kh, kw = self.kernel_hw
         taps = (0, ((kh, lay.interval * lay.w_img), (kw, lay.interval)))  # tap (j, k) is interval * (k + w_img * j)
         coefs = self.weights.reshape(self.ch_out, -1) * lay.pending_const
-        return CipherState(backend.masked_sum(state.ct, taps, coefs, _lattice(out_layout), self.bias), out_layout)
+        return CipherState(backend.masked_sum(state.ct, taps, coefs, _lattice(out_layout, backend.num_slots), self.bias), out_layout)
 
     def ledger(self, lay: LayoutState, level: int) -> list:
         """One rotation per tap; per output channel and tap a product, and an addition that sums it or the bias."""
@@ -467,7 +458,7 @@ class ApproxReLU(Layer):
         """The quadratic, linear and constant masked plaintexts on ``lay``, kept per layout, parameters and coefficients."""
         kept, coeffs = self._plains, (self.a0, self.a1, self.a2)
         if kept is None or kept[0] != lay or kept[1] != backend.params or kept[2] != coeffs:
-            support, p = _support(lay), lay.pending_const
+            support, p = _support(lay, backend.num_slots), lay.pending_const
             plains = tuple(_plain(backend, support, c) for c in (self.a2 * p * p, self.a1 * p, self.a0))
             self._plains = kept = (lay, backend.params, coeffs, plains)
         return kept[3]
@@ -544,19 +535,19 @@ class Flatten(Layer):
         kept = self._indices
         if kept is None or kept[0] != lay or kept[1] != n:
             flat_len = lay.w_in * lay.h_in
-            reads = self._reads(lay) & (n - 1)  # slots mod n, a power of two
-            dest = (np.arange(lay.channels)[:, None] * flat_len + _support(lay._replace(interval=1, w_in=flat_len, h_in=1))) & (n - 1)
+            reads = self._reads(lay, n) & (n - 1)  # slots mod n, a power of two
+            dest = (np.arange(lay.channels)[:, None] * flat_len + _support(lay._replace(interval=1, w_in=flat_len, h_in=1), n)) & (n - 1)
             reads.flags.writeable = dest.flags.writeable = False
             self._indices = kept = (lay, n, reads, dest)
         return kept[2:]
 
     @staticmethod
-    def _reads(lay: LayoutState) -> np.ndarray:
+    def _reads(lay: LayoutState, n: int) -> np.ndarray:
         """``(terms, values)``: the slots the slide loop adds up onto each kept value, at every batch offset."""
         if not Flatten.dispatch(lay)[1]:
-            return _support(lay)[None]
+            return _support(lay, n)[None]
         i, k = lay.interval, np.tile(np.arange(lay.w_in) % lay.interval, lay.h_in * len(lay.batch_offsets))
-        return _support(lay) + (np.arange(i)[:, None] - k) * (i - 1)  # value (r, c) is term c % i of the pre-sum
+        return _support(lay, n) + (np.arange(i)[:, None] - k) * (i - 1)  # value (r, c) is term c % i of the pre-sum
 
     @staticmethod
     def _loop(lay: LayoutState, level: int):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch, SlotCnnError
-from .he_backend import PlainVector, lattice_view
+from .errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch
+from .he_backend import PlainVector, lattice_view, offset_lattice
 from .model import ModelSpec, slot_sizes, trace_layout
 
 __all__ = ["PackPlan", "flatten_input", "footprint", "batch_pack"]
@@ -44,16 +44,13 @@ class PackPlan:
     trace: tuple = field(repr=False)
 
     def __post_init__(self) -> None:
-        """Refuse offsets that are not one lattice: evenly spaced, at least the footprint apart, inside the slots."""
-        first, stride = (self.offsets or (0,))[0], self.stride
-        end = first + stride * len(self.offsets)  # one stride past the last offset
-        if stride < max(self.footprint, 1) or self.offsets != tuple(range(first, end, stride)) or first < 0 or end - stride + self.footprint > self.num_slots:
-            raise SlotCnnError(f"batch offsets {self.offsets} are not evenly spaced at least the footprint {self.footprint} apart within {self.num_slots} slots")
+        """Refuse offsets that are not one :func:`~slotcnn.he_backend.offset_lattice` of the footprint and slot count."""
+        offset_lattice(self.offsets, self.footprint, self.num_slots)
 
     @property
     def stride(self) -> int:
         """The spacing of the offsets; a lone offset's is the footprint."""
-        return self.offsets[1] - self.offsets[0] if len(self.offsets) > 1 else self.footprint
+        return offset_lattice(self.offsets, self.footprint, self.num_slots)[1]
 
     def check_capacity(self, count: int) -> None:
         """Refuse a request of ``count`` samples that does not fit into one batch."""

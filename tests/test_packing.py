@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slotcnn import (
+    Backend,
     HEParams,
     ModelSpec,
     PackPlan,
@@ -15,7 +16,10 @@ from slotcnn import (
     infer,
     run_inference,
 )
-from slotcnn.errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch, SlotCnnError
+from slotcnn.errors import CapacityExceeded, FootprintOverflow, NonFiniteInput, OversizedInput, ShapeMismatch, SlotCnnError, UnevenOffsets
+from slotcnn.layers import _support
+
+from helpers import single_layout
 
 PARAMS = HEParams()  # 8192 slots
 
@@ -119,11 +123,22 @@ def index_pack(samples, plan):
 class TestPlanLattice:
     """A plan's offsets are one lattice: evenly spaced, at least the footprint apart, within the slots."""
 
-    @pytest.mark.parametrize("offsets,fp,n", [((0, 4, 9), 4, 16), ((0, 3), 4, 8), ((0, 4, 4), 4, 16), ((4, 0), 4, 8),
-                                              ((-4, 0), 4, 8), ((0, 5), 4, 8), ((5,), 4, 8)])
+    REFUSED = [((0, 4, 9), 4, 16), ((0, 3), 4, 8), ((0, 4, 4), 4, 16), ((4, 0), 4, 8), ((-4, 0), 4, 8), ((0, 5), 4, 8), ((5,), 4, 8)]
+
+    @pytest.mark.parametrize("offsets,fp,n", REFUSED)
     def test_refused(self, offsets, fp, n):
         with pytest.raises(SlotCnnError, match="evenly spaced"):
             PackPlan(footprint=fp, capacity=len(offsets), offsets=offsets, per_layer_sizes=(), num_slots=n, model=None, trace=())
+
+    @pytest.mark.parametrize("offsets,fp,n", REFUSED)
+    def test_layouts_and_fc_refuse_the_same_offsets(self, offsets, fp, n):
+        """Layer layouts and FC's diagonal sum read offsets by the plan's one rule, and refuse them with its error."""
+        with pytest.raises(UnevenOffsets):
+            _support(single_layout(1, 1, 2, fp, offsets=offsets), n)
+        be = Backend(HEParams(poly_degree=2 * n))
+        with pytest.raises(UnevenOffsets):
+            be.diagonal_sum(be.encrypt(be.encode(np.ones(n))), np.ones((3, fp)), offsets)
+        assert be.counter.snapshot() == {}
 
     @pytest.mark.parametrize("offsets,fp,n", [((0, 4), 4, 8), ((1, 6), 4, 10), ((4,), 4, 8), ((), 4, 2)])
     def test_accepted(self, offsets, fp, n):
