@@ -39,7 +39,9 @@ stack with no columns, so the ledger sees every rotation and no rotated copy
 is made.  :meth:`Backend.masked_sum` takes convolution's taps and support as
 slot lattices, as batch packing takes its offsets: it copies the taps from a
 strided view of the input, sums the products in one ``np.einsum`` call and
-writes a full-width result through a strided view.  :meth:`Backend.fold`
+writes a full-width result through a strided view.  Batch offsets have one
+rule, :func:`offset_lattice`, which plans, layer layouts and
+:meth:`Backend.diagonal_sum` read them through.  :meth:`Backend.fold`
 adds the fully connected layer's wrap row, folds and bias.
 :meth:`Backend.diagonal_sum` sums the fully connected layer's products in one
 call per block of terms over their runs, reading the input's slots once, since

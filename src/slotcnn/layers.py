@@ -37,8 +37,10 @@ op ledger are those of the ``rotate`` / ``mul_plain`` / ``add`` loop over
 full-width masks.  ``ApproxReLU`` multiplies by masks with
 :meth:`Backend.mul_plain`, and every plaintext a layer uses is made by
 ``_plain``; ApproxReLU and FC keep theirs per layout and parameters.  Level
-alignment forms one product by ones and records the others, whose bytes it
-would repeat.  All follow the backend's one masking rule: each product is
+alignment is :meth:`Backend.mul_ones`: one product by ones, and records of
+the others, whose bytes it would repeat.  A schedule that addresses the
+batch offsets reads them through :func:`~slotcnn.he_backend.offset_lattice`.
+All follow the backend's one masking rule: each product is
 formed only on its mask's nonzero slots and every other slot is an exact
 +0.0, so no value of one sample reaches another sample's result through a
 zero mask slot, however large it grows.  A convolution of several rows over
